@@ -51,22 +51,19 @@ from repro.mem.memory import SpecMemory  # noqa: E402
 class Owner:
     """Minimal OwnerProtocol stand-in with a fixed VT key."""
 
-    __slots__ = ("_key", "aborted", "undo", "reads", "writes", "read_lines",
-                 "write_lines", "deps", "dependents", "sig_read", "sig_write",
-                 "_fp_cached", "_okey", "_line_memo", "_sig_row")
+    __slots__ = ("order_key", "aborted", "undo", "reads", "writes",
+                 "read_lines", "write_lines", "deps", "dependents", "sig_read",
+                 "sig_write", "_fp_cached", "_line_memo", "_sig_row")
 
     def __init__(self, key):
-        self._key = key
+        self.order_key = key
         self.aborted = False
-
-    def order_key(self):
-        return self._key
 
     def still_executing(self):
         return False
 
     def __repr__(self):
-        return f"Owner{self._key}"
+        return f"Owner{self.order_key}"
 
 
 def _cascade(mem):
@@ -81,7 +78,7 @@ def _cascade(mem):
             seen.add(id(v))
             cascade.append(v)
             stack.extend(v.dependents)
-        for v in sorted(cascade, key=lambda o: o.order_key(), reverse=True):
+        for v in sorted(cascade, key=lambda o: o.order_key, reverse=True):
             v.aborted = True
             mem.rollback(v)
 

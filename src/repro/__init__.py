@@ -40,7 +40,7 @@ from .errors import (
     VTBudgetExceeded,
     VTError,
 )
-from .vt import DomainVT, FractalVT, Ordering, Tiebreaker, TiebreakerAllocator
+from .vt import DomainVT, FractalVT, Ordering, TiebreakerAllocator
 from .mem import (
     AddressSpace,
     BloomSignature,
@@ -106,7 +106,6 @@ __all__ = [
     "DomainVT",
     "FractalVT",
     "Ordering",
-    "Tiebreaker",
     "TiebreakerAllocator",
     "AddressSpace",
     "BloomSignature",

@@ -13,10 +13,10 @@ fractal VTs.
 The subtlety that shapes the design: stripped keys of tasks at
 *different* nesting depths are not comparable time-invariantly. Two
 stripped candidates share the dynamic bound ``now_lb`` in their final
-position, so within one depth their order never changes as ``now``
-advances — but across depths, a shallow task's final ``(ts, now_lb)``
-element is compared against a deep task's *frozen* ancestor tiebreaker,
-and that comparison flips as ``now_lb`` grows past it. Hence
+position, so within one depth (one key length) their order never changes
+as ``now`` advances — but across depths, a shallow task's final
+``now_lb`` is compared against a deep task's *frozen* ancestor
+tiebreaker, and that comparison flips as ``now_lb`` grows past it. Hence
 :class:`StrippedIndex` keeps **one lazy-deletion heap per depth**
 (time-invariant order inside each) and takes the minimum across the few
 live depths at query time, splicing the caller's current ``now_lb`` into
@@ -36,20 +36,14 @@ from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 
-def stripped_prefix(key: tuple) -> tuple:
-    """The time-invariant part of a key's stripped transform.
-
-    ``Simulator._stripped`` maps ``key`` to
-    ``key[:-1] + ((key[-1][0], now_lb),)``; everything except ``now_lb``
-    is fixed at enqueue time (requeues replace only the lower bound, and
-    global VT rewrites rebuild the indexes wholesale). The prefix ends in
-    a 1-tuple so it never accidentally compares equal to a full key.
-    """
-    return key[:-1] + ((key[-1][0],),)
-
-
 class StrippedIndex:
     """Per-depth lazy-deletion heaps over stripped VT prefixes.
+
+    A key's stripped transform is ``key[:-1] + (now_lb,)`` (see
+    ``Simulator._stripped``); everything but ``now_lb`` is fixed at
+    enqueue time (requeues replace only the lower bound, and global VT
+    rewrites rebuild the indexes wholesale), so each entry stores the
+    prefix ``key[:-1]`` in the heap for its key length.
 
     ``token_attr`` names the integer attribute on tasks that versions
     their entries (``queue_token`` for queue/buffer indexes,
@@ -71,18 +65,17 @@ class StrippedIndex:
 
     def push(self, task) -> None:
         """Index ``task`` under its current key (token already bumped)."""
-        key = task.order_key()
-        prefix = key[:-1] + ((key[-1][0],),)
+        key = task.order_key
         heap = self._heaps.get(len(key))
         if heap is None:
             heap = self._heaps[len(key)] = []
         self._seq += 1
-        heapq.heappush(heap, (prefix, self._seq, self._token_of(task), task))
+        heapq.heappush(heap, (key[:-1], self._seq, self._token_of(task), task))
 
-    def min_candidate(self, now_lb_raw: int) -> Optional[tuple]:
-        """The minimum stripped key over all live entries, with ``now_lb_raw``
-        spliced in as the dynamic final tiebreaker — byte-equal to
-        ``min(stripped(t.order_key()) for t in live)``."""
+    def min_candidate(self, now_lb: int) -> Optional[tuple]:
+        """The minimum stripped key over all live entries, with ``now_lb``
+        appended as the dynamic final tiebreaker — equal to
+        ``min(stripped(t.order_key) for t in live)``."""
         self.queries += 1
         best: Optional[tuple] = None
         token_of = self._token_of
@@ -93,7 +86,7 @@ class StrippedIndex:
                 if token != token_of(task):
                     heapq.heappop(heap)
                     continue
-                cand = prefix[:-1] + ((prefix[-1][0], now_lb_raw),)
+                cand = prefix + (now_lb,)
                 if best is None or cand < best:
                     best = cand
                 break

@@ -14,6 +14,7 @@ from typing import List, Optional, Tuple
 
 from ..core.task import TaskState
 from ..telemetry.events import GvtTickEvent
+from ..vt import DomainVT
 from .frontier import StrippedIndex
 
 
@@ -35,8 +36,9 @@ class GvtFrontier:
     first, so at most one entry per task is valid across both structures,
     and a state transition is one O(log n) push (or an O(1) bump for
     discards). Global VT rewrites (zooming, tiebreaker compaction) call
-    :meth:`rebuild`. :meth:`min_key` returns exactly the value of the
-    reference linear scan (``Simulator._compute_gvt_linear``).
+    :meth:`rebuild`. :meth:`min_key` returns exactly the minimum a
+    linear scan over the live set would find (the test suite checks it
+    against one on every tick).
     """
 
     __slots__ = ("_dyn", "_run", "_seq", "scan_steps", "queries")
@@ -59,15 +61,15 @@ class GvtFrontier:
         task._gvt_token += 1
         self._seq += 1
         heapq.heappush(self._run,
-                       (task.order_key(), self._seq, task._gvt_token, task))
+                       (task.order_key, self._seq, task._gvt_token, task))
 
     def discard(self, task) -> None:
         """The task no longer bounds the GVT (finished/squashed/parked)."""
         task._gvt_token += 1
 
-    def min_key(self, now_lb_raw: int) -> Optional[tuple]:
+    def min_key(self, now_lb: int) -> Optional[tuple]:
         """The GVT bound: min over running full keys and dynamic stripped
-        keys with ``now_lb_raw`` as the tightened final tiebreaker."""
+        keys with ``now_lb`` as the tightened final tiebreaker."""
         self.queries += 1
         best: Optional[tuple] = None
         run = self._run
@@ -79,7 +81,7 @@ class GvtFrontier:
                 continue
             best = key
             break
-        dyn = self._dyn.min_candidate(now_lb_raw)
+        dyn = self._dyn.min_candidate(now_lb)
         if dyn is not None and (best is None or dyn < best):
             best = dyn
         return best
@@ -108,8 +110,9 @@ class GvtArbiter:
 
     def __init__(self, commit_interval: int = 200):
         self.commit_interval = commit_interval
-        #: saved base-domain (ordering, timestamp) pairs, pushed at zoom-in
-        self.base_stack: List[Tuple[object, int]] = []
+        #: saved base levels (DomainVT: ordering + timestamp), pushed at
+        #: zoom-in
+        self.base_stack: List[DomainVT] = []
         #: outstanding zoom requests: ("in"|"out", requesting task)
         self.zoom_requests: List[Tuple[str, object]] = []
         #: telemetry bus (installed by the simulator; None/falsy = off)
@@ -132,20 +135,6 @@ class GvtArbiter:
             self.bus.emit(GvtTickEvent(now, n_live, n_finished,
                                        self.commits_total))
 
-    @staticmethod
-    def min_unfinished_key(sources) -> Optional[tuple]:
-        """The GVT: minimum VT key over every unfinished-work source.
-
-        ``sources`` yields keys (tuples) or None. Returns None when no
-        unfinished work exists anywhere — then *everything* finished may
-        commit.
-        """
-        best = None
-        for key in sources:
-            if key is not None and (best is None or key < best):
-                best = key
-        return best
-
     # ------------------------------------------------------------------
     def request_zoom(self, direction: str, task) -> None:
         """Queue a zoom-in/out request from a parked task."""
@@ -153,13 +142,13 @@ class GvtArbiter:
             raise ValueError(f"bad zoom direction {direction!r}")
         self.zoom_requests.append((direction, task))
 
-    def push_base(self, ordering, timestamp: int) -> None:
+    def push_base(self, base: DomainVT) -> None:
         """Save a zoomed-out base domain's ordering and timestamp."""
-        self.base_stack.append((ordering, timestamp))
+        self.base_stack.append(base)
         self.zoom_ins += 1
 
-    def pop_base(self) -> Tuple[object, int]:
-        """Restore the most recently saved base domain info."""
+    def pop_base(self) -> DomainVT:
+        """Restore the most recently saved base domain level."""
         self.zoom_outs += 1
         return self.base_stack.pop()
 

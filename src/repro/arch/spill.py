@@ -13,28 +13,28 @@ those buffers live on the zoom stack in :mod:`repro.core.zoom`.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from ..core.task import TaskState
 from ..telemetry.events import SpillEvent
 from .frontier import StrippedIndex
 
 
-def select_spill_victims(pending: List, stripped_key: Callable,
-                         batch: int) -> List:
+def select_spill_victims(pending: List, now_lb: int, batch: int) -> List:
     """Choose up to ``batch`` tasks to spill from ``pending``.
 
     Only tasks whose parents have committed (or are roots) can leave the
     queue — spilled tasks must survive any abort cascade. Victims are the
-    *latest* in program order under ``stripped_key`` (frozen lower bounds
-    would mark freshly-requeued early work as "latest" and bounce it
-    straight back to memory), and the earliest spillable task always stays
-    resident: spilling it while it holds the GVT starves every commit.
+    *latest* in program order under the stripped transform with ``now_lb``
+    as every final tiebreaker (frozen lower bounds would mark
+    freshly-requeued early work as "latest" and bounce it straight back to
+    memory), and the earliest spillable task always stays resident:
+    spilling it while it holds the GVT starves every commit.
     """
     spillable = [t for t in pending
                  if t.parent is None
                  or t.parent.state is TaskState.COMMITTED]
-    spillable.sort(key=lambda t: stripped_key(t.order_key()), reverse=True)
+    spillable.sort(key=lambda t: t.order_key[:-1] + (now_lb,), reverse=True)
     if spillable:
         spillable.pop()
     return spillable[:batch]
@@ -71,16 +71,10 @@ class SpillBuffer:
         task.queue_token += 1  # invalidates the index entry
         return True
 
-    def min_key(self) -> Optional[tuple]:
-        """Lowest VT key inside (spilled tasks still bound the GVT)."""
-        if not self.tasks:
-            return None
-        return min(t.order_key() for t in self.tasks)
-
-    def min_stripped(self, now_lb_raw: int) -> Optional[tuple]:
-        """Lowest stripped key inside, with ``now_lb_raw`` spliced in —
-        equals ``min(stripped(t.order_key()) for t in tasks)``."""
-        return self._index.min_candidate(now_lb_raw)
+    def min_stripped(self, now_lb: int) -> Optional[tuple]:
+        """Lowest stripped key inside, with ``now_lb`` as the final
+        tiebreaker — equals ``min(stripped(t.order_key) for t in tasks)``."""
+        return self._index.min_candidate(now_lb)
 
     def reindex(self) -> None:
         """Re-key every entry after a global VT rewrite (compaction)."""
@@ -116,9 +110,8 @@ class CoalescerJob:
 class SplitterJob:
     """A pending re-enqueue of a spill buffer. Deprioritized.
 
-    The splitter's buffer bounds the GVT through
-    :meth:`SpillBuffer.min_key`, standing in for the paper's
-    lowest-timestamp tracking of spilled tasks.
+    Spilled tasks keep their GVT frontier entries, standing in for the
+    paper's lowest-timestamp tracking of spilled tasks.
     """
 
     __slots__ = ("tile_id", "buffer", "duration")

@@ -52,7 +52,7 @@ class TaskUnit:
         task.queue_token += 1
         self._seq += 1
         heapq.heappush(self._heap,
-                       (task.order_key(), self._seq, task.queue_token, task))
+                       (task.order_key, self._seq, task.queue_token, task))
         self._stripped_idx.push(task)
         self.pending_count += 1
         if self.pending_count > self.peak_pending:
@@ -90,11 +90,11 @@ class TaskUnit:
             return key
         return None
 
-    def peek_min_stripped(self, now_lb_raw: int) -> Optional[tuple]:
+    def peek_min_stripped(self, now_lb: int) -> Optional[tuple]:
         """Lowest live pending key under the stripped transform with
-        ``now_lb_raw`` as the dynamic final tiebreaker, or None when empty.
-        Equals ``min(stripped(t.order_key()) for t in live_pending())``."""
-        return self._stripped_idx.min_candidate(now_lb_raw)
+        ``now_lb`` as the dynamic final tiebreaker, or None when empty.
+        Equals ``min(stripped(t.order_key) for t in live_pending())``."""
+        return self._stripped_idx.min_candidate(now_lb)
 
     def live_pending(self) -> List[object]:
         """All live pending tasks (O(queue); used by spills and rebuilds)."""

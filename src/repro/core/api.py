@@ -22,14 +22,27 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from ..errors import DomainError, FractalError
-from ..vt import DomainVT, Ordering
+from ..vt import Ordering
+from ..vt.domain_vt import DOMAIN_VT_BITS
 from .domain import Domain
 from .task import TaskDesc
 
 
 class TaskAborted(FractalError):
     """The running attempt was aborted mid-execution (conflict); unwinds
-    the task body back to the dispatch loop."""
+    the task body back to the dispatch loop.
+
+    Carries the task itself: the dispatch loop catches nearly every one of
+    these unread, so the message (the task and its VT) is formatted only
+    when something asks for it.
+    """
+
+    def __init__(self, task):
+        super().__init__(task)
+        self.task = task
+
+    def __str__(self) -> str:
+        return repr(self.task)
 
 
 class NeedZoomIn(FractalError):
@@ -86,7 +99,7 @@ class TaskContext:
         """Speculative load (used via the typed wrappers)."""
         task = self.task
         if task.aborted:
-            raise TaskAborted(repr(task))
+            raise TaskAborted(task)
         lat = self._cache.access_latency(task, self.tile_id, addr)
         if lat > self._l1_hit:
             # first touch of a line: the coherence request triggers a
@@ -95,21 +108,21 @@ class TaskContext:
         self.cycles += lat
         value = self._memory.load(task, addr)
         if task.aborted:
-            raise TaskAborted(repr(task))
+            raise TaskAborted(task)
         return value
 
     def store(self, addr: int, value: Any) -> None:
         """Speculative store (used via the typed wrappers)."""
         task = self.task
         if task.aborted:
-            raise TaskAborted(repr(task))
+            raise TaskAborted(task)
         lat = self._cache.access_latency(task, self.tile_id, addr)
         if lat > self._l1_hit:
             lat += self._check_cost
         self.cycles += lat
         self._memory.store(task, addr, value)
         if task.aborted:
-            raise TaskAborted(repr(task))
+            raise TaskAborted(task)
 
     def compute(self, cycles: int) -> None:
         """Charge ``cycles`` of pure computation to this task."""
@@ -193,12 +206,12 @@ class TaskContext:
                                 hint=hint, label=label)
         timestamp = sub.ordering.validate_timestamp(ts)
         # Budget check: the child VT appends one domain VT to ours.
-        needed = DomainVT(sub.ordering, timestamp if sub.ordering.is_ordered
-                          else 0).bits
-        if self.task.vt.bits + needed > self.sim.vt_budget:
+        needed = DOMAIN_VT_BITS[sub.ordering]
+        vt = self.task.vt
+        if vt.bits + needed > self.sim.vt_budget:
             if not self.sim.config.enable_zooming:
-                self.task.vt.child_subdomain(
-                    DomainVT(sub.ordering)).check_budget(self.sim.vt_budget)
+                vt.child_sub(sub.ordering, 0, 0).check_budget(
+                    self.sim.vt_budget)
             raise NeedZoomIn(needed)
         return self._spawn(fn, args, sub, timestamp if sub.ordering.is_ordered
                            else None, hint, label, kind="sub")

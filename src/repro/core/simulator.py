@@ -27,8 +27,8 @@ queue dynamics and ordering exactly, and timing to first order.
 from __future__ import annotations
 
 import heapq
-import os
 import time
+from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..arch.cache import CacheModel
@@ -53,7 +53,7 @@ from ..telemetry import events as tev
 from ..telemetry.bus import EventBus, EventRingBuffer
 from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.timeline import TraceBuilder
-from ..vt import DomainVT, FractalVT, Ordering, TiebreakerAllocator
+from ..vt import FractalVT, Ordering, TiebreakerAllocator
 from ..vt.tiebreaker import WrapAround
 from .api import NeedZoomIn, NeedZoomOut, TaskAborted, TaskContext
 from .domain import Domain
@@ -68,6 +68,8 @@ _TICK = 1
 _CORE_FREE = 2
 _FINISH_SPECIAL = 3
 _REQUEUE = 4
+
+_order_key = attrgetter("order_key")
 
 
 class _WatchdogFire(Exception):
@@ -183,11 +185,8 @@ class Simulator(AllocAPI):
         self._live: Dict[TaskDesc, None] = {}
         # aborted tasks waiting out the rollback latency before re-queueing
         self._limbo: Dict[TaskDesc, None] = {}
-        # incrementally-maintained GVT bound over the live set; with
-        # REPRO_GVT_AUDIT=1 every query is cross-checked against the
-        # reference linear scan (_compute_gvt_linear)
+        # incrementally-maintained GVT bound over the live set
         self._frontier = GvtFrontier()
-        self._gvt_audit = os.environ.get("REPRO_GVT_AUDIT", "") == "1"
         self._finished: List[TaskDesc] = []
         self._executing: Optional[TaskDesc] = None
         self._executing_ctx: Optional[TaskContext] = None
@@ -273,10 +272,9 @@ class Simulator(AllocAPI):
                         timestamp=timestamp if
                         self.root_domain.ordering.is_ordered else None,
                         hint=hint, label=label)
-        dvt = DomainVT(self.root_domain.ordering,
-                       timestamp if self.root_domain.ordering.is_ordered else 0
-                       ).with_lower_bound(self.alloc.lower_bound(0))
-        task.vt = FractalVT([dvt])
+        task.vt = FractalVT.root(self.root_domain.ordering,
+                                 task.timestamp or 0,
+                                 self.alloc.lower_bound(0))
         task.enqueue_time = 0
         self._admit(task)
         return task
@@ -398,10 +396,7 @@ class Simulator(AllocAPI):
 
     def _requeue(self, task: TaskDesc) -> None:
         """Re-enqueue an aborted / zoom-released / restored task."""
-        dvt = task.vt.last
-        lb = DomainVT(dvt.ordering, dvt.timestamp).with_lower_bound(
-            self.alloc.lower_bound(self.now))
-        task.vt = task.vt.child_same_domain(lb)
+        task.vt = task.vt.with_tiebreaker(self.alloc.lower_bound(self.now))
         task.enqueue_time = self.now
         tile_id = task.queue_tile if task.queue_tile >= 0 else 0
         self.tiles[tile_id].unit.enqueue(task)
@@ -411,18 +406,16 @@ class Simulator(AllocAPI):
     def _enqueue_child(self, ctx: TaskContext, child: TaskDesc,
                        kind: str) -> None:
         """Called by TaskContext._spawn for every child enqueue."""
-        parent = ctx.task
-        dvt = DomainVT(child.domain.ordering,
-                       child.timestamp if child.domain.ordering.is_ordered
-                       else 0).with_lower_bound(
-                           self.alloc.lower_bound(self.now))
+        vt = ctx.task.vt
+        ts = child.timestamp or 0  # None in unordered domains
+        lb = self.alloc.lower_bound(self.now)
         if kind == "same":
-            child.vt = parent.vt.child_same_domain(dvt)
+            child.vt = vt.child_same(ts, lb)
         elif kind == "sub":
-            child.vt = parent.vt.child_subdomain(dvt).check_budget(
-                self.vt_budget)
+            child.vt = vt.child_sub(child.domain.ordering, ts,
+                                    lb).check_budget(self.vt_budget)
         else:
-            child.vt = parent.vt.child_superdomain(dvt)
+            child.vt = vt.child_super(ts, lb)
         child.enqueue_time = self.now
         self._admit(child)
         # enqueue messages to a remote tile traverse the mesh
@@ -478,8 +471,7 @@ class Simulator(AllocAPI):
         timestamps and real ancestor tiebreakers — may drive scheduling
         preemption, else splitters chase stale bounds in circles.
         """
-        return key[:-1] + ((key[-1][0],
-                            self.alloc.lower_bound(self.now).raw),)
+        return key[:-1] + (self.alloc.lower_bound(self.now),)
 
     def _pick_job(self, tile: Tile, allow_tasks: bool = True):
         specials = self._special_jobs[tile.tid]
@@ -500,7 +492,7 @@ class Simulator(AllocAPI):
                 # min over *stripped* keys — frozen-key minima mix depths
                 # incomparably (same pitfall as the GVT computation)
                 if now_lb is None:
-                    now_lb = self.alloc.lower_bound(self.now).raw
+                    now_lb = self.alloc.lower_bound(self.now)
                 key = job.buffer.min_stripped(now_lb)
                 if best_key is None or key < best_key:
                     best_i, best_key = i, key
@@ -523,7 +515,7 @@ class Simulator(AllocAPI):
         except WrapAround:
             self._compact_tiebreakers()
             tb = self.alloc.alloc(self.now, core.cid)
-        task.vt = task.vt.finalized(tb)
+        task.vt = task.vt.with_tiebreaker(tb)
         task.state = TaskState.RUNNING
         self._frontier.add_run(task)
         task.core = core
@@ -670,7 +662,7 @@ class Simulator(AllocAPI):
             self._resilience_tick()
         gvt = self._compute_gvt()
         if self._finished:
-            self._finished.sort(key=TaskDesc.order_key)
+            self._finished.sort(key=_order_key)
             frontier = []
             for t in self._finished:
                 # <= is safe: the GVT can only *equal* a finished task's key
@@ -678,7 +670,7 @@ class Simulator(AllocAPI):
                 # tiebreakers are unique), and any future dispatch of that
                 # pending task strictly exceeds the bound — so the finished
                 # task still precedes every unfinished one.
-                if gvt is None or t.order_key() <= gvt:
+                if gvt is None or t.order_key <= gvt:
                     frontier.append(t)
                 else:
                     break
@@ -702,8 +694,8 @@ class Simulator(AllocAPI):
                                 and t.core.tile_id == tile.tid]
                     if not in_queue:
                         continue
-                    victim = max(in_queue, key=TaskDesc.order_key)
-                    if victim.order_key() > gvt:
+                    victim = max(in_queue, key=_order_key)
+                    if victim.order_key > gvt:
                         victims.append(victim)
                 if victims:
                     self._abort_cascade(victims, "commit queue pressure")
@@ -713,55 +705,14 @@ class Simulator(AllocAPI):
 
     def _compute_gvt(self) -> Optional[tuple]:
         """Earliest-unfinished VT bound (the GVT), from the incremental
-        frontier index (see :class:`~repro.arch.gvt.GvtFrontier`).
-
-        With ``REPRO_GVT_AUDIT=1`` every query is cross-checked against
-        the reference linear scan and any divergence raises.
-        """
-        now_lb = self.alloc.lower_bound(self.now).raw
-        best = self._frontier.min_key(now_lb)
-        if self._gvt_audit:
-            ref = self._compute_gvt_linear(now_lb)
-            if ref != best:
-                raise SimulationError(
-                    f"GVT frontier divergence at cycle {self.now}: "
-                    f"indexed={best!r} linear={ref!r}")
-        return best
-
-    def _compute_gvt_linear(self, now_lb: int) -> Optional[tuple]:
-        """Reference GVT: linear scan over the live set (audit mode only).
-
-        The dynamic bound must be applied *per task*: tasks at different
-        nesting depths splice the fresh tiebreaker at different key
-        positions, so min(dynamic) is not dynamic(min(frozen)) — a pending
-        subdomain task whose (real) ancestor prefix is old can be earlier
-        than every dynamically-bounded shallow task. Computing the min any
-        other way commits tasks out of VT order.
-        """
-        best: Optional[tuple] = None
-        for task in self._live:
-            state = task.state
-            if state is TaskState.RUNNING:
-                key = task.order_key()
-            elif state in (TaskState.PENDING, TaskState.WAIT_ZOOM):
-                key = task.order_key()
-                key = key[:-1] + ((key[-1][0], now_lb),)
-            elif state is TaskState.SPILLED:
-                if getattr(task.spill_buffer, "is_zoom", False):
-                    continue  # parked outer domains are later than all live
-                key = task.order_key()
-                key = key[:-1] + ((key[-1][0], now_lb),)
-            else:
-                continue  # FINISHED / FINISH_STALLED do not bound the GVT
-            if best is None or key < best:
-                best = key
-        return best
+        frontier index (see :class:`~repro.arch.gvt.GvtFrontier`)."""
+        return self._frontier.min_key(self.alloc.lower_bound(self.now))
 
     def _note_subdomain(self, domain) -> None:
         self._m_domains.inc()
 
     def _commit_one(self, task: TaskDesc) -> None:
-        key = task.order_key()
+        key = task.order_key
         if self._last_commit_key is not None and key < self._last_commit_key:
             raise SimulationError(
                 f"commit order violates VT order: {task} (key {key}) after "
@@ -814,7 +765,7 @@ class Simulator(AllocAPI):
     def _promote_stalled(self, tile_id: int) -> None:
         unit = self.tiles[tile_id].unit
         while unit.finish_stalled and not unit.commit_queue_full():
-            stalled = min(unit.finish_stalled, key=TaskDesc.order_key)
+            stalled = min(unit.finish_stalled, key=_order_key)
             unit.finish_stalled.remove(stalled)
             unit.acquire_commit_entry()
             stalled.state = TaskState.FINISHED
@@ -850,7 +801,7 @@ class Simulator(AllocAPI):
             cascade[t] = hop
             stack.extend((c, hop + 1) for c in t.children)
             stack.extend((d, hop + 1) for d in t.dependents)
-        for t in sorted(cascade, key=TaskDesc.order_key, reverse=True):
+        for t in sorted(cascade, key=_order_key, reverse=True):
             squash = (t.parent is not None and t.parent in cascade) or (
                 squash_extra is not None and t in squash_extra)
             self._undo_one(t, squash, reason, cascade_id, cascade[t])
@@ -1024,8 +975,6 @@ class Simulator(AllocAPI):
         for buf in self._spill_buffers:
             buf.reindex()
         self._frontier.rebuild(self._live)
-        # cached owner sort keys went stale with the rewrite
-        self.memory.refresh_order_keys()
 
     # ==================================================================
     # spills
@@ -1070,7 +1019,7 @@ class Simulator(AllocAPI):
         if job.kind == "coalescer":
             self._coalescer_queued[tile_id] = False
             victims = select_spill_victims(unit.live_pending(),
-                                           self._stripped,
+                                           self.alloc.lower_bound(self.now),
                                            self.config.spill_batch)
             if victims:
                 self._spill_out(tile_id, unit, victims)
@@ -1103,7 +1052,7 @@ class Simulator(AllocAPI):
         """
         overflow = unit.pending_count - unit.task_queue_cap
         victims = select_spill_victims(
-            unit.live_pending(), self._stripped,
+            unit.live_pending(), self.alloc.lower_bound(self.now),
             max(self.config.spill_batch, overflow))
         if victims:
             if self._ebus is not None:
@@ -1245,9 +1194,8 @@ class Simulator(AllocAPI):
         saturated = [t for t in self._live
                      if t.is_speculative and t.vt.final_tiebreaker_saturated()]
         if saturated:
-            keys = [t.order_key() for t in self._live]
-            earliest = min(keys)
-            victims = [t for t in saturated if t.order_key() != earliest]
+            earliest = min(t.order_key for t in self._live)
+            victims = [t for t in saturated if t.order_key != earliest]
             if victims:
                 self._abort_cascade(victims, "tiebreaker wraparound")
 

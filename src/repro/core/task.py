@@ -58,8 +58,8 @@ class TaskDesc:
         # descriptor
         "tid", "fn", "args", "timestamp", "hint", "domain", "parent", "label",
         # lifecycle
-        "state", "vt", "attempt", "aborted", "n_aborts", "n_exec_faults",
-        "children", "subdomain",
+        "state", "_vt", "order_key", "attempt", "aborted", "n_aborts",
+        "n_exec_faults", "children", "subdomain",
         # placement
         "queue_tile", "queue_token", "core", "spill_buffer",
         # GVT frontier entry version (see arch.gvt.GvtFrontier)
@@ -71,12 +71,10 @@ class TaskDesc:
         "emits",
         # commit record
         "commit_seq", "commit_time",
-        # zoom bookkeeping
-        "zoom_pending_enqueues",
         # speculative owner state (installed by SpecMemory.attach_owner)
         "undo", "reads", "writes", "read_lines", "write_lines",
         "deps", "dependents", "sig_read", "sig_write", "_fp_cached",
-        "_okey", "_line_memo", "_sig_row",
+        "_line_memo", "_sig_row",
     )
 
     def __init__(self, fn: Callable, args: Tuple, domain: Domain,
@@ -95,7 +93,10 @@ class TaskDesc:
         self.label = label or getattr(fn, "__name__", "task")
 
         self.state = TaskState.PENDING
-        self.vt: Optional[FractalVT] = None
+        self._vt: Optional[FractalVT] = None
+        #: the VT's flat sort key, kept in step with ``vt`` (the SpecMemory
+        #: owner protocol; queues and the GVT frontier read it too)
+        self.order_key: Optional[tuple] = None
         self.attempt = 0
         self.aborted = False
         self.n_aborts = 0
@@ -119,7 +120,6 @@ class TaskDesc:
         self.emits = None
         self.commit_seq = -1
         self.commit_time = -1
-        self.zoom_pending_enqueues = None
         # Dependence edges exist even before the first dispatch (the abort
         # cascade walks children's dependents); SpecMemory.attach_owner
         # resets them per attempt.
@@ -127,9 +127,15 @@ class TaskDesc:
         self.dependents = set()
 
     # ------------------------------------------------------------------
-    def order_key(self) -> tuple:
-        """Current fractal-VT sort key (the SpecMemory owner protocol)."""
-        return self.vt.key()
+    @property
+    def vt(self) -> Optional[FractalVT]:
+        """The task's current fractal VT."""
+        return self._vt
+
+    @vt.setter
+    def vt(self, vt: FractalVT) -> None:
+        self._vt = vt
+        self.order_key = vt.key
 
     def still_executing(self) -> bool:
         """SpecMemory owner protocol: True while this attempt's finish event

@@ -21,7 +21,7 @@ from typing import List, Optional
 
 from ..errors import SimulationError
 from ..telemetry.events import ZoomEvent
-from ..vt import DomainVT, FractalVT, Ordering, Tiebreaker
+from ..vt import DomainVT
 from .task import TaskState
 from ..arch.spill import SpillBuffer
 
@@ -33,20 +33,23 @@ class ZoomRequest:
     needed_bits: int = 0    # for zoom-in: bits the new subdomain VT needs
 
 
+#: sentinel: the active live set has not been scanned in this pass
+_UNSCANNED = object()
+
+
 class ZoomFrame:
-    """One zoomed-out base domain: its spilled tasks + saved ordering/ts."""
+    """One zoomed-out base domain: its spilled tasks + saved base level."""
 
-    __slots__ = ("buffer", "ordering", "timestamp")
+    __slots__ = ("buffer", "base")
 
-    def __init__(self, tasks: List, ordering: Ordering, timestamp: int):
+    def __init__(self, tasks: List, base: DomainVT):
         self.buffer = SpillBuffer(tasks)
         self.buffer.is_zoom = True
-        self.ordering = ordering
-        self.timestamp = timestamp
+        self.base = base
 
     def __repr__(self) -> str:
-        return (f"ZoomFrame({self.ordering.value}, ts={self.timestamp}, "
-                f"{len(self.buffer)} spilled)")
+        return (f"ZoomFrame({self.base.ordering.value}, "
+                f"ts={self.base.timestamp}, {len(self.buffer)} spilled)")
 
 
 class ZoomController:
@@ -56,6 +59,10 @@ class ZoomController:
         self.sim = sim
         self.frames: List[ZoomFrame] = []
         self.requests: List[ZoomRequest] = []
+        # min order key over the active live set for the current
+        # process() pass; _UNSCANNED until needed, reset by every release
+        # or zoom (the only steps inside a pass that move a live key)
+        self._min_key = _UNSCANNED
 
     # ------------------------------------------------------------------
     @property
@@ -74,7 +81,7 @@ class ZoomController:
     # ------------------------------------------------------------------
     def process(self) -> None:
         """Attempt every outstanding request (called from the GVT tick)."""
-        sim = self.sim
+        self._min_key = _UNSCANNED
         for req in list(self.requests):
             task = req.task
             if task.state is not TaskState.WAIT_ZOOM:
@@ -87,33 +94,46 @@ class ZoomController:
         # Auto zoom-out: the zoomed-in region drained with outer work
         # parked (possibly several empty frames if spilled tasks were
         # squashed meanwhile).
-        while self.frames and not sim._active_live():
+        while self.frames and self._min_active_key() is None:
             self.zoom_out()
+
+    def _min_active_key(self) -> Optional[tuple]:
+        """Lowest order key over the active (not zoom-parked) live tasks,
+        None when there are none; scanned at most once between changes.
+
+        Requesters are active themselves, which is harmless: a zoom-in
+        requester's key strictly exceeds its base prefix, and a zoom-out
+        requester's key is not below itself, so "some *other* task is at
+        or before X" equals "the minimum is at or before X" for both
+        checks below.
+        """
+        if self._min_key is _UNSCANNED:
+            self._min_key = min((t.order_key for t in self.sim._active_live()),
+                                default=None)
+        return self._min_key
 
     # ------------------------------------------------------------------
     def _try_zoom_in(self, req: ZoomRequest) -> None:
         sim = self.sim
         task = req.task
-        if task.vt.bits + req.needed_bits <= sim.vt_budget:
+        vt = task.vt
+        if vt.bits + req.needed_bits <= sim.vt_budget:
             # An earlier zoom already freed enough bits.
             self._release(req)
             return
-        if task.vt.depth == 1:
+        if vt.depth == 1:
             raise SimulationError(
                 f"zoom-in requested by base-domain task {task}: vt_bits="
                 f"{sim.vt_budget} cannot hold two nesting levels of this "
                 f"shape; increase vt_bits")
-        base_key = (task.vt.domains[0].key(),)
         # Wait until the base-domain task that shares our base domain VT
         # commits: then nothing at or before that VT is still live.
-        for other in sim._active_live():
-            if other is not task and other.order_key() <= base_key:
-                return
+        if self._min_active_key() <= vt.base_key:
+            return
         self.zoom_in(task)
         self._release(req)
 
     def _try_zoom_out(self, req: ZoomRequest) -> None:
-        sim = self.sim
         task = req.task
         if task.vt.depth > 1:
             # A zoom-out already happened; the superdomain is reachable.
@@ -122,22 +142,22 @@ class ZoomController:
         if not self.frames:
             raise SimulationError(
                 f"zoom-out requested by {task} with an empty zoom stack")
-        key = task.order_key()
-        for other in sim._active_live():
-            if other is not task and other.order_key() < key:
-                return
+        if self._min_active_key() < task.order_key:
+            return
         self.zoom_out()
         self._release(req)
 
     def _release(self, req: ZoomRequest) -> None:
         self.drop_request(req.task)
-        self.sim._zoom_release(req.task)
+        self.sim._zoom_release(req.task)  # requeue: a fresh lower bound
+        self._min_key = _UNSCANNED
 
     # ------------------------------------------------------------------
     def zoom_in(self, requester) -> None:
         """Spill the base domain and shift it out of every live VT."""
         sim = self.sim
-        base_dvt = requester.vt.domains[0]
+        base = requester.vt.base
+        base_key = requester.vt.base_key
 
         # 1. Abort speculative base-domain tasks (recursively eliminating
         #    their descendants, Fig. 13b). Requester is depth >= 2 and not
@@ -151,24 +171,24 @@ class ZoomController:
         victims = [t for t in sim._active_live() if t.vt.depth == 1]
         for t in victims:
             sim._extract_pending(t)
-        frame = ZoomFrame(victims, base_dvt.ordering, base_dvt.timestamp)
+        frame = ZoomFrame(victims, base)
         for t in victims:
             t.state = TaskState.SPILLED
             t.spill_buffer = frame.buffer
         self.frames.append(frame)
-        sim.arbiter.push_base(base_dvt.ordering, base_dvt.timestamp)
+        sim.arbiter.push_base(base)
 
         # 3. The outermost subdomain becomes the base (Fig. 13d): every
         #    remaining task shares the requester's base domain VT; shift
         #    it out.
-        base_key = base_dvt.key()
         for t in sim._active_live():
-            if t.vt.domains[0].key() != base_key:
+            if t.vt.base_key != base_key:
                 raise SimulationError(
                     f"zoom-in: live task {t} does not share base VT "
-                    f"{base_dvt!r}")
+                    f"{base_key!r}")
             t.vt = t.vt.drop_base()
         sim._rebuild_queues()
+        self._min_key = _UNSCANNED
         if sim._ebus is not None:
             sim._ebus.emit(ZoomEvent(sim.now, "in", len(self.frames),
                                      len(victims)))
@@ -177,21 +197,19 @@ class ZoomController:
         """Restore the most recently spilled base domain."""
         sim = self.sim
         frame = self.frames.pop()
-        ordering, timestamp = sim.arbiter.pop_base()
-        restored = DomainVT(ordering,
-                            timestamp if ordering.is_ordered else 0,
-                            Tiebreaker(raw=0, cycle=0, tile=0))
+        base = sim.arbiter.pop_base()
         # Right-shift every live VT, prepending the restored base domain VT
         # with a zero tiebreaker: the zoomed region holds all the earliest
         # active tasks, so this changes no order relations.
         for t in sim._active_live():
-            t.vt = t.vt.with_base(restored)
+            t.vt = t.vt.with_base(base)
         restored_tasks = list(frame.buffer.tasks)
         for t in restored_tasks:
             t.state = TaskState.PENDING
             t.spill_buffer = None
             sim._requeue(t)
         sim._rebuild_queues()
+        self._min_key = _UNSCANNED
         if sim._ebus is not None:
             sim._ebus.emit(ZoomEvent(sim.now, "out", len(self.frames),
                                      len(restored_tasks)))

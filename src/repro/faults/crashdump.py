@@ -37,7 +37,7 @@ _TILE_KEYS = ("tile", "pending", "task_queue_cap", "commit_occupancy",
 def _live_sample(sim, limit: int = 10) -> List[Dict[str, Any]]:
     """The ``limit`` earliest live tasks (the ones wedging the GVT)."""
     tasks = sorted((t for t in sim._live if t.vt is not None),
-                   key=lambda t: t.order_key())[:limit]
+                   key=lambda t: t.order_key)[:limit]
     return [{
         "tid": t.tid,
         "label": t.label,

@@ -25,7 +25,7 @@ the simulator).
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .bloom import BloomSignature, H3HashFamily, SignatureBank
 class ConflictPolicy:
     """Base conflict model: tracks live speculative tasks.
 
-    Owners (task attempts) must expose ``order_key()`` plus ``sig_read`` /
+    Owners (task attempts) must expose ``order_key`` plus ``sig_read`` /
     ``sig_write`` attributes, which this model installs at registration.
     """
 
@@ -69,11 +69,6 @@ class ConflictPolicy:
         """
         raise NotImplementedError
 
-    def live_owners(self) -> List:
-        """Live registered owners, in registration order (used by
-        :meth:`repro.mem.memory.SpecMemory.refresh_order_keys`)."""
-        raise NotImplementedError
-
 
 class PreciseConflictModel(ConflictPolicy):
     """Idealized precise conflict detection — never a false positive."""
@@ -102,9 +97,6 @@ class PreciseConflictModel(ConflictPolicy):
 
     def false_conflict(self, owner, line: int, is_write: bool):
         return None
-
-    def live_owners(self) -> List:
-        return list(self._live)
 
     @property
     def live_count(self) -> int:
@@ -252,9 +244,6 @@ class BloomConflictModel(ConflictPolicy):
                 self.false_positives += 1
                 return other
         return None
-
-    def live_owners(self) -> List:
-        return list(self._live)
 
     @staticmethod
     def _truly_touches(other, line: int, is_write: bool) -> bool:

@@ -43,7 +43,7 @@ Three engines share all bookkeeping and differ only in probing:
   every access, no memoization.
 - ``audit`` — the fast engine, but every memoized skip is cross-checked
   against a reference probe and any divergence raises
-  :class:`SimulationError` (the ``REPRO_GVT_AUDIT`` pattern).
+  :class:`SimulationError`.
 
 Select with the constructor's ``engine=`` or the environment:
 ``REPRO_MEM_AUDIT=1`` forces ``audit``; ``REPRO_MEM_ENGINE=scalar|fast``
@@ -83,14 +83,14 @@ class OwnerProtocol:
     - ``undo`` (:class:`UndoLog`), ``reads`` / ``writes`` (addr→value, for
       the serializability audit), ``read_lines`` / ``write_lines`` (sets),
       ``deps`` / ``dependents`` (owner sets), ``sig_read`` / ``sig_write``,
-      ``_okey`` (cached ``order_key()``; refreshed by
-      :meth:`SpecMemory.refresh_order_keys` after global VT rewrites),
       ``_line_memo`` (line → packed probe epoch, fast engine only).
 
-    Methods the owner class must provide:
+    What the owner class must provide:
 
-    - ``order_key()`` — current fractal-VT sort key; totally orders all
-      live owners and is consistent for the lifetime of each access chain.
+    - ``order_key`` — attribute holding the current fractal-VT sort key;
+      totally orders all live owners. Global VT rewrites (zoom,
+      tiebreaker compaction) replace it but preserve the relative order
+      of live owners, so memoized clean probes stay valid across them.
     - ``still_executing()`` — True while the owner's stores are conceptually
       in flight (its finish event lies in the simulated future). May decay
       to False during an attempt but never rises again without a fresh
@@ -200,24 +200,12 @@ class SpecMemory:
         owner.write_lines = set()
         owner.deps = set()
         owner.dependents = set()
-        owner._okey = owner.order_key()
         owner._line_memo = {}
         self.conflicts.register(owner)
 
     def detach_owner(self, owner) -> None:
         """Drop conflict-model tracking (commit and abort paths)."""
         self.conflicts.unregister(owner)
-
-    def refresh_order_keys(self) -> None:
-        """Re-cache every live owner's VT sort key.
-
-        The simulator calls this after global VT rewrites (zoom,
-        tiebreaker compaction). Rewrites preserve the *relative* order of
-        live tasks, so memoized clean probes stay valid — only the cached
-        keys need recomputing.
-        """
-        for owner in self.conflicts.live_owners():
-            owner._okey = owner.order_key()
 
     # ------------------------------------------------------------------
     # non-speculative access (initialization / result inspection)
@@ -309,12 +297,12 @@ class SpecMemory:
             else:
                 self.slow_probes += 1
                 memo_bit = 0
-                key = owner._okey
+                key = owner.order_key
                 chain = self._line_writers.get(line)
                 if chain:
                     self.probe_steps += len(chain)
                     victims = [w for w in chain
-                               if w is not owner and w._okey > key]
+                               if w is not owner and w.order_key > key]
                     if victims:
                         self.n_true_conflicts += len(victims)
                         if self.bus:
@@ -326,12 +314,12 @@ class SpecMemory:
                     if owner.aborted:
                         return self.default
         else:
-            key = owner.order_key()
+            key = owner.order_key
             chain = self._line_writers.get(line)
             if chain:
                 self.probe_steps += len(chain)
                 victims = [w for w in chain
-                           if w is not owner and w.order_key() > key]
+                           if w is not owner and w.order_key > key]
                 if victims:
                     self.n_true_conflicts += len(victims)
                     if self.bus:
@@ -425,18 +413,18 @@ class SpecMemory:
                     self._audit_probe(owner, line, is_write=True)
             else:
                 self.slow_probes += 1
-                key = owner._okey
+                key = owner.order_key
                 victims = []
                 readers = self._line_readers.get(line)
                 if readers:
                     self.probe_steps += len(readers)
                     victims.extend(r for r in readers
-                                   if r is not owner and r._okey > key)
+                                   if r is not owner and r.order_key > key)
                 chain = self._line_writers.get(line)
                 if chain:
                     self.probe_steps += len(chain)
                     victims.extend(w for w in chain
-                                   if w is not owner and w._okey > key
+                                   if w is not owner and w.order_key > key
                                    and w not in victims)
                 if victims:
                     self.n_true_conflicts += len(victims)
@@ -449,18 +437,18 @@ class SpecMemory:
                     if owner.aborted:
                         return
         else:
-            key = owner.order_key()
+            key = owner.order_key
             victims = []
             readers = self._line_readers.get(line)
             if readers:
                 self.probe_steps += len(readers)
                 victims.extend(r for r in readers
-                               if r is not owner and r.order_key() > key)
+                               if r is not owner and r.order_key > key)
             chain = self._line_writers.get(line)
             if chain:
                 self.probe_steps += len(chain)
                 victims.extend(w for w in chain
-                               if w is not owner and w.order_key() > key
+                               if w is not owner and w.order_key > key
                                and w not in victims)
             if victims:
                 self.n_true_conflicts += len(victims)
@@ -543,22 +531,17 @@ class SpecMemory:
 
         The fast path claims "a re-probe of this line finds nothing"; run
         the scalar probe and raise if it would have found victims or a
-        blocking earlier in-flight writer (``REPRO_GVT_AUDIT`` pattern).
+        blocking earlier in-flight writer.
         """
-        key = owner.order_key()
-        if key != owner._okey:
-            raise SimulationError(
-                f"REPRO_MEM_AUDIT: stale cached order key for {owner!r} "
-                f"(cached {owner._okey!r}, live {key!r}); "
-                f"refresh_order_keys() was not called after a VT rewrite")
+        key = owner.order_key
         chain = self._line_writers.get(line) or ()
-        victims = [w for w in chain if w is not owner and w.order_key() > key]
+        victims = [w for w in chain if w is not owner and w.order_key > key]
         if is_write and not victims:
             readers = self._line_readers.get(line) or ()
             victims = [r for r in readers
-                       if r is not owner and r.order_key() > key]
+                       if r is not owner and r.order_key > key]
         blockers = [w for w in chain
-                    if w is not owner and w.order_key() < key
+                    if w is not owner and w.order_key < key
                     and w.still_executing()]
         if victims or blockers:
             raise SimulationError(
@@ -588,7 +571,7 @@ class SpecMemory:
         if not chain:
             return
         for w in chain:
-            if w is not owner and w.order_key() < key and w.still_executing():
+            if w is not owner and w.order_key < key and w.still_executing():
                 # Tell the scheduler when the blocking store lands, so the
                 # retry happens once instead of spinning (one abort per
                 # in-flight writer, as on real hardware).
@@ -645,7 +628,7 @@ class SpecMemory:
             return
         # Hardware aborts the later of the two; "both signatures matched"
         # carries no direction, so VT decides.
-        victim = owner if owner.order_key() > other.order_key() else other
+        victim = owner if owner.order_key > other.order_key else other
         if self.bus:
             aggressor = other if victim is owner else owner
             self._emit_conflict("false-positive", aggressor, [victim], line)

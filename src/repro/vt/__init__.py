@@ -3,25 +3,25 @@
 A task's *fractal VT* is the concatenation of one *domain VT* per enclosing
 domain. Domain VTs combine an optional program timestamp (32 or 64 bits)
 with a dispatch-time *tiebreaker*; comparing fractal VTs lexicographically
-yields a total order that enforces Fractal's cross-domain atomicity.
+yields a total order that enforces Fractal's cross-domain atomicity. The
+sort key is one flat tuple of ints, two per level.
 
 Public API:
 
 - :class:`Ordering` — domain ordering semantics (unordered / 32b / 64b).
-- :class:`Tiebreaker` / :class:`TiebreakerAllocator` — (cycle, tile)
-  tiebreakers with wrap-around compaction (paper Sec. 4.4).
-- :class:`DomainVT` — a single domain's virtual time.
-- :class:`FractalVT` — the concatenated, budget-checked fractal VT.
+- :class:`TiebreakerAllocator` — packed (cycle, tile) int tiebreakers
+  with wrap-around compaction (paper Sec. 4.4).
+- :class:`DomainVT` — one level's ordering and timestamp.
+- :class:`FractalVT` — the flat-keyed, budget-checked fractal VT.
 """
 
 from .ordering import Ordering
-from .tiebreaker import Tiebreaker, TiebreakerAllocator
+from .tiebreaker import TiebreakerAllocator
 from .domain_vt import DomainVT
 from .fractal_vt import FractalVT
 
 __all__ = [
     "Ordering",
-    "Tiebreaker",
     "TiebreakerAllocator",
     "DomainVT",
     "FractalVT",

@@ -2,84 +2,40 @@
 
 A domain VT orders all tasks within one domain. In an ordered domain it is
 the concatenation of the program timestamp (32 or 64 bits) and a tiebreaker;
-in an unordered domain it is just a tiebreaker. Tasks that have not been
-dispatched yet carry a conservative *lower-bound* tiebreaker (the paper's
-unset "--" tiebreaker of Fig. 12) so that GVT computations stay safe.
+in an unordered domain it is just a tiebreaker. Inside a fractal VT each
+domain VT is two ints of the flat key, ``(timestamp, tiebreaker)``, with a
+zero timestamp in unordered domains (see :mod:`repro.vt.fractal_vt`).
+
+:class:`DomainVT` describes one level *without* its tiebreaker: the
+ordering and timestamp that a zoom-in saves on the base stack and a
+zoom-out restores (paper Sec. 4.3).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
 from ..errors import VTError
 from .ordering import Ordering
-from .tiebreaker import Tiebreaker
 
-# Per-member constants, precomputed once: DomainVT construction sits on
-# the simulator's task-creation path, and enum property chains cost more
-# than the validation they feed.
-_MAX_TIMESTAMP = {o: o.max_timestamp for o in Ordering}
-_VT_BITS = {o: o.timestamp_bits + 32 for o in Ordering}
+#: Bits one domain VT occupies in the hardware format (Fig. 10): the
+#: program timestamp plus a 32-bit tiebreaker.
+DOMAIN_VT_BITS = {o: o.timestamp_bits + 32 for o in Ordering}
 
 
 @dataclass(frozen=True)
 class DomainVT:
-    """One domain's contribution to a fractal VT."""
+    """One domain level of a fractal VT: its ordering and timestamp."""
 
     ordering: Ordering
     timestamp: int = 0          # always 0 for unordered domains
-    tiebreaker: Optional[Tiebreaker] = None
-    #: True while the owning task is still waiting to dispatch and the
-    #: tiebreaker only bounds the eventual value from below.
-    is_lower_bound: bool = False
 
     def __post_init__(self):
-        if self.ordering is Ordering.UNORDERED and self.timestamp:
-            raise VTError("unordered domain VT cannot carry a timestamp")
-        if self.timestamp < 0 or self.timestamp > _MAX_TIMESTAMP[self.ordering]:
-            if self.ordering.is_ordered:
-                raise VTError(
-                    f"timestamp {self.timestamp} out of range for "
-                    f"{self.ordering.value}")
+        if not 0 <= self.timestamp <= self.ordering.max_timestamp:
+            raise VTError(f"timestamp {self.timestamp} out of range for an "
+                          f"{self.ordering.value} domain VT")
 
-    # ------------------------------------------------------------------
     @property
     def bits(self) -> int:
         """Bits this domain VT occupies in the hardware format (Fig. 10)."""
-        return _VT_BITS[self.ordering]
-
-    def key(self) -> Tuple[int, int]:
-        """Sort key: (timestamp, tiebreaker-raw). Unordered domains use a
-        zero timestamp so that the key shape is uniform."""
-        tb = self.tiebreaker.raw if self.tiebreaker is not None else 0
-        return (self.timestamp, tb)
-
-    # ------------------------------------------------------------------
-    def with_tiebreaker(self, tb: Tiebreaker) -> "DomainVT":
-        """Final domain VT produced at dispatch."""
-        return DomainVT(self.ordering, self.timestamp, tb,
-                        is_lower_bound=False)
-
-    def with_lower_bound(self, tb: Tiebreaker) -> "DomainVT":
-        """Conservative pre-dispatch domain VT."""
-        return DomainVT(self.ordering, self.timestamp, tb,
-                        is_lower_bound=True)
-
-    def compacted(self, allocator) -> "DomainVT":
-        """This VT after one tiebreaker compaction walk (paper Sec. 4.4)."""
-        if self.tiebreaker is None:
-            return self
-        return DomainVT(self.ordering, self.timestamp,
-                        allocator.compacted(self.tiebreaker),
-                        is_lower_bound=self.is_lower_bound)
-
-    def saturated(self) -> bool:
-        """True when the tiebreaker has been compacted down to zero."""
-        return self.tiebreaker is not None and self.tiebreaker.raw == 0
-
-    def __repr__(self) -> str:
-        tb = "--" if self.tiebreaker is None else repr(self.tiebreaker)
-        if self.ordering.is_ordered:
-            return f"{self.timestamp},{tb}"
-        return tb
+        return DOMAIN_VT_BITS[self.ordering]

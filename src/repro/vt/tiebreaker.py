@@ -3,8 +3,10 @@
 A tiebreaker is the concatenation of the dispatch cycle and the dispatching
 tile id. It orders same-timestamp tasks sensibly (older first) and orders
 children after parents (a child is always dispatched at a later cycle than
-its parent). Fractal uses 32-bit tiebreakers for VT compactness, so they
-wrap around every few tens of milliseconds; :class:`TiebreakerAllocator`
+its parent). A tiebreaker is the packed ``(cycle << tile_bits) | tile``
+int that hardware compares, with the cycle taken relative to an epoch
+base. Fractal uses 32-bit tiebreakers for VT compactness, so they wrap
+around every few tens of milliseconds; :class:`TiebreakerAllocator`
 implements the paper's compaction walk: subtract half the range with
 saturation from every live tiebreaker, then keep allocating from the
 half-range point.
@@ -12,34 +14,7 @@ half-range point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from ..errors import VTError
-
-
-@dataclass(frozen=True, order=True)
-class Tiebreaker:
-    """An allocated tiebreaker value.
-
-    ``raw`` is the packed (cycle || tile) integer actually compared in
-    hardware; ``cycle`` and ``tile`` are kept for introspection and traces.
-    Ordering compares ``raw`` only (dataclass field order puts it first).
-    """
-
-    raw: int
-    cycle: int = 0
-    tile: int = 0
-
-    def __repr__(self) -> str:  # matches the paper's "cycle:tile" notation
-        return f"{self.cycle}:{self.tile}"
-
-
-#: Sentinel lower-bound used for tasks that have not been dispatched yet
-#: (the paper's "unset tiebreaker" dash in Fig. 12). Compares below any
-#: real tiebreaker allocated at or after the same cycle.
-def lower_bound(cycle: int, tile_bits: int) -> Tiebreaker:
-    return Tiebreaker(raw=cycle << tile_bits, cycle=cycle, tile=0)
 
 
 class TiebreakerAllocator:
@@ -73,7 +48,7 @@ class TiebreakerAllocator:
         # asks for the *current* cycle's bound millions of times per run;
         # one cached entry covers almost all of them. compact() clears it.
         self._lb_cycle = -1
-        self._lb_cached: Optional[Tiebreaker] = None
+        self._lb_cached = 0
 
     # ------------------------------------------------------------------
     def rel_cycle(self, cycle: int) -> int:
@@ -88,7 +63,7 @@ class TiebreakerAllocator:
         """True when allocating at ``cycle`` would overflow the epoch."""
         return self.rel_cycle(cycle) > self.max_rel_cycle
 
-    def alloc(self, cycle: int, tile: int) -> Tiebreaker:
+    def alloc(self, cycle: int, tile: int) -> int:
         """Allocate the tiebreaker for a dispatch at ``cycle`` on ``tile``.
 
         Raises :class:`WrapAround` when the relative cycle overflows; the
@@ -99,30 +74,25 @@ class TiebreakerAllocator:
         rel = self.rel_cycle(cycle)
         if rel > self.max_rel_cycle:
             raise WrapAround(cycle)
-        raw = (rel << self.tile_bits) | tile
-        return Tiebreaker(raw=raw, cycle=cycle, tile=tile)
+        return (rel << self.tile_bits) | tile
 
-    def lower_bound(self, cycle: int) -> Tiebreaker:
+    def lower_bound(self, cycle: int) -> int:
         """Conservative tiebreaker lower bound for a not-yet-dispatched task
-        enqueued at ``cycle``. Sorts before any tiebreaker allocated at or
-        after ``cycle`` and after any allocated strictly before it."""
+        enqueued at ``cycle`` (the paper's unset "--" tiebreaker, Fig. 12).
+        Sorts at or before any tiebreaker allocated at or after ``cycle``
+        and after any allocated strictly before it."""
         if cycle == self._lb_cycle:
             return self._lb_cached
-        rel = min(self.rel_cycle(cycle), self.max_rel_cycle)
-        tb = Tiebreaker(raw=rel << self.tile_bits, cycle=cycle, tile=0)
+        tb = min(self.rel_cycle(cycle), self.max_rel_cycle) << self.tile_bits
         self._lb_cycle = cycle
         self._lb_cached = tb
         return tb
 
     # ------------------------------------------------------------------
-    def compacted(self, tb: Tiebreaker) -> Tiebreaker:
+    def compacted(self, tb: int) -> int:
         """The value ``tb`` takes after one compaction walk: subtract half
-        the raw range, saturating at zero (paper Sec. 4.4 step 1)."""
-        new_raw = max(tb.raw - self.half_raw, 0)
-        half_cycles = self.half_raw >> self.tile_bits
-        return Tiebreaker(raw=new_raw,
-                          cycle=max(tb.cycle - half_cycles, 0),
-                          tile=tb.tile if new_raw else 0)
+        the range, saturating at zero (paper Sec. 4.4 step 1)."""
+        return max(tb - self.half_raw, 0)
 
     def compact(self, now_cycle: int) -> None:
         """Advance the epoch base by half the cycle range.
@@ -135,7 +105,6 @@ class TiebreakerAllocator:
         half_cycles = self.half_raw >> self.tile_bits
         self._epoch_base += half_cycles
         self._lb_cycle = -1  # epoch moved: cached bound is no longer valid
-        self._lb_cached = None
         self.wraparounds += 1
         if self.would_wrap(now_cycle):
             # One walk did not create room: the run outlived 1.5x the cycle

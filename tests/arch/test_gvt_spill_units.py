@@ -2,20 +2,18 @@
 
 import pytest
 
-from repro.arch.gvt import GvtArbiter
+from repro.arch.gvt import GvtArbiter, GvtFrontier
 from repro.arch.spill import CoalescerJob, SpillBuffer, SplitterJob
-from repro.vt import Ordering
+from repro.vt import DomainVT, Ordering
 
 
 class _Task:
-    """Minimal SpillBuffer occupant: a VT-shaped key + queue token."""
+    """Minimal SpillBuffer / frontier occupant: a flat VT key + tokens."""
 
     def __init__(self, ts, tb=0):
-        self._key = ((ts, tb),)
+        self.order_key = (ts, tb)
         self.queue_token = 0
-
-    def order_key(self):
-        return self._key
+        self._gvt_token = 0
 
 
 class TestGvtArbiter:
@@ -24,18 +22,26 @@ class TestGvtArbiter:
         assert arb.next_tick(1000) == 1200
 
     def test_min_unfinished(self):
-        assert GvtArbiter.min_unfinished_key([(3,), None, (1,), (2,)]) == (1,)
+        """The GVT is the least key over running tasks (full key) and
+        pending ones (final tiebreaker tightened to the present)."""
+        frontier = GvtFrontier()
+        running, pending = _Task(3, 5), _Task(1, 0)
+        frontier.add_run(running)
+        frontier.add_dyn(pending)
+        assert frontier.min_key(7) == (1, 7)
+        frontier.discard(pending)
+        assert frontier.min_key(7) == (3, 5)
 
     def test_min_of_nothing_is_none(self):
-        assert GvtArbiter.min_unfinished_key([None, None]) is None
+        assert GvtFrontier().min_key(0) is None
 
     def test_base_stack_lifo(self):
         arb = GvtArbiter()
-        arb.push_base(Ordering.ORDERED_32, 7)
-        arb.push_base(Ordering.UNORDERED, 0)
+        arb.push_base(DomainVT(Ordering.ORDERED_32, 7))
+        arb.push_base(DomainVT(Ordering.UNORDERED))
         assert arb.zoom_depth == 2
-        assert arb.pop_base() == (Ordering.UNORDERED, 0)
-        assert arb.pop_base() == (Ordering.ORDERED_32, 7)
+        assert arb.pop_base() == DomainVT(Ordering.UNORDERED, 0)
+        assert arb.pop_base() == DomainVT(Ordering.ORDERED_32, 7)
         assert arb.zoom_ins == 2 and arb.zoom_outs == 2
 
     def test_zoom_request_validation(self):
@@ -47,10 +53,10 @@ class TestGvtArbiter:
 class TestSpillBuffer:
     def test_min_key(self):
         buf = SpillBuffer([_Task(5), _Task(2), _Task(9)])
-        assert buf.min_key() == ((2, 0),)
+        assert buf.min_stripped(4) == (2, 4)
 
     def test_empty_min_is_none(self):
-        assert SpillBuffer([]).min_key() is None
+        assert SpillBuffer([]).min_stripped(0) is None
 
     def test_remove(self):
         a, b = _Task(1), _Task(2)

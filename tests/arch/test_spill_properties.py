@@ -1,7 +1,7 @@
 """Property tests: SpillBuffer and spill-victim selection invariants.
 
 Generated VT keys deliberately mix nesting depths — a shallow task's
-1-element key against a deep task's 3-element key is exactly the shape
+one-level key against a deep task's three-level key is exactly the shape
 that broke naive stripped-key comparisons (see arch/frontier.py).
 """
 
@@ -12,20 +12,17 @@ from repro.core.task import TaskState
 
 _vt_keys = st.lists(
     st.tuples(st.integers(0, 7), st.integers(0, 7)),
-    min_size=1, max_size=3).map(tuple)
+    min_size=1, max_size=3).map(lambda levels: sum(levels, ()))
 
 
 class _Task:
     def __init__(self, key, committed_parent=True):
-        self._key = key
+        self.order_key = key
         self.queue_token = 0
         self.parent = None if committed_parent else _Parent()
 
-    def order_key(self):
-        return self._key
-
     def __repr__(self):
-        return f"_Task{self._key}"
+        return f"_Task{self.order_key}"
 
 
 class _Parent:
@@ -34,20 +31,19 @@ class _Parent:
 
 def _stripped(key, now_lb=1000):
     """The simulator's stripped-key transform with a frozen lower bound."""
-    return key[:-1] + ((key[-1][0], now_lb),)
+    return key[:-1] + (now_lb,)
 
 
 class TestSpillBufferProperties:
     def test_empty_buffer_min_key_is_none(self):
         buf = SpillBuffer([])
-        assert buf.min_key() is None
         assert buf.min_stripped(0) is None
 
     @given(keys=st.lists(_vt_keys, max_size=12))
     @settings(max_examples=80, deadline=None)
     def test_remove_absent_returns_false(self, keys):
         buf = SpillBuffer([_Task(k) for k in keys])
-        outsider = _Task(((99, 99),))
+        outsider = _Task((99, 99))
         assert buf.remove(outsider) is False
         assert len(buf) == len(keys)
 
@@ -58,14 +54,12 @@ class TestSpillBufferProperties:
         tasks = [_Task(k) for k in keys]
         buf = SpillBuffer(tasks)
         while tasks:
-            assert buf.min_key() == min(t.order_key() for t in tasks)
             assert buf.min_stripped(1000) == min(
-                _stripped(t.order_key()) for t in tasks)
+                _stripped(t.order_key) for t in tasks)
             victim = drop.draw(st.sampled_from(tasks))
             assert buf.remove(victim) is True
             assert buf.remove(victim) is False  # second removal: gone
             tasks.remove(victim)
-        assert buf.min_key() is None
         assert buf.min_stripped(1000) is None
 
 
@@ -75,20 +69,20 @@ class TestVictimSelectionProperties:
     @settings(max_examples=120, deadline=None)
     def test_victims_never_earlier_than_retained_minimum(self, keys, batch):
         pending = [_Task(k) for k in keys]
-        victims = select_spill_victims(pending, _stripped, batch)
+        victims = select_spill_victims(pending, 1000, batch)
         assert len(victims) <= batch
         retained = [t for t in pending if t not in victims]
         # the earliest spillable task must stay resident (it may hold the
         # GVT), so every victim sorts at or after the retained minimum
         assert retained
-        floor = min(_stripped(t.order_key()) for t in retained)
+        floor = min(_stripped(t.order_key) for t in retained)
         for v in victims:
-            assert _stripped(v.order_key()) >= floor
+            assert _stripped(v.order_key) >= floor
 
     @given(keys=st.lists(_vt_keys, min_size=1, max_size=12, unique=True))
     @settings(max_examples=60, deadline=None)
     def test_uncommitted_parents_are_never_spilled(self, keys):
         pending = [_Task(k, committed_parent=(i % 2 == 0))
                    for i, k in enumerate(keys)]
-        victims = select_spill_victims(pending, _stripped, len(keys))
+        victims = select_spill_victims(pending, 1000, len(keys))
         assert all(v.parent is None for v in victims)

@@ -8,14 +8,11 @@ from repro.arch.task_unit import TaskUnit
 
 class _Task:
     def __init__(self, ts, tb=0):
-        # keys are VT-shaped — ((ts, tb), ...) — as the queue's stripped
-        # index (arch/frontier.py) requires
-        self._key = ((ts, tb),)
+        # keys are flat VT keys — (ts0, tb0, ...) — as the queue's
+        # stripped index (arch/frontier.py) requires
+        self.order_key = (ts, tb)
         self.queue_tile = -1
         self.queue_token = 0
-
-    def order_key(self):
-        return self._key
 
 
 class TestTaskQueue:
@@ -51,14 +48,14 @@ class TestTaskQueue:
         unit.enqueue(a)
         unit.enqueue(b)
         unit.remove(a)
-        assert unit.peek_min_key() == ((2, 0),)
+        assert unit.peek_min_key() == (2, 0)
 
     def test_rebuild_rekeys(self):
         unit = TaskUnit(0, 16, 4)
         a, b = _Task(1), _Task(2)
         unit.enqueue(a)
         unit.enqueue(b)
-        a._key, b._key = ((9, 0),), ((0, 0),)
+        a.order_key, b.order_key = (9, 0), (0, 0)
         unit.rebuild()
         assert unit.pop_best() is b
 

@@ -138,3 +138,21 @@ class TestSubdomainAbortUnit:
         sim.run(max_cycles=10_000_000)
         sim.audit()
         assert leaf_runs.peek() == 4  # exactly one surviving execution
+
+
+def test_abort_unwind_formats_its_message_lazily():
+    """TaskAborted carries the task; the dispatch loop swallows almost
+    every one, so the task and its VT are formatted only on demand."""
+    from repro.core.api import TaskAborted
+
+    class Probe:
+        reprs = 0
+
+        def __repr__(self):
+            Probe.reprs += 1
+            return "<probe>"
+
+    task = Probe()
+    exc = TaskAborted(task)
+    assert Probe.reprs == 0 and exc.task is task
+    assert str(exc) == "<probe>" and Probe.reprs == 1

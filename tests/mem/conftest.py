@@ -11,14 +11,11 @@ class FakeOwner:
     """A stand-in task attempt with a fixed VT key."""
 
     def __init__(self, key):
-        self._key = key
+        self.order_key = key
         self.aborted = False
         self.children = []
         self.parent = None
         self.state = "running"
-
-    def order_key(self):
-        return self._key
 
     def still_executing(self):
         """FakeOwners act as instantaneous (already-finished) tasks unless a
@@ -26,7 +23,7 @@ class FakeOwner:
         return getattr(self, "executing", False)
 
     def __repr__(self):
-        return f"FakeOwner{self._key}"
+        return f"FakeOwner{self.order_key}"
 
 
 class FakeCtx:
@@ -61,7 +58,7 @@ class AbortRecorder:
             seen.add(id(v))
             cascade.append(v)
             stack.extend(getattr(v, "dependents", ()))
-        for v in sorted(cascade, key=lambda o: o.order_key(), reverse=True):
+        for v in sorted(cascade, key=lambda o: o.order_key, reverse=True):
             v.aborted = True
             self.mem.rollback(v)
             self.aborted.append(v)

@@ -240,14 +240,6 @@ class TestAuditEngine:
         with pytest.raises(SimulationError, match="skipped a probe"):
             mem.load(o, 0)
 
-    def test_audit_catches_stale_order_key(self):
-        mem = make_mem("audit")
-        o = attach(mem, 5)
-        mem.load(o, 0)
-        o._key = (2,)  # VT rewrite without refresh_order_keys()
-        with pytest.raises(SimulationError, match="stale cached order key"):
-            mem.load(o, 0)
-
     def test_audit_clean_run_is_silent(self):
         mem = make_mem("audit")
         o = attach(mem, 1)
@@ -256,15 +248,6 @@ class TestAuditEngine:
             mem.store(o, 0, 1)
         mem.commit(o)
         mem.assert_quiescent()
-
-    def test_refresh_order_keys_satisfies_audit(self):
-        mem = make_mem("audit")
-        o = attach(mem, 5)
-        mem.load(o, 0)
-        o._key = (2,)
-        mem.refresh_order_keys()
-        mem.load(o, 0)  # no raise
-        mem.commit(o)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +270,7 @@ class _Driver:
         inner = self.mem.abort_cascade
 
         def record(victims, reason):
-            self.trace.append(("abort", [v._key for v in victims], reason))
+            self.trace.append(("abort", [v.order_key for v in victims], reason))
             inner(victims, reason)
 
         self.mem.abort_cascade = record
@@ -314,7 +297,7 @@ class _Driver:
     def observable(self):
         m = self.mem
         return (self.trace, dict(m._values),
-                [(o._key, o.aborted, sorted(o.reads.items()),
+                [(o.order_key, o.aborted, sorted(o.reads.items()),
                   sorted(o.writes.items())) for o in self.owners],
                 (m.n_loads, m.n_stores, m.n_true_conflicts,
                  m.n_injected_conflicts))

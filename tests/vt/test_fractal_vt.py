@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import VTBudgetExceeded, VTError
-from repro.vt import DomainVT, FractalVT, Ordering, Tiebreaker, TiebreakerAllocator
+from repro.vt import DomainVT, FractalVT, Ordering, TiebreakerAllocator
+
+U, O32, O64 = Ordering.UNORDERED, Ordering.ORDERED_32, Ordering.ORDERED_64
 
 
 def tb(cycle, tile=0):
@@ -12,147 +14,166 @@ def tb(cycle, tile=0):
     return alloc.alloc(cycle, tile)
 
 
-def dvt(ordering=Ordering.UNORDERED, ts=0, cycle=1, tile=0):
-    return DomainVT(ordering, ts if ordering.is_ordered else 0,
-                    tb(cycle, tile))
+def root(cycle=1, tile=0, ordering=U, ts=0):
+    return FractalVT.root(ordering, ts, tb(cycle, tile))
+
+
+def sub(vt, cycle=1, tile=0, ordering=U, ts=0):
+    return vt.child_sub(ordering, ts, tb(cycle, tile))
 
 
 class TestDomainVT:
     def test_bits_match_figure_10(self):
-        assert dvt(Ordering.UNORDERED).bits == 32
-        assert dvt(Ordering.ORDERED_32, ts=5).bits == 64
-        assert dvt(Ordering.ORDERED_64, ts=5).bits == 96
+        assert DomainVT(U).bits == 32
+        assert DomainVT(O32, 5).bits == 64
+        assert DomainVT(O64, 5).bits == 96
 
     def test_unordered_cannot_carry_timestamp(self):
         with pytest.raises(VTError):
-            DomainVT(Ordering.UNORDERED, 3, tb(1))
+            DomainVT(U, 3)
 
     def test_key_orders_timestamp_before_tiebreaker(self):
-        early = DomainVT(Ordering.ORDERED_32, 1, tb(100))
-        late = DomainVT(Ordering.ORDERED_32, 2, tb(1))
-        assert early.key() < late.key()
+        early = FractalVT.root(O32, 1, tb(100))
+        late = FractalVT.root(O32, 2, tb(1))
+        assert early.key < late.key
 
 
 class TestFractalVTOrdering:
     def test_paper_figure_12_order(self):
         """B (45:2) < F (45:2 | 1,51:4) < G (45:2 | 2,71:5) < M (78:6 | ...)."""
-        b = FractalVT([dvt(cycle=45, tile=2)])
-        f = FractalVT([dvt(cycle=45, tile=2),
-                       DomainVT(Ordering.ORDERED_64, 1, tb(51, 4))])
-        g = FractalVT([dvt(cycle=45, tile=2),
-                       DomainVT(Ordering.ORDERED_64, 2, tb(71, 5))])
-        m = FractalVT([dvt(cycle=78, tile=6), dvt(cycle=80, tile=0)])
+        b = root(45, 2)
+        f = sub(b, 51, 4, O64, ts=1)
+        g = sub(b, 71, 5, O64, ts=2)
+        m = sub(root(78, 6), 80, 0)
         assert b < f < g < m
 
     def test_creator_precedes_its_subdomain(self):
-        creator = FractalVT([dvt(cycle=10)])
-        child = creator.child_subdomain(dvt(cycle=11))
+        creator = root(10)
+        child = sub(creator, 11)
         assert creator < child
-        assert creator.is_prefix_of(child)
+        assert child.key[:len(creator.key)] == creator.key
 
     def test_whole_subdomain_precedes_later_outside_task(self):
-        creator = FractalVT([dvt(cycle=10)])
-        later = FractalVT([dvt(cycle=20)])
-        deep = creator.child_subdomain(dvt(cycle=999))
-        deeper = deep.child_subdomain(dvt(cycle=10**6))
+        creator = root(10)
+        later = root(20)
+        deep = sub(creator, 999)
+        deeper = sub(deep, 10**6)
         assert creator < deep < deeper < later
 
     def test_same_domain_child_replaces_last(self):
-        parent = FractalVT([dvt(cycle=5), dvt(cycle=6)])
-        child = parent.child_same_domain(dvt(cycle=9))
+        parent = sub(root(5), 6)
+        child = parent.child_same(0, tb(9))
         assert child.depth == parent.depth
+        assert child.key[:-2] == parent.key[:-2]
         assert parent < child
 
     def test_superdomain_child_drops_two(self):
-        vt = FractalVT([dvt(cycle=1), dvt(cycle=2), dvt(cycle=3)])
-        child = vt.child_superdomain(dvt(cycle=9))
+        vt = sub(sub(root(1, ordering=O32, ts=4), 2), 3)
+        child = vt.child_super(0, tb(9))
         assert child.depth == 2
+        assert child.orderings == (O32, U)
+        assert child.bits == 64 + 32
 
     def test_superdomain_from_root_fails(self):
         with pytest.raises(VTError):
-            FractalVT([dvt(cycle=1)]).child_superdomain(dvt(cycle=2))
+            root(1).child_super(0, tb(2))
 
     def test_shares_domain_with(self):
-        a = FractalVT([dvt(cycle=1), dvt(cycle=2)])
-        b = a.child_same_domain(dvt(cycle=3))
-        c = a.child_subdomain(dvt(cycle=4))
-        assert a.shares_domain_with(b)
-        assert not a.shares_domain_with(c)
+        """Tasks of one domain share every key int above the final
+        tiebreaker; a subdomain task's key is longer."""
+        a = sub(root(1), 2)
+        b = a.child_same(0, tb(3))
+        c = sub(a, 4)
+        assert len(a.key) == len(b.key) and a.key[:-1] == b.key[:-1]
+        assert len(c.key) != len(a.key)
+
+    def test_with_tiebreaker_replaces_only_the_final_one(self):
+        vt = sub(root(3, ordering=O32, ts=7), 4)
+        final = vt.with_tiebreaker(tb(9, 1))
+        assert final.key[:-1] == vt.key[:-1]
+        assert final.key[-1] == tb(9, 1)
+        assert (final.orderings, final.bits) == (vt.orderings, vt.bits)
 
 
 class TestBudget:
     def test_bits_accumulate(self):
-        vt = FractalVT([dvt(Ordering.ORDERED_64, ts=1),
-                        dvt(Ordering.UNORDERED)])
+        vt = sub(root(ordering=O64, ts=1))
         assert vt.bits == 96 + 32
 
     def test_budget_enforced(self):
-        vt = FractalVT([dvt() for _ in range(4)])  # 128 bits
-        assert vt.fits(128)
+        vt = sub(sub(sub(root())))  # 4 x 32 = 128 bits
+        assert vt.check_budget(128) is vt
         with pytest.raises(VTBudgetExceeded):
-            vt.child_subdomain(dvt()).check_budget(128)
+            sub(vt).check_budget(128)
 
     def test_empty_vt_rejected(self):
         with pytest.raises(VTError):
-            FractalVT([])
+            FractalVT((), (), 0)
 
 
 class TestZoomShifts:
     def test_drop_base_preserves_relative_order(self):
-        base = dvt(cycle=7)
-        a = FractalVT([base, dvt(cycle=10), dvt(cycle=1)])
-        b = FractalVT([base, dvt(cycle=10), dvt(cycle=2)])
-        c = FractalVT([base, dvt(cycle=11)])
+        base = root(7)
+        a = sub(sub(base, 10), 1)
+        b = sub(sub(base, 10), 2)
+        c = sub(base, 11)
         assert (a < b) == (a.drop_base() < b.drop_base())
         assert (a < c) == (a.drop_base() < c.drop_base())
+        assert a.drop_base().bits == a.bits - 32
 
     def test_with_base_inverts_drop_base(self):
-        base = dvt(cycle=7)
-        vt = FractalVT([base, dvt(cycle=10)])
-        assert vt.drop_base().with_base(base) == vt
+        # a zoom-out restores the base level with a zero tiebreaker
+        vt = sub(FractalVT.root(O32, 7, 0), 10)
+        back = vt.drop_base().with_base(vt.base)
+        assert back == vt
+        assert (back.orderings, back.bits) == (vt.orderings, vt.bits)
 
     def test_restored_zero_tiebreaker_sorts_before_real(self):
-        restored = DomainVT(Ordering.UNORDERED, 0, Tiebreaker(raw=0))
-        spilled = dvt(cycle=78, tile=6)
-        inner = FractalVT([restored, dvt(cycle=50)])
-        outer = FractalVT([spilled])
+        inner = root(50).with_base(DomainVT(U))
+        outer = root(78, 6)
         assert inner < outer
 
     def test_cannot_drop_only_domain(self):
         with pytest.raises(VTError):
-            FractalVT([dvt()]).drop_base()
+            root().drop_base()
 
 
 # --- property-based: lexicographic order is a strict total order ---------
 
-_dvt_strategy = st.tuples(
-    st.sampled_from([Ordering.UNORDERED, Ordering.ORDERED_32]),
+_level = st.tuples(
+    st.sampled_from([U, O32]),
     st.integers(min_value=0, max_value=7),
     st.integers(min_value=1, max_value=200),
     st.integers(min_value=0, max_value=3),
-).map(lambda t: DomainVT(t[0], t[1] if t[0].is_ordered else 0,
-                         Tiebreaker(raw=(t[2] << 8) | t[3],
-                                    cycle=t[2], tile=t[3])))
+).map(lambda t: (t[0], t[1] if t[0].is_ordered else 0, (t[2] << 8) | t[3]))
 
-_vt_strategy = st.lists(_dvt_strategy, min_size=1, max_size=4).map(FractalVT)
+
+def _build(levels):
+    vt = FractalVT.root(*levels[0])
+    for level in levels[1:]:
+        vt = vt.child_sub(*level)
+    return vt
+
+
+_vt_strategy = st.lists(_level, min_size=1, max_size=4).map(_build)
 
 
 @given(_vt_strategy, _vt_strategy, _vt_strategy)
 def test_total_order_properties(a, b, c):
-    assert (a < b) or (b < a) or (a.key() == b.key())
+    assert (a < b) or (b < a) or (a.key == b.key)
     if a < b and b < c:
         assert a < c
     assert not (a < a)
 
 
-@given(_vt_strategy, _dvt_strategy)
-def test_children_sort_after_parent(parent, child_dvt):
-    assert parent < parent.child_subdomain(child_dvt)
+@given(_vt_strategy, _level)
+def test_children_sort_after_parent(parent, level):
+    assert parent < parent.child_sub(*level)
 
 
-@given(_vt_strategy, _vt_strategy, _dvt_strategy)
-def test_drop_base_monotone(a, b, extra):
+@given(_vt_strategy, _vt_strategy, _level)
+def test_drop_base_monotone(a, b, level):
     """Dropping a shared base preserves strict order."""
-    base = extra
+    base = DomainVT(level[0], level[1])
     wa, wb = a.with_base(base), b.with_base(base)
     assert (wa < wb) == (a < b)

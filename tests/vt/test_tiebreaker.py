@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import VTError
-from repro.vt import Tiebreaker, TiebreakerAllocator
+from repro.vt import TiebreakerAllocator
 from repro.vt.tiebreaker import WrapAround
 
 
@@ -16,10 +16,11 @@ class TestAllocation:
         c = alloc.alloc(11, 0)
         assert a < b < c
 
-    def test_repr_matches_paper_notation(self):
+    def test_packs_relative_cycle_above_tile(self):
         alloc = TiebreakerAllocator(width=32, tile_bits=8)
-        tb = alloc.alloc(45, 2)
-        assert repr(tb) == "45:2"
+        # relative cycles start at 1 so that 0 stays free below them all
+        assert alloc.alloc(45, 2) == (46 << 8) | 2
+        assert alloc.lower_bound(45) == 46 << 8
 
     def test_tile_must_fit(self):
         alloc = TiebreakerAllocator(width=32, tile_bits=4)
@@ -57,16 +58,13 @@ class TestWrapAround:
 
     def test_compaction_subtracts_half_with_saturation(self):
         alloc = self._tiny()
-        high = Tiebreaker(raw=alloc.half_raw + 5, cycle=100, tile=5)
-        low = Tiebreaker(raw=3, cycle=0, tile=3)
-        assert alloc.compacted(high).raw == 5
-        assert alloc.compacted(low).raw == 0
+        assert alloc.compacted(alloc.half_raw + 5) == 5
+        assert alloc.compacted(3) == 0
 
     def test_compaction_preserves_order_above_half(self):
         alloc = self._tiny()
-        a = Tiebreaker(raw=alloc.half_raw + 5)
-        b = Tiebreaker(raw=alloc.half_raw + 9)
-        assert alloc.compacted(a) < alloc.compacted(b)
+        assert (alloc.compacted(alloc.half_raw + 5)
+                < alloc.compacted(alloc.half_raw + 9))
 
     def test_new_allocations_start_at_half_after_compaction(self):
         alloc = self._tiny()
@@ -75,16 +73,15 @@ class TestWrapAround:
             alloc.alloc(cycle, 0)
         alloc.compact(cycle)
         tb = alloc.alloc(cycle, 0)
-        assert tb.raw >= alloc.half_raw // 2
+        assert tb >= alloc.half_raw // 2
         assert alloc.wraparounds == 1
 
     @given(st.integers(min_value=0, max_value=2**12 - 1),
            st.integers(min_value=0, max_value=2**12 - 1))
     def test_compaction_monotone(self, x, y):
         alloc = TiebreakerAllocator(width=12, tile_bits=4)
-        a, b = Tiebreaker(raw=x), Tiebreaker(raw=y)
-        ca, cb = alloc.compacted(a), alloc.compacted(b)
+        ca, cb = alloc.compacted(x), alloc.compacted(y)
         if x <= y:
-            assert ca.raw <= cb.raw
+            assert ca <= cb
         else:
-            assert ca.raw >= cb.raw
+            assert ca >= cb
