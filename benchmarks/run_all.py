@@ -138,16 +138,6 @@ def collect_makespans():
     return makespans
 
 
-def collect_serve_block():
-    """The last bench_serve.py result, if any (kept across rewrites)."""
-    path = RESULTS_DIR / "serve_load.json"
-    try:
-        doc = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return None
-    return doc if doc.get("schema") == "repro.serve-load/1" else None
-
-
 def write_summary(path, records, *, jobs, total_wall_s, cores):
     """The BENCH_summary.json perf-trajectory document."""
     cache = {"hits": 0, "misses": 0}
@@ -169,9 +159,6 @@ def write_summary(path, records, *, jobs, total_wall_s, cores):
                      "cache": r["cache"]} for r in records],
         "makespans": collect_makespans(),
     }
-    serve = collect_serve_block()
-    if serve is not None:
-        doc["serve"] = serve
     pathlib.Path(path).write_text(json.dumps(doc, indent=2) + "\n")
     return doc
 

@@ -1,7 +1,7 @@
 """Registry of runnable applications.
 
-One place maps the short app names users type (CLI, JobSpec JSON, the
-serve API) to ``repro.apps`` module paths and their supported variants.
+One place maps the short app names users type (CLI, JobSpec JSON) to
+``repro.apps`` module paths and their supported variants.
 Dotted module paths are also accepted everywhere a registry name is, so
 out-of-tree app modules (e.g. the farm test fixtures) stay runnable; for
 those the variant set is unknown and not checked.

@@ -10,7 +10,7 @@ in-memory stack of saved base-domain timestamps.
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..core.task import TaskState
 from ..telemetry.events import GvtTickEvent
@@ -106,15 +106,13 @@ class GvtFrontier:
 
 
 class GvtArbiter:
-    """Computes commit frontiers and queues zoom requests."""
+    """Paces GVT ticks and keeps the zoomed-out base-domain stack."""
 
     def __init__(self, commit_interval: int = 200):
         self.commit_interval = commit_interval
         #: saved base levels (DomainVT: ordering + timestamp), pushed at
         #: zoom-in
         self.base_stack: List[DomainVT] = []
-        #: outstanding zoom requests: ("in"|"out", requesting task)
-        self.zoom_requests: List[Tuple[str, object]] = []
         #: telemetry bus (installed by the simulator; None/falsy = off)
         self.bus = None
         # stats
@@ -136,12 +134,6 @@ class GvtArbiter:
                                        self.commits_total))
 
     # ------------------------------------------------------------------
-    def request_zoom(self, direction: str, task) -> None:
-        """Queue a zoom-in/out request from a parked task."""
-        if direction not in ("in", "out"):
-            raise ValueError(f"bad zoom direction {direction!r}")
-        self.zoom_requests.append((direction, task))
-
     def push_base(self, base: DomainVT) -> None:
         """Save a zoomed-out base domain's ordering and timestamp."""
         self.base_stack.append(base)

@@ -22,17 +22,6 @@ Commands:
   the content-addressed result cache so repeated sweeps only execute
   jobs whose digest is missing or stale (``--cache-dir`` relocates it,
   ``--summary-out`` dumps the farm summary JSON).
-- ``coordinator`` / ``agent`` — the distributed farm
-  (:mod:`repro.farm.dist`): a coordinator leasing digest-sharded sweep
-  fragments to worker agents under heartbeat TTLs, with exactly-once
-  result recording; ``sweep --dist URL`` drives a sweep through it and
-  renders the same table bytes as a local run. ``profile --dist URL``
-  reports leases, requeues and duplicate suppression.
-- ``serve`` — run the always-on simulation service (:mod:`repro.serve`):
-  HTTP/JSON job submission with content-addressed coalescing, per-tenant
-  admission control, SSE progress streaming, and graceful drain on
-  SIGTERM. ``profile --serve URL`` reports a live instance's queue
-  depths, admission rejects and cache hit rates.
 - ``crash-validate BUNDLE.json ...`` — validate ``repro.crash/1`` crash
   bundles: exit 0 all valid, 1 structurally invalid, 4 unreadable or
   truncated/garbage JSON (field-level messages, never a traceback).
@@ -71,13 +60,6 @@ exit codes:
   2  simulator internal error, or an invalid --faults plan
   3  queue-resource exhaustion (QueueError) despite degradation
   4  partial run: the resilience watchdog stopped the simulation
-"""
-
-_SERVE_EXIT_CODES = """\
-exit codes:
-  0  clean shutdown (SIGTERM/SIGINT drained all queued and running jobs)
-  2  invalid configuration (tenants file, bind address)
-  3  drain timed out: --drain-timeout expired with jobs still pending
 """
 
 _CRASH_EXIT_CODES = """\
@@ -160,124 +142,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--summary-out", metavar="PATH", default=None,
                          help="write the farm summary (jobs, cache "
                               "hits/misses, wall time) as JSON")
-    p_sweep.add_argument("--dist", metavar="URL", default=None,
-                         help="run the sweep through a repro.farm.dist "
-                              "coordinator at URL instead of a local "
-                              "farm (`repro coordinator` + `repro "
-                              "agent`); the rendered table is "
-                              "byte-identical either way")
-    p_sweep.add_argument("--fragments", type=int, default=0, metavar="N",
-                         help="--dist: lease fragments to cut the sweep "
-                              "into (default: coordinator's setting)")
-    p_sweep.add_argument("--dist-timeout", type=float, default=600.0,
-                         metavar="SEC",
-                         help="--dist: overall sweep deadline "
-                              "(default 600)")
-    p_sweep.add_argument("--token", default=None, metavar="SECRET",
-                         help="--dist: coordinator wire token (default: "
-                              "$REPRO_DIST_TOKEN)")
-
-    p_coord = sub.add_parser(
-        "coordinator",
-        help="run a distributed-farm coordinator (repro.farm.dist)")
-    p_coord.add_argument("--host", default="127.0.0.1")
-    p_coord.add_argument("--port", type=int, default=8178,
-                         help="listen port (0 picks a free one)")
-    p_coord.add_argument("--lease-ttl", type=float, default=6.0,
-                         metavar="SEC",
-                         help="un-renewed lease lifetime (default 6)")
-    p_coord.add_argument("--heartbeat-interval", type=float, default=1.5,
-                         metavar="SEC",
-                         help="agent heartbeat period (default 1.5; "
-                              "must be < --lease-ttl)")
-    p_coord.add_argument("--fragments", type=int, default=8, metavar="N",
-                         help="default fragments per sweep (default 8)")
-    p_coord.add_argument("--cache-dir", metavar="DIR",
-                         default="benchmarks/results/.cache",
-                         help="content-addressed result cache (default: "
-                              "benchmarks/results/.cache)")
-    p_coord.add_argument("--no-cache", action="store_true",
-                         help="disable the result cache")
-    p_coord.add_argument("--journal-dir", metavar="DIR", default=None,
-                         help="write-ahead journal directory; restarting "
-                              "on the same dir resumes every in-flight "
-                              "sweep (default: off, in-memory only)")
-    p_coord.add_argument("--snapshot-every", type=int, default=2048,
-                         metavar="N",
-                         help="compact the journal into a snapshot every "
-                              "N records (default 2048)")
-    p_coord.add_argument("--token", default=None, metavar="SECRET",
-                         help="require X-Repro-Token on every request "
-                              "(default: $REPRO_DIST_TOKEN; empty = "
-                              "open)")
-
-    p_agent = sub.add_parser(
-        "agent", help="run a distributed-farm worker agent")
-    p_agent.add_argument("coordinator", metavar="URL",
-                         help="coordinator base URL, e.g. "
-                              "http://127.0.0.1:8178")
-    p_agent.add_argument("--id", default="",
-                         help="agent name (default: assigned)")
-    p_agent.add_argument("--jobs", type=int, default=1, metavar="N",
-                         help="local farm worker processes (default 1)")
-    p_agent.add_argument("--max-fragments", type=int, default=1,
-                         metavar="N",
-                         help="leases to hold at once (default 1)")
-    p_agent.add_argument("--exit-when-idle", action="store_true",
-                         help="exit 0 once the coordinator has no "
-                              "pending work")
-    p_agent.add_argument("--cache-dir", metavar="DIR", default=None,
-                         help="local result cache (default: off; share "
-                              "the coordinator's dir on one machine)")
-    p_agent.add_argument("--crash-dump-dir", metavar="DIR", default=None,
-                         help="write repro.crash/1 bundles when farm "
-                              "worker processes die")
-    p_agent.add_argument("--token", default="", metavar="SECRET",
-                         help="coordinator wire token (default: "
-                              "$REPRO_DIST_TOKEN)")
-    p_agent.add_argument("--reconnect-timeout", type=float, default=120.0,
-                         metavar="SEC",
-                         help="continuous coordinator silence before "
-                              "the agent gives up (default 120)")
-
-    p_serve = sub.add_parser(
-        "serve", help="run the always-on simulation service (repro.serve)",
-        epilog=_SERVE_EXIT_CODES,
-        formatter_class=argparse.RawDescriptionHelpFormatter)
-    p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument("--port", type=int, default=8177,
-                         help="listen port (0 picks a free one)")
-    p_serve.add_argument("--workers", type=int, default=2, metavar="N",
-                         help="persistent farm worker slots (default 2)")
-    p_serve.add_argument("--cache-dir", metavar="DIR",
-                         default="benchmarks/results/.cache",
-                         help="content-addressed result cache (default: "
-                              "benchmarks/results/.cache)")
-    p_serve.add_argument("--no-cache", action="store_true",
-                         help="disable the result cache (every submission "
-                              "executes)")
-    p_serve.add_argument("--timeout", type=float, default=0.0, metavar="SEC",
-                         help="graceful per-job wall-clock watchdog "
-                              "(changes the content address)")
-    p_serve.add_argument("--max-attempts", type=int, default=2, metavar="N",
-                         help="per-job attempt budget (default 2)")
-    p_serve.add_argument("--drain-timeout", type=float, default=60.0,
-                         metavar="SEC",
-                         help="how long SIGTERM waits for pending jobs "
-                              "(default 60)")
-    p_serve.add_argument("--tenants", metavar="FILE", default=None,
-                         help="tenants JSON file (API keys -> quotas; see "
-                              "README 'Serving')")
-    p_serve.add_argument("--require-key", action="store_true",
-                         help="reject submissions without an X-API-Key")
-    p_serve.add_argument("--no-warmup", action="store_true",
-                         help="skip pre-importing the simulator in workers")
 
     p_prof = sub.add_parser(
         "profile", help="run one application and report hot-path counters")
-    p_prof.add_argument("app", nargs="?", default=None,
-                        help="application name (see `apps`); omit with "
-                             "--serve")
+    p_prof.add_argument("app", help="application name (see `apps`)")
     p_prof.add_argument("--variant", default=None,
                         help="execution-model variant (default: best)")
     p_prof.add_argument("--cores", type=int, default=16)
@@ -289,20 +157,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument("--metrics-out", metavar="PATH", default=None,
                         help="write metrics (incl. profile_* counters) "
                              "+ stats JSON to PATH")
-    p_prof.add_argument("--serve", metavar="URL", default=None,
-                        help="profile a running serve instance instead: "
-                             "fetch URL/metrics and report queue depths, "
-                             "admission rejects, coalescing and cache "
-                             "hit rates")
-    p_prof.add_argument("--api-key", default="",
-                        help="X-API-Key for --serve")
-    p_prof.add_argument("--dist", metavar="URL", default=None,
-                        help="profile a running dist coordinator "
-                             "instead: leases, requeues, duplicate "
-                             "suppression, recovery, per-agent rows")
-    p_prof.add_argument("--token", default=None, metavar="SECRET",
-                        help="--dist: coordinator wire token (default: "
-                             "$REPRO_DIST_TOKEN)")
 
     p_crash = sub.add_parser(
         "crash-validate",
@@ -424,116 +278,6 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_serve(args) -> int:
-    from .serve import ServeConfig, serve_forever
-    try:
-        config = ServeConfig(
-            host=args.host, port=args.port, workers=args.workers,
-            cache_dir=None if args.no_cache else args.cache_dir,
-            timeout_s=args.timeout, max_attempts=args.max_attempts,
-            drain_timeout_s=args.drain_timeout,
-            require_key=args.require_key, warmup=not args.no_warmup)
-        if args.tenants:
-            config.load_tenants(args.tenants)
-        return serve_forever(config)
-    except ConfigError as exc:
-        print(f"serve: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"serve: cannot bind {args.host}:{args.port}: {exc}",
-              file=sys.stderr)
-        return 2
-
-
-def _cmd_coordinator(args) -> int:
-    import os as _os
-
-    from .farm.dist import CoordinatorConfig, coordinator_forever
-    from .farm.dist.wire import TOKEN_ENV
-    token = args.token if args.token is not None \
-        else _os.environ.get(TOKEN_ENV, "")
-    try:
-        config = CoordinatorConfig(
-            host=args.host, port=args.port,
-            lease_ttl_s=args.lease_ttl,
-            heartbeat_interval_s=args.heartbeat_interval,
-            fragments=args.fragments,
-            cache_dir=None if args.no_cache else args.cache_dir,
-            journal_dir=args.journal_dir,
-            journal_snapshot_every=args.snapshot_every,
-            auth_token=token)
-        return coordinator_forever(config)
-    except ConfigError as exc:
-        print(f"coordinator: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"coordinator: cannot bind {args.host}:{args.port}: {exc}",
-              file=sys.stderr)
-        return 2
-
-
-def _cmd_agent(args) -> int:
-    from .farm.dist import AgentConfig, agent_forever
-    try:
-        config = AgentConfig(
-            coordinator_url=args.coordinator, agent_id=args.id,
-            jobs=args.jobs, max_fragments=args.max_fragments,
-            exit_when_idle=args.exit_when_idle,
-            cache_dir=args.cache_dir,
-            crash_dump_dir=args.crash_dump_dir,
-            token=args.token,
-            reconnect_timeout_s=args.reconnect_timeout)
-        return agent_forever(config)
-    except ConfigError as exc:
-        print(f"agent: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ConnectionError) as exc:
-        print(f"agent: cannot reach {args.coordinator}: {exc}",
-              file=sys.stderr)
-        return 2
-
-
-def _cmd_profile_dist(args) -> int:
-    from .farm.dist import DistClient
-    from .serve.client import ServeAPIError
-    from .telemetry.profiling import format_dist_profile
-    try:
-        with DistClient(args.dist, token=args.token,
-                        timeout=10.0) as client:
-            doc = client.metrics()
-    except (OSError, ValueError, ServeAPIError) as exc:
-        print(f"cannot fetch {args.dist}/metrics: {exc}", file=sys.stderr)
-        return 2
-    print(format_dist_profile(doc))
-    if args.json:
-        import json as _json
-        with open(args.json, "w") as f:
-            _json.dump(doc, f, indent=2, sort_keys=True)
-            f.write("\n")
-        print(f"dist metrics json: {args.json}")
-    return 0
-
-
-def _cmd_profile_serve(args) -> int:
-    from .serve.client import ServeAPIError, ServeClient
-    from .telemetry.profiling import format_serve_profile
-    try:
-        with ServeClient(args.serve, api_key=args.api_key,
-                         timeout=10.0) as client:
-            doc = client.metrics()
-    except (OSError, ValueError, ServeAPIError) as exc:
-        print(f"cannot fetch {args.serve}/metrics: {exc}", file=sys.stderr)
-        return 2
-    print(format_serve_profile(doc))
-    if args.json:
-        import json as _json
-        with open(args.json, "w") as f:
-            _json.dump(doc, f, indent=2, sort_keys=True)
-            f.write("\n")
-        print(f"serve metrics json: {args.json}")
-    return 0
-
-
 def _cmd_profile(args) -> int:
     import json as _json
     import time as _time
@@ -541,13 +285,6 @@ def _cmd_profile(args) -> int:
     from .telemetry import (collect_profile, fold_into_registry,
                             format_profile)
 
-    if args.serve:
-        return _cmd_profile_serve(args)
-    if args.dist:
-        return _cmd_profile_dist(args)
-    if not args.app:
-        raise SystemExit("profile: an app name (or --serve/--dist URL) "
-                         "is required")
     app, variants = _load(args.app)
     variant = args.variant or variants[-1]
     if variant not in variants:
@@ -589,83 +326,11 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-def _cmd_sweep_dist(args, variants, cores) -> int:
-    """`repro sweep --dist URL`: same grid, executed by a coordinator's
-    agents; same table bytes as the local path."""
-    import json as _json
-
-    from .bench.harness import AppRun
-    from .core.stats import RunStats
-    from .farm.dist import dist_sweep
-    from .serve.client import ServeAPIError
-
-    jobs = [{"app": args.app, "variant": variant, "n_cores": n,
-             "input": {}}
-            for variant in variants for n in cores]
-    tty = sys.stderr.isatty()
-
-    def progress(done, total):
-        if tty:
-            print(f"\r[dist] {done}/{total} jobs", end="",
-                  file=sys.stderr, flush=True)
-
-    try:
-        doc = dist_sweep(args.dist, jobs, fragments=args.fragments,
-                         label=f"sweep:{args.app}",
-                         timeout_s=args.dist_timeout,
-                         token=args.token, progress=progress)
-    except TimeoutError as exc:
-        print(f"\ndist sweep: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ConnectionError) as exc:
-        print(f"dist sweep: cannot reach {args.dist}: {exc}",
-              file=sys.stderr)
-        return 2
-    except ServeAPIError as exc:
-        print(f"dist sweep: coordinator rejected us: {exc}",
-              file=sys.stderr)
-        return 2
-    finally:
-        if tty:
-            print(file=sys.stderr)
-    failures = [(r["label"], r["error"]) for r in doc["results"]
-                if r["error"] is not None]
-    if failures:
-        print(f"dist sweep: {len(failures)} of {doc['n_jobs']} jobs "
-              f"failed", file=sys.stderr)
-        for label, err in failures:
-            print(f"  {label}: {err}", file=sys.stderr)
-        return 2
-    runs = [AppRun(app=r["app"], variant=r["variant"],
-                   n_cores=r["n_cores"],
-                   stats=RunStats.from_dict(r["stats"]), handles={},
-                   cached=True)
-            for r in doc["results"]]
-    print(speedup_table(runs, baseline_variant=variants[0],
-                        baseline_cores=cores[0]))
-    print()
-    print(speedup_chart(runs, baseline_variant=variants[0],
-                        baseline_cores=cores[0]))
-    if args.summary_out:
-        with open(args.summary_out, "w") as f:
-            _json.dump({"schema": "repro.dist-sweep/1",
-                        "sweep": doc["id"], "n_jobs": doc["n_jobs"],
-                        "agents": sorted({r["agent"]
-                                          for r in doc["results"]}),
-                        "requeues": sum(r["epoch"]
-                                        for r in doc["results"]
-                                        if r["epoch"])}, f, indent=2)
-            f.write("\n")
-    return 0
-
-
 def _cmd_sweep(args) -> int:
     app, all_variants = _load(args.app)
     variants = (args.variants.split(",") if args.variants
                 else list(all_variants))
     cores = [int(c) for c in args.cores.split(",")]
-    if args.dist:
-        return _cmd_sweep_dist(args, variants, cores)
     inp = app.make_input()
 
     farm = None
@@ -724,12 +389,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_sweep(args)
     if args.command == "profile":
         return _cmd_profile(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "coordinator":
-        return _cmd_coordinator(args)
-    if args.command == "agent":
-        return _cmd_agent(args)
     if args.command == "crash-validate":
         return _cmd_crash_validate(args)
     if args.command == "apps":

@@ -16,15 +16,15 @@ result cache"):
   tables are byte-identical to serial runs), merged worker telemetry,
   farm-level events, and a live progress line;
 - :func:`deterministic_shards` / :func:`select_shard` — stable,
-  coordination-free partitioning of job sets across machines;
-- :mod:`repro.farm.dist` (imported explicitly) — the distributed farm:
-  a lease/heartbeat coordinator and worker agents that keep sweep
-  output byte-identical to a serial run through worker kills, dropped
-  heartbeats, and partitions.
+  coordination-free partitioning of job sets across machines
+  (``benchmarks/run_all.py --shard K/N`` over a shared cache dir);
+- :func:`validate_jobspec` / :func:`validate_fault_sections` — turn
+  JSON job and fault-plan documents into validated objects, collecting
+  every field error in one pass.
 """
 
 from .cache import CACHE_SCHEMA, ResultCache, code_fingerprint
-from .farm import Farm, apply_timeout, install_sigterm_drain
+from .farm import Farm, install_sigterm_drain
 from .job import (JOB_SCHEMA, JobResult, JobSpec, canonical, canonical_json,
                   execute_job, stable_digest)
 from .shard import (deterministic_shards, parse_shard, select_shard,
@@ -40,7 +40,6 @@ __all__ = [
     "JobSpec",
     "ResultCache",
     "SpecValidationError",
-    "apply_timeout",
     "canonical",
     "canonical_json",
     "code_fingerprint",

@@ -33,7 +33,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ..errors import FarmError
 from ..faults.resilience import ResiliencePolicy, backoff_delay
@@ -41,7 +41,6 @@ from ..telemetry import (CacheHitEvent, EventBus, JobDoneEvent,
                          JobStartEvent, MetricsRegistry, WorkerCrashEvent)
 from .cache import ResultCache
 from .job import JobResult, JobSpec, execute_job
-from .shard import shard_index
 
 #: retry curve reused from repro.faults; cycles read as milliseconds here
 _DEFAULT_RETRY = ResiliencePolicy(backoff_base=200, backoff_factor=2.0,
@@ -54,40 +53,13 @@ def _warmup_worker() -> None:
     import repro.apps  # noqa: F401
 
 
-def apply_timeout(spec: JobSpec, timeout_s: float) -> JobSpec:
-    """Attach the graceful wall-clock watchdog for ``timeout_s``.
-
-    Must be applied *before* digests are computed: a timed job is a
-    different content address than an untimed one, because the watchdog
-    can change its result (partial stats). ``timeout_s <= 0`` returns the
-    spec unchanged. Shared by :class:`Farm` and the serve admission path
-    so both sides agree on the content address of a timed job.
-    """
-    if timeout_s <= 0:
-        return spec
-    base = spec.resilience
-    if base is None:
-        # watchdog only — every other resilience mechanism stays off
-        # so stats match a policy-free run that doesn't hit the limit
-        base = ResiliencePolicy(max_attempts=0, backoff_base=0,
-                                livelock_window=0)
-    if base.max_wall_seconds and base.max_wall_seconds <= timeout_s:
-        policy = base
-    else:
-        policy = dataclasses.replace(base, max_wall_seconds=timeout_s)
-    return dataclasses.replace(spec, resilience=policy)
-
-
 class Farm:
     """Parallel executor for :class:`JobSpec` lists (see module docs).
 
     ``jobs <= 1`` executes inline in the parent process (identical code
     path minus the pool), which is both the determinism baseline and the
-    debuggable mode; ``use_pool=True`` forces worker processes even at
-    ``jobs=1`` (the serve worker slots do this so simulations never run
-    on a server thread). ``persistent=True`` keeps the process pool alive
-    across ``run()`` calls — pair it with :meth:`close` (or use the farm
-    as a context manager). ``registry``/``bus`` default to fresh private
+    debuggable mode; ``jobs > 1`` runs a process pool that lives for one
+    ``run()`` call. ``registry``/``bus`` default to fresh private
     instances; pass shared ones to aggregate across farms.
     """
 
@@ -103,17 +75,12 @@ class Farm:
                  collect_metrics: bool = True,
                  retry_policy: Optional[ResiliencePolicy] = None,
                  warmup: bool = True,
-                 use_pool: Optional[bool] = None,
-                 persistent: bool = False,
                  crash_dump_dir: Optional[str] = None):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         if max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
         self.jobs = jobs
-        self.use_pool = jobs > 1 if use_pool is None else bool(use_pool)
-        self.persistent = persistent
-        self._executor: Optional[ProcessPoolExecutor] = None
         self.cache = cache
         self.bus = bus if bus is not None else EventBus()
         self.registry = registry if registry is not None else MetricsRegistry()
@@ -155,26 +122,38 @@ class Farm:
             self.bus.emit(event)
 
     def _with_timeout(self, spec: JobSpec) -> JobSpec:
-        """See :func:`apply_timeout` (kept as a method for callers/tests)."""
-        return apply_timeout(spec, self.timeout_s)
+        """Attach the graceful wall-clock watchdog for ``timeout_s``.
+
+        Must be applied *before* digests are computed: a timed job is a
+        different content address than an untimed one, because the
+        watchdog can change its result (partial stats). ``timeout_s <= 0``
+        returns the spec unchanged.
+        """
+        if self.timeout_s <= 0:
+            return spec
+        base = spec.resilience
+        if base is None:
+            # watchdog only — every other resilience mechanism stays off
+            # so stats match a policy-free run that doesn't hit the limit
+            base = ResiliencePolicy(max_attempts=0, backoff_base=0,
+                                    livelock_window=0)
+        if base.max_wall_seconds and base.max_wall_seconds <= self.timeout_s:
+            policy = base
+        else:
+            policy = dataclasses.replace(base,
+                                         max_wall_seconds=self.timeout_s)
+        return dataclasses.replace(spec, resilience=policy)
 
     # ------------------------------------------------------------------
-    def run(self, specs: Sequence[JobSpec],
-            shard: Optional[Tuple[int, int]] = None) -> List[JobResult]:
+    def run(self, specs: Sequence[JobSpec]) -> List[JobResult]:
         """Execute every spec; results come back in input order.
 
-        ``shard=(k, n)`` (1-based ``k``) keeps only the jobs whose digest
-        falls in that deterministic shard — the distributed-sweep entry
-        point. Failed jobs (retries exhausted) come back with ``error``
-        set; they never raise here so one bad job cannot sink a sweep.
+        Failed jobs (retries exhausted) come back with ``error`` set; they
+        never raise here so one bad job cannot sink a sweep.
         """
         t_run = time.monotonic()
         self._stop_requested.clear()
         specs = [self._with_timeout(s) for s in specs]
-        if shard is not None:
-            k, n = shard
-            specs = [s for s in specs
-                     if shard_index(s.digest(), n) == k - 1]
         self.n_jobs += len(specs)
         results: List[Optional[JobResult]] = [None] * len(specs)
 
@@ -199,7 +178,7 @@ class Farm:
 
         self._progress(len(specs), running=0)
         if pending:
-            if self.use_pool:
+            if self.jobs > 1:
                 self._run_pool(specs, pending, results)
             else:
                 self._run_inline(specs, pending, results)
@@ -299,7 +278,7 @@ class Farm:
         max_inflight = self.jobs * self.backlog_factor
         queue = deque((idx, 1, 0.0) for idx in pending)
         inflight = {}
-        executor = self._ensure_executor()
+        executor = self._make_executor()
         try:
             while queue or inflight:
                 if self._stop_requested.is_set() and queue:
@@ -382,19 +361,13 @@ class Farm:
                                                   queue, results)
                     inflight.clear()
                     executor.shutdown(wait=False, cancel_futures=True)
-                    executor = self._executor = self._make_executor()
+                    executor = self._make_executor()
                 self._progress(len(specs), running=len(inflight))
         finally:
-            if self._stop_requested.is_set():
-                # drain shutdown: wait for the workers so the pool is
-                # never orphaned mid-write, persistent or not
-                executor.shutdown(wait=True, cancel_futures=True)
-                self._executor = None
-            elif self.persistent:
-                self._executor = executor
-            else:
-                executor.shutdown(wait=False, cancel_futures=True)
-                self._executor = None
+            # drain shutdown waits for the workers so the pool is never
+            # orphaned mid-write
+            executor.shutdown(wait=self._stop_requested.is_set(),
+                              cancel_futures=True)
 
     def _requeue_or_fail(self, specs, idx, attempt, detail, queue,
                          results) -> None:
@@ -417,24 +390,6 @@ class Farm:
             max_workers=self.jobs,
             initializer=_warmup_worker if self.warmup else None)
 
-    def _ensure_executor(self) -> ProcessPoolExecutor:
-        """The live process pool, creating (or re-creating) it on demand."""
-        if self._executor is None:
-            self._executor = self._make_executor()
-        return self._executor
-
-    def close(self) -> None:
-        """Shut the persistent process pool down (idempotent)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
-
-    def __enter__(self) -> "Farm":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     # ------------------------------------------------------------------
     def _progress(self, total: int, *, running: int,
                   final: bool = False) -> None:
@@ -448,7 +403,7 @@ class Farm:
             print(f"\r{line}", end="\n" if final else "", file=sys.stderr,
                   flush=True)
             return
-        # non-TTY (CI logs, server stderr): periodic plain lines instead
+        # non-TTY (CI logs, redirected stderr): periodic plain lines instead
         # of carriage-return spam — at most one per progress_interval_s,
         # plus the final summary line
         now = time.monotonic()

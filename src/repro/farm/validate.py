@@ -1,13 +1,11 @@
 """Structured validation of JobSpec / fault-plan JSON documents.
 
-Every surface that accepts an untrusted JSON description of a run — the
-``repro.serve`` submission endpoint, ``repro run --faults`` / sweeps, and
-any future config loader — funnels through this module instead of calling
-dataclass constructors directly, so malformed input produces a
-:class:`SpecValidationError` carrying *field-level* messages (one
-``{"field", "error"}`` entry per offending field) rather than a raw
-traceback. The serve API renders the entries as a 400 body; the CLI
-prints them one per line.
+Every surface that accepts an untrusted JSON description of a run —
+``repro run --faults`` and any future config loader — funnels through
+this module instead of calling dataclass constructors directly, so
+malformed input produces a :class:`SpecValidationError` carrying
+*field-level* messages (one ``{"field", "error"}`` entry per offending
+field) rather than a raw traceback. The CLI prints them one per line.
 
 ``validate_jobspec`` accepts the wire form of one run::
 
@@ -50,8 +48,8 @@ FAULT_FILE_KEYS = ("seed", "faults", "resilience")
 class SpecValidationError(ConfigError):
     """A JSON document failed validation; ``errors`` lists every field.
 
-    Each entry is ``{"field": "<dotted.path>", "error": "<message>"}`` —
-    the exact structure the serve API returns in its 400 response body.
+    Each entry is ``{"field": "<dotted.path>", "error": "<message>"}``,
+    a JSON-safe structure callers can report as-is.
     """
 
     def __init__(self, errors: List[Dict[str, str]], *,

@@ -17,17 +17,11 @@ Two halves (see README "Robustness"):
 On any failure (:class:`repro.errors.SimulationError`, exhausted retries,
 watchdog fire) the simulator writes a *crash bundle* — telemetry event
 ring buffer, per-tile queue states, GVT, offending task VTs — via
-:mod:`repro.faults.crashdump`.
+:mod:`repro.faults.crashdump`; a :class:`repro.farm.Farm` given a
+``crash_dump_dir`` writes one per dead worker process (job digest and
+attempt) in the same schema.
 """
 
-from .chaos import (
-    CHAOS_ENV,
-    ChaosDrop,
-    TransportChaos,
-    classify_op,
-    kill_after,
-    wait_until,
-)
 from .crashdump import (
     CRASH_BUNDLE_SCHEMA,
     build_crash_bundle,
@@ -41,23 +35,17 @@ from .plan import FaultPlan, InjectedFault, load_fault_file
 from .resilience import LivelockDetector, ResiliencePolicy, backoff_delay
 
 __all__ = [
-    "CHAOS_ENV",
     "CRASH_BUNDLE_SCHEMA",
-    "ChaosDrop",
     "FaultInjector",
     "FaultPlan",
     "InjectedFault",
     "LivelockDetector",
     "ResiliencePolicy",
-    "TransportChaos",
     "backoff_delay",
     "build_crash_bundle",
     "build_farm_crash_bundle",
-    "classify_op",
-    "kill_after",
     "load_fault_file",
     "validate_crash_bundle",
-    "wait_until",
     "write_crash_bundle",
     "write_farm_crash_bundle",
 ]

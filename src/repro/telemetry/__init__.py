@@ -21,34 +21,23 @@ from .events import (
     EVENT_SCHEMA,
     EVENT_TYPES,
     AbortEvent,
-    AdmissionRejectEvent,
-    AgentLostEvent,
-    AgentRegisteredEvent,
     CacheHitEvent,
     CommitEvent,
     ConflictEvent,
     DispatchEvent,
     DivertEvent,
-    DuplicateResultEvent,
     EnqueueEvent,
     Event,
     FaultInjectedEvent,
     FinishEvent,
-    FragmentDoneEvent,
-    FragmentRequeuedEvent,
     GvtTickEvent,
-    JobCoalescedEvent,
     JobDoneEvent,
-    JobQueuedEvent,
     JobStartEvent,
-    LeaseExpiredEvent,
-    LeaseGrantedEvent,
     LivelockThrottleEvent,
     QueuePressureEvent,
     RetryBackoffEvent,
     SafeModeEnterEvent,
     SafeModeExitEvent,
-    ServeDrainEvent,
     SpecForRoundEvent,
     SpillEvent,
     SquashEvent,
@@ -68,8 +57,7 @@ from .export import (
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .perfetto import to_perfetto, write_perfetto
 from .profiling import (PROFILE_SCHEMA, collect_profile, fold_into_registry,
-                        format_dist_profile, format_profile,
-                        format_serve_profile)
+                        format_profile)
 
 _VALIDATE_NAMES = ("ValidationError", "validate_event_dict",
                    "validate_jsonl")
@@ -88,16 +76,12 @@ __all__ = [
     "EVENT_TYPES",
     "PROFILE_SCHEMA",
     "AbortEvent",
-    "AdmissionRejectEvent",
-    "AgentLostEvent",
-    "AgentRegisteredEvent",
     "CacheHitEvent",
     "CommitEvent",
     "ConflictEvent",
     "Counter",
     "DispatchEvent",
     "DivertEvent",
-    "DuplicateResultEvent",
     "EnqueueEvent",
     "Event",
     "EventBus",
@@ -105,25 +89,18 @@ __all__ = [
     "EventRingBuffer",
     "FaultInjectedEvent",
     "FinishEvent",
-    "FragmentDoneEvent",
-    "FragmentRequeuedEvent",
     "Gauge",
     "GvtTickEvent",
     "Histogram",
-    "JobCoalescedEvent",
     "JobDoneEvent",
-    "JobQueuedEvent",
     "JobStartEvent",
     "JsonlExporter",
-    "LeaseExpiredEvent",
-    "LeaseGrantedEvent",
     "LivelockThrottleEvent",
     "MetricsRegistry",
     "QueuePressureEvent",
     "RetryBackoffEvent",
     "SafeModeEnterEvent",
     "SafeModeExitEvent",
-    "ServeDrainEvent",
     "SpecForRoundEvent",
     "SpillEvent",
     "SquashEvent",
@@ -135,9 +112,7 @@ __all__ = [
     "collect_profile",
     "event_from_dict",
     "fold_into_registry",
-    "format_dist_profile",
     "format_profile",
-    "format_serve_profile",
     "metrics_snapshot",
     "read_events_jsonl",
     "to_perfetto",

@@ -346,155 +346,6 @@ class WorkerCrashEvent(Event):
     detail: str
 
 
-# --- serve events (repro.serve) ---------------------------------------
-# ``t`` is milliseconds since the server started (wall clock), like the
-# farm events: these describe the service, not the simulated machine.
-
-
-@dataclass
-class JobQueuedEvent(Event):
-    """A submission was admitted into a tenant's queue."""
-
-    KIND: ClassVar[str] = "job_queued"
-
-    digest: str
-    tenant: str
-    queue_depth: int
-
-
-@dataclass
-class JobCoalescedEvent(Event):
-    """A submission matched an in-flight (or completed) job and was
-    answered by it instead of executing again."""
-
-    KIND: ClassVar[str] = "job_coalesced"
-
-    digest: str
-    tenant: str
-    n_submitted: int
-
-
-@dataclass
-class AdmissionRejectEvent(Event):
-    """A submission was rejected at admission (429).
-
-    ``reason`` is ``"rate"`` (token bucket empty) or ``"queue"`` (tenant
-    queue quota full); ``retry_after`` is the suggested backoff in
-    seconds (the Retry-After header value).
-    """
-
-    KIND: ClassVar[str] = "admission_reject"
-
-    tenant: str
-    reason: str
-    retry_after: float
-
-
-@dataclass
-class ServeDrainEvent(Event):
-    """The server started (or finished) its graceful drain.
-
-    ``phase`` is ``"begin"`` / ``"done"``; ``n_pending`` counts jobs
-    still queued or running at that moment.
-    """
-
-    KIND: ClassVar[str] = "serve_drain"
-
-    phase: str
-    n_pending: int
-
-
-# --- dist events (repro.farm.dist) ------------------------------------
-# ``t`` is milliseconds since the coordinator started (wall clock).
-
-
-@dataclass
-class AgentRegisteredEvent(Event):
-    """A worker agent joined the coordinator."""
-
-    KIND: ClassVar[str] = "agent_registered"
-
-    agent: str
-    capacity: int
-
-
-@dataclass
-class AgentLostEvent(Event):
-    """An agent missed enough heartbeats to be declared dead; its live
-    leases were expired."""
-
-    KIND: ClassVar[str] = "agent_lost"
-
-    agent: str
-    n_leases: int
-
-
-@dataclass
-class LeaseGrantedEvent(Event):
-    """The coordinator leased one fragment to an agent."""
-
-    KIND: ClassVar[str] = "lease_granted"
-
-    agent: str
-    lease: str
-    fragment: int
-    epoch: int
-    n_jobs: int
-
-
-@dataclass
-class LeaseExpiredEvent(Event):
-    """A lease's heartbeat TTL lapsed; its fragment goes back to the
-    pending queue with a bumped epoch."""
-
-    KIND: ClassVar[str] = "lease_expired"
-
-    agent: str
-    lease: str
-    fragment: int
-    epoch: int
-    age_ms: int
-
-
-@dataclass
-class FragmentRequeuedEvent(Event):
-    """A fragment lost its lease and was requeued for re-execution."""
-
-    KIND: ClassVar[str] = "fragment_requeued"
-
-    fragment: int
-    epoch: int
-    n_jobs: int
-    reason: str          # "lease_expired" | "agent_lost" | "released"
-
-
-@dataclass
-class FragmentDoneEvent(Event):
-    """Every job of a fragment has a recorded result."""
-
-    KIND: ClassVar[str] = "fragment_done"
-
-    fragment: int
-    epoch: int
-    agent: str
-    n_jobs: int
-
-
-@dataclass
-class DuplicateResultEvent(Event):
-    """A delivery carried a result that was already recorded; it was
-    suppressed (never double-counted). ``match`` is False when the
-    duplicate's stats differed from the recorded ones — a determinism
-    violation that the chaos harness asserts never happens."""
-
-    KIND: ClassVar[str] = "duplicate_result"
-
-    digest: str
-    fragment: int
-    agent: str
-    match: bool
-
-
 # --- speculative-for events (repro.specfor) ---------------------------
 
 
@@ -546,12 +397,7 @@ EVENT_TYPES: Dict[str, Type[Event]] = {
                 LivelockThrottleEvent, SafeModeEnterEvent,
                 SafeModeExitEvent, QueuePressureEvent, WatchdogEvent,
                 JobStartEvent, JobDoneEvent, CacheHitEvent,
-                WorkerCrashEvent, JobQueuedEvent, JobCoalescedEvent,
-                AdmissionRejectEvent, ServeDrainEvent,
-                AgentRegisteredEvent, AgentLostEvent, LeaseGrantedEvent,
-                LeaseExpiredEvent, FragmentRequeuedEvent,
-                FragmentDoneEvent, DuplicateResultEvent,
-                SpecForRoundEvent)
+                WorkerCrashEvent, SpecForRoundEvent)
 }
 
 #: kind -> required field names (the JSONL schema)

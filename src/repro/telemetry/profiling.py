@@ -148,161 +148,3 @@ def format_profile(profile: Dict) -> str:
         lines.append(f"  wall clock       {profile['wall_s']:>12.3f} s")
     return "\n".join(lines)
 
-
-def _metric_total(metrics: Dict, name: str, **labels) -> int:
-    """Sum a snapshot counter's rows, optionally filtered by labels."""
-    total = 0
-    for row in metrics.get("counters", ()):
-        if row.get("name") != name:
-            continue
-        r_labels = row.get("labels", {})
-        if all(r_labels.get(k) == v for k, v in labels.items()):
-            total += row.get("value", 0)
-    return total
-
-
-def format_serve_profile(doc: Dict) -> str:
-    """Render a serve ``/metrics`` document (``repro profile --serve``).
-
-    ``doc`` is the JSON body of ``GET /metrics``: a ``serve`` summary
-    (tenants, jobs, cache) plus the manager's metrics snapshot with the
-    ``serve.*`` counters.
-    """
-    serve = doc.get("serve", {})
-    metrics = doc.get("metrics", {})
-    jobs = serve.get("jobs", {})
-    lines = [
-        f"serve profile: up {serve.get('uptime_s', 0.0):,.1f}s, "
-        f"{serve.get('workers', '?')} workers"
-        + (", DRAINING" if serve.get("draining") else ""),
-        "",
-        f"  jobs             {jobs.get('total', 0):>8,} known   "
-        f"{jobs.get('queued', 0):>6,} queued  "
-        f"{jobs.get('running', 0):>6,} running  "
-        f"{jobs.get('done', 0):>6,} done  "
-        f"{jobs.get('failed', 0):>6,} failed",
-        f"  submissions      {_metric_total(metrics, 'serve.submissions'):>8,} "
-        f"accepted   "
-        f"{_metric_total(metrics, 'serve.coalesced_submissions'):>6,} "
-        f"coalesced  "
-        f"{_metric_total(metrics, 'serve.warm_hits'):>6,} warm hits",
-        f"  admission        "
-        f"{_metric_total(metrics, 'serve.admission_reject', reason='rate'):>8,} "
-        f"rate rejects   "
-        f"{_metric_total(metrics, 'serve.admission_reject', reason='queue'):>6,} "
-        f"queue rejects",
-    ]
-    cache = serve.get("cache")
-    if cache:
-        lookups = cache.get("hits", 0) + cache.get("misses", 0)
-        ratio = cache.get("hits", 0) / lookups if lookups else 0.0
-        lines.append(
-            f"  result cache     {cache.get('entries', 0):>8,} entries   "
-            f"{cache.get('hits', 0):>6,} hits  "
-            f"{cache.get('misses', 0):>6,} misses  "
-            f"{cache.get('stale', 0):>6,} stale  "
-            f"(hit ratio {ratio:.1%})")
-    tenants = serve.get("tenants", {})
-    if tenants:
-        lines.append("")
-        lines.append(f"  {'tenant':<14} {'depth':>5} {'limit':>5} "
-                     f"{'submitted':>9} {'coalesced':>9} {'warm':>6} "
-                     f"{'rejected':>8} {'done':>6} {'failed':>6}")
-        for name, ts in sorted(tenants.items()):
-            rejected = (ts.get("rejected_rate", 0)
-                        + ts.get("rejected_queue", 0))
-            lines.append(
-                f"  {name:<14} {ts.get('depth', 0):>5} "
-                f"{ts.get('queue_limit', 0):>5} "
-                f"{ts.get('submitted', 0):>9} {ts.get('coalesced', 0):>9} "
-                f"{ts.get('warm_hits', 0):>6} {rejected:>8} "
-                f"{ts.get('done', 0):>6} {ts.get('failed', 0):>6}")
-    return "\n".join(lines)
-
-
-def format_dist_profile(doc: Dict) -> str:
-    """Render a coordinator ``/metrics`` document (``repro profile
-    --dist``).
-
-    ``doc`` is the JSON body of the coordinator's ``GET /metrics``: a
-    ``dist`` summary (agents, sweeps, cache) plus the metrics snapshot
-    with the ``dist.*`` counters — the chaos-visibility numbers: leases
-    expired, fragments requeued, duplicates suppressed, and the
-    result-mismatch count that must stay zero.
-    """
-    dist = doc.get("dist", {})
-    metrics = doc.get("metrics", {})
-    agents = dist.get("agents", {})
-    sweeps = dist.get("sweeps", {})
-    n_jobs = sum(s.get("n_jobs", 0) for s in sweeps.values())
-    n_recorded = sum(s.get("recorded", 0) for s in sweeps.values())
-    lines = [
-        f"dist profile: up {dist.get('uptime_s', 0.0):,.1f}s, "
-        f"{len(agents)} agents"
-        + (", DRAINING" if dist.get("draining") else ""),
-        "",
-        f"  sweeps           {len(sweeps):>8,} known   "
-        f"{n_recorded:>6,}/{n_jobs:,} jobs recorded",
-        f"  agents           "
-        f"{_metric_total(metrics, 'dist.agents_registered'):>8,} "
-        f"registered   "
-        f"{_metric_total(metrics, 'dist.agents_lost'):>6,} lost   "
-        f"{_metric_total(metrics, 'dist.heartbeats'):>8,} heartbeats",
-        f"  leases           "
-        f"{_metric_total(metrics, 'dist.leases_granted'):>8,} granted   "
-        f"{_metric_total(metrics, 'dist.leases_expired'):>6,} expired",
-        f"  fragments        "
-        f"{_metric_total(metrics, 'dist.fragments_done'):>8,} done   "
-        f"{_metric_total(metrics, 'dist.fragments_requeued'):>6,} "
-        f"requeued",
-        f"  exactly-once     "
-        f"{_metric_total(metrics, 'dist.results_recorded'):>8,} "
-        f"recorded   "
-        f"{_metric_total(metrics, 'dist.duplicates_suppressed'):>6,} "
-        f"duplicates suppressed   "
-        f"{_metric_total(metrics, 'dist.result_mismatch'):>6,} "
-        f"MISMATCHED",
-    ]
-    auth_rejects = _metric_total(metrics, "dist.auth_reject")
-    lines.append(
-        f"  wire auth        "
-        + (f"required   {auth_rejects:>6,} rejected (401)"
-           if dist.get("auth_required") else "     off"))
-    cache = dist.get("cache")
-    if cache:
-        lookups = cache.get("hits", 0) + cache.get("misses", 0)
-        ratio = cache.get("hits", 0) / lookups if lookups else 0.0
-        lines.append(
-            f"  result cache     {cache.get('entries', 0):>8,} entries   "
-            f"{cache.get('hits', 0):>6,} hits  "
-            f"{cache.get('misses', 0):>6,} misses  "
-            f"(hit ratio {ratio:.1%})")
-    recovery = dist.get("recovery") or {}
-    if recovery.get("recovered"):
-        age = recovery.get("snapshot_age_s")
-        lines.append("")
-        lines.append(
-            f"  recovery         "
-            f"{recovery.get('replayed_records', 0):>8,} journal records "
-            f"replayed   snapshot seq "
-            f"{recovery.get('snapshot_seq', 0):,}"
-            + (f" ({age:,.1f}s old)" if age is not None else "")
-            + ("   TRUNCATED TAIL" if recovery.get("truncated_tail")
-               else ""))
-        lines.append(
-            f"                   "
-            f"{recovery.get('resumed_sweeps', 0):>8,} sweeps resumed   "
-            f"{recovery.get('leases_restored', 0):>3,} leases restored  "
-            f"{recovery.get('leases_discarded', 0):>3,} discarded  "
-            f"{recovery.get('cache_refills', 0):>3,} cache refills")
-    if agents:
-        lines.append("")
-        lines.append(f"  {'agent':<16} {'capacity':>8} {'heartbeats':>10} "
-                     f"{'delivered':>9} {'leases':>6}")
-        for name, a in sorted(agents.items()):
-            lines.append(
-                f"  {name:<16} {a.get('capacity', 0):>8} "
-                f"{a.get('heartbeats', 0):>10} "
-                f"{a.get('delivered', 0):>9} "
-                f"{len(a.get('leases', ())):>6}")
-    return "\n".join(lines)

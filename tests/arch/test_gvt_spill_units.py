@@ -1,7 +1,5 @@
 """Unit tests for the GVT arbiter and spill data structures."""
 
-import pytest
-
 from repro.arch.gvt import GvtArbiter, GvtFrontier
 from repro.arch.spill import CoalescerJob, SpillBuffer, SplitterJob
 from repro.vt import DomainVT, Ordering
@@ -43,11 +41,6 @@ class TestGvtArbiter:
         assert arb.pop_base() == DomainVT(Ordering.UNORDERED, 0)
         assert arb.pop_base() == DomainVT(Ordering.ORDERED_32, 7)
         assert arb.zoom_ins == 2 and arb.zoom_outs == 2
-
-    def test_zoom_request_validation(self):
-        arb = GvtArbiter()
-        with pytest.raises(ValueError):
-            arb.request_zoom("sideways", object())
 
 
 class TestSpillBuffer:

@@ -1,22 +1,17 @@
-"""ResultCache under concurrent access (the serve contention pattern).
+"""ResultCache under concurrent access.
 
-Two kinds of coverage:
-
-- raw cache: many threads racing get/put on the same content address —
-  exactly one logical compute, counters reconcile with lookups, and the
-  stored entry is intact (atomic write-then-rename);
-- through the serve manager: two submitters racing on one digest yield
-  one compute + one coalesce, and the cache's hit/miss/stale counters
-  reconcile with the number of lookups the manager performed.
+- racing writers: many threads racing get/put on the same content
+  address — exactly one logical compute, counters reconcile with
+  lookups, and the stored entry is intact (atomic write-then-rename);
+- warm readers: once an entry is stored, independent caches on the same
+  directory (one per thread or process) read back exactly what was
+  stored, and their hit/miss counters reconcile with their own lookups.
 """
 
 import json
 import threading
 
-from repro.core.stats import RunStats
 from repro.farm import Farm, JobSpec, ResultCache
-from repro.serve import JobManager, ServeConfig
-from repro.serve.manager import DONE
 
 FAKEAPP = "tests.farm._fakeapp"
 
@@ -88,88 +83,46 @@ class TestRawCacheRaces:
                     == stats[spec.digest()].to_dict())
 
 
-class TestManagerCacheRace:
-    def make_manager(self, tmp_path):
-        return JobManager(ServeConfig(
-            workers=1, warmup=False, cache_dir=str(tmp_path / "cache")))
+class TestWarmCacheReaders:
+    def warm_cache(self, tmp_path):
+        """A cache directory holding one stored entry, plus its stats."""
+        spec = fake_spec()
+        stats = run_stats(spec)
+        writer = ResultCache(tmp_path, fingerprint="t1")
+        assert writer.get(spec.digest()) is None
+        writer.put(spec, stats, wall_s=0.1)
+        return spec, stats, writer
 
-    def fake_doc(self):
-        return {"app": FAKEAPP, "variant": "fractal", "n_cores": 2,
-                "input": {"n_tasks": 4}}
+    def test_counters_reconcile_across_miss_put_hit(self, tmp_path):
+        spec, stats, cache = self.warm_cache(tmp_path)
+        assert cache.get(spec.digest()).to_dict() == stats.to_dict()
+        assert cache.stats() == {"hits": 1, "misses": 1, "stale": 0,
+                                 "puts": 1, "entries": 1}
 
-    def test_two_racing_submitters_one_compute_one_coalesce(self, tmp_path):
-        m = self.make_manager(tmp_path)
-        outcomes = []
-        lock = threading.Lock()
-        barrier = threading.Barrier(2)
-
-        def submitter():
-            barrier.wait()
-            job, outcome = m.submit(self.fake_doc())
-            with lock:
-                outcomes.append((job, outcome))
-
-        threads = [threading.Thread(target=submitter) for _ in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-
-        assert sorted(o for _, o in outcomes) == ["coalesced", "queued"]
-        jobs = {job for job, _ in outcomes}
-        assert len(jobs) == 1                  # same record for both
-        m.start()
-        try:
-            (job,) = jobs
-            assert m.wait(job.digest, timeout=90).state == DONE
-            # one queued job -> exactly one cache lookup (a miss) and one
-            # store; the coalesced submission never touched the cache
-            s = m.cache.stats()
-            assert s == {"hits": 0, "misses": 1, "stale": 0, "puts": 1,
-                         "entries": 1}
-        finally:
-            m.drain(timeout=30)
-
-    def test_counters_reconcile_across_miss_run_hit(self, tmp_path):
-        m = self.make_manager(tmp_path)
-        m.start()
-        try:
-            job, outcome = m.submit(self.fake_doc())
-            assert outcome == "queued"         # lookup #1: miss
-            m.wait(job.digest, timeout=90)
-            _, outcome = m.submit(self.fake_doc())
-            assert outcome == "warm"           # job table, no cache lookup
-        finally:
-            m.drain(timeout=30)
-        m2 = self.make_manager(tmp_path)       # fresh table, same cache
-        _, outcome = m2.submit(self.fake_doc())
-        assert outcome == "warm"               # lookup #2: hit
-        s = m2.cache.stats()
-        # m2 performed exactly one lookup; hits + misses must equal it
+    def test_fresh_cache_counts_one_hit_for_one_lookup(self, tmp_path):
+        spec, stats, _ = self.warm_cache(tmp_path)
+        fresh = ResultCache(tmp_path, fingerprint="t1")
+        assert fresh.get(spec.digest()).to_dict() == stats.to_dict()
+        s = fresh.stats()
         assert s["hits"] + s["misses"] == 1
         assert s["hits"] == 1
-        assert s["misses"] == 0 and s["stale"] == 0
+        assert s["misses"] == 0 and s["stale"] == 0 and s["puts"] == 0
 
     def test_warm_entry_served_intact_under_parallel_readers(self, tmp_path):
-        m = self.make_manager(tmp_path)
-        m.start()
-        try:
-            job, _ = m.submit(self.fake_doc())
-            m.wait(job.digest, timeout=90)
-            want = json.dumps(job.stats.to_dict(), sort_keys=True)
-        finally:
-            m.drain(timeout=30)
-        readers = [JobManager(ServeConfig(
-            workers=1, warmup=False, cache_dir=str(tmp_path / "cache")))
-            for _ in range(4)]
+        spec, stats, _ = self.warm_cache(tmp_path)
+        want = json.dumps(stats.to_dict(), sort_keys=True)
+        n_threads = 8
+        readers = [ResultCache(tmp_path, fingerprint="t1")
+                   for _ in range(n_threads)]
         got = []
         lock = threading.Lock()
+        barrier = threading.Barrier(n_threads)
 
-        def reader(mgr):
-            j, outcome = mgr.submit(self.fake_doc())
+        def reader(cache):
+            barrier.wait()
+            hit = cache.get(spec.digest())
             with lock:
-                got.append((outcome,
-                            json.dumps(j.stats.to_dict(), sort_keys=True)))
+                got.append(json.dumps(hit.to_dict(), sort_keys=True))
 
         threads = [threading.Thread(target=reader, args=(r,))
                    for r in readers]
@@ -177,5 +130,5 @@ class TestManagerCacheRace:
             t.start()
         for t in threads:
             t.join()
-        assert all(o == "warm" for o, _ in got)
-        assert all(s == want for _, s in got)
+        assert got == [want] * n_threads
+        assert all(r.stats()["hits"] == 1 for r in readers)

@@ -4,7 +4,7 @@ crash bundles.
 Drain semantics under test: a stop request mid-sweep lets in-flight jobs
 finish — and persist their cache entries — while unstarted jobs fail
 fast with a ``farm stopped`` error, and the process pool is shut down
-waited-for (never orphaned), persistent or not. The stop triggers are
+waited-for (never orphaned). The stop triggers are
 exercised both directly (:meth:`Farm.request_stop` from a bus
 subscriber, deterministic) and through a real mid-run SIGTERM
 (:func:`repro.farm.install_sigterm_drain`).
@@ -12,10 +12,7 @@ subscriber, deterministic) and through a real mid-run SIGTERM
 
 import json
 import os
-import pathlib
 import signal
-
-import pytest
 
 from repro.farm import Farm, JobSpec, ResultCache, install_sigterm_drain
 from repro.faults import validate_crash_bundle
@@ -52,10 +49,11 @@ def run_drained(farm, n_jobs, action):
 
 
 class TestRequestStop:
-    def test_drain_finishes_inflight_and_fails_unstarted(self, tmp_path):
+    def test_drain_finishes_inflight_and_fails_unstarted(self, tmp_path,
+                                                         pool_spy):
         cache = ResultCache(tmp_path / "cache")
-        farm = Farm(jobs=2, cache=cache, persistent=True,
-                    backlog_factor=1, warmup=False)
+        farm = Farm(jobs=2, cache=cache, backlog_factor=1, warmup=False)
+        pools = pool_spy(farm)
         results = run_drained(farm, 12, farm.request_stop)
         assert len(results) == 12           # every job gets a result row
         done = [r for r in results if r.error is None]
@@ -66,18 +64,16 @@ class TestRequestStop:
         # every completed job persisted its cache entry
         for r in done:
             assert cache.get(r.digest) is not None
-        # the pool was shut down, not orphaned — persistent or not
-        assert farm._executor is None
+        # the pool was shut down waited-for, not orphaned
+        assert [p["wait"] for p in pools] == [True]
         assert farm.n_drained >= 1
         assert farm.n_drain_failed == len(drained)
 
     def test_drained_farm_runs_again_cleanly(self, tmp_path):
-        farm = Farm(jobs=2, persistent=True, backlog_factor=1,
-                    warmup=False)
+        farm = Farm(jobs=2, backlog_factor=1, warmup=False)
         run_drained(farm, 8, farm.request_stop)
         results = farm.run(specs_for(3))    # fresh run: stop flag cleared
         assert all(r.error is None for r in results)
-        farm.close()
 
     def test_inline_farm_drains_too(self):
         farm = Farm(jobs=1)
@@ -89,10 +85,11 @@ class TestRequestStop:
 
 
 class TestSigtermDrain:
-    def test_mid_run_sigterm_drains_instead_of_orphaning(self, tmp_path):
+    def test_mid_run_sigterm_drains_instead_of_orphaning(self, tmp_path,
+                                                        pool_spy):
         cache = ResultCache(tmp_path / "cache")
-        farm = Farm(jobs=2, cache=cache, persistent=True,
-                    backlog_factor=1, warmup=False)
+        farm = Farm(jobs=2, cache=cache, backlog_factor=1, warmup=False)
+        pools = pool_spy(farm)
         previous = signal.getsignal(signal.SIGTERM)
         install_sigterm_drain(farm)
         try:
@@ -106,7 +103,8 @@ class TestSigtermDrain:
             assert all("farm stopped" in r.error for r in drained)
             for r in done:
                 assert cache.get(r.digest) is not None
-            assert farm._executor is None   # pool shut down waited-for
+            # pool shut down waited-for
+            assert [p["wait"] for p in pools] == [True]
         finally:
             signal.signal(signal.SIGTERM, previous)
             signal.signal(signal.SIGINT, signal.default_int_handler)
@@ -119,7 +117,7 @@ class TestWorkerCrashBundles:
                        input_kwargs={"n_tasks": 4, "crash_times": 99,
                                      "scratch": str(tmp_path / "s")},
                        label="crasher")
-        farm = Farm(jobs=2, use_pool=True, max_attempts=2,
+        farm = Farm(jobs=2, max_attempts=2,
                     retry_policy=FAST_RETRY, warmup=False,
                     crash_dump_dir=str(dump_dir))
         results = farm.run([spec])
@@ -139,7 +137,7 @@ class TestWorkerCrashBundles:
                        input_kwargs={"n_tasks": 4, "crash_times": 99,
                                      "scratch": str(tmp_path / "s")},
                        label="crasher")
-        farm = Farm(jobs=2, use_pool=True, max_attempts=1,
+        farm = Farm(jobs=2, max_attempts=1,
                     retry_policy=FAST_RETRY, warmup=False)
         results = farm.run([spec])
         assert results[0].error is not None  # crash still surfaces

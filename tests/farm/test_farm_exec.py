@@ -8,7 +8,8 @@ repo root on ``sys.path`` and fork inherits it).
 import pytest
 
 from repro.errors import FarmError
-from repro.farm import Farm, JobSpec, ResultCache, stable_digest
+from repro.farm import (Farm, JobSpec, ResultCache, select_shard,
+                        stable_digest)
 from repro.faults import ResiliencePolicy
 from repro.telemetry import EventBus, EventRecorder, MetricsRegistry
 
@@ -79,7 +80,8 @@ class TestInline:
         full = {s.digest() for s in specs}
         seen = set()
         for k in (1, 2, 3):
-            results = Farm(jobs=1).run(specs, shard=(k, 3))
+            shard = select_shard(specs, k, 3, key=JobSpec.digest)
+            results = Farm(jobs=1).run(shard)
             assert seen.isdisjoint(r.digest for r in results)
             seen.update(r.digest for r in results)
         assert seen == full

@@ -1,9 +1,12 @@
-"""Persistent-pool farms and the non-TTY progress fallback."""
+"""Farm process-pool lifecycle, the timeout digest, and the non-TTY
+progress fallback."""
 
 import io
 import sys
 
-from repro.farm import Farm, JobSpec, apply_timeout
+import pytest
+
+from repro.farm import Farm, JobSpec
 from repro.faults import ResiliencePolicy
 
 FAKEAPP = "tests.farm._fakeapp"
@@ -14,56 +17,43 @@ def spec(n_tasks=4):
                    input_kwargs={"n_tasks": n_tasks})
 
 
-class TestPersistentPool:
-    def test_pool_survives_across_runs(self):
-        farm = Farm(jobs=1, use_pool=True, persistent=True, warmup=False)
-        try:
-            (r1,) = farm.run([spec(4)])
-            executor = farm._executor
-            assert executor is not None        # kept alive after run()
-            (r2,) = farm.run([spec(6)])
-            assert farm._executor is executor  # same pool, warm workers
-            assert r1.ok and r2.ok
-        finally:
-            farm.close()
-        assert farm._executor is None
-        farm.close()                            # idempotent
+class TestPoolLifecycle:
+    def test_pool_torn_down_after_run(self, pool_spy):
+        farm = Farm(jobs=2, warmup=False)
+        pools = pool_spy(farm)
+        (res,) = farm.run([spec(4)])
+        assert res.ok
+        assert len(pools) == 1
+        assert pools[0]["wait"] is False        # shut down, not waited on
+        with pytest.raises(RuntimeError):       # no new work after shutdown
+            pools[0]["pool"].submit(int)
 
-    def test_context_manager_closes_pool(self):
-        with Farm(jobs=1, use_pool=True, persistent=True,
-                  warmup=False) as farm:
-            (res,) = farm.run([spec(4)])
-            assert res.ok
-            assert farm._executor is not None
-        assert farm._executor is None
-
-    def test_use_pool_false_stays_inline_even_with_many_jobs(self):
-        farm = Farm(jobs=4, use_pool=False)
+    def test_single_job_farm_never_builds_a_pool(self, pool_spy):
+        farm = Farm(jobs=1)
+        pools = pool_spy(farm)
         results = farm.run([spec(4), spec(6)])
         assert [r.stats.tasks_committed for r in results] == [4, 6]
-        assert farm._executor is None           # no pool was created
+        assert pools == []
 
-    def test_non_persistent_pool_torn_down_after_run(self):
-        farm = Farm(jobs=2, warmup=False)
-        farm.run([spec(4)])
-        assert farm._executor is None
 
-    def test_apply_timeout_changes_digest_consistently(self):
+class TestTimeoutDigest:
+    def test_timeout_changes_digest_consistently(self):
         s = spec()
-        timed = apply_timeout(s, 5.0)
+        farm = Farm(jobs=2, timeout_s=5.0)
+        timed = farm._with_timeout(s)
         assert timed.digest() != s.digest()
         assert timed.resilience.max_wall_seconds == 5.0
-        # serve admission and Farm._with_timeout must agree on the address
-        farm = Farm(jobs=1, timeout_s=5.0)
-        assert farm._with_timeout(s).digest() == timed.digest()
         # idempotent: re-applying the same budget keeps the digest
-        assert apply_timeout(timed, 5.0).digest() == timed.digest()
+        assert farm._with_timeout(timed).digest() == timed.digest()
+        # no timeout: the spec (and its content address) is unchanged
+        assert Farm(jobs=2)._with_timeout(s) is s
 
-    def test_apply_timeout_keeps_tighter_existing_budget(self):
+    def test_timeout_keeps_tighter_existing_budget(self):
         s = JobSpec(app=FAKEAPP, variant="fractal", n_cores=2,
                     input_kwargs={"n_tasks": 4},
                     resilience=ResiliencePolicy(max_wall_seconds=1.0))
-        assert apply_timeout(s, 5.0).resilience.max_wall_seconds == 1.0
+        farm = Farm(jobs=2, timeout_s=5.0)
+        assert farm._with_timeout(s).resilience.max_wall_seconds == 1.0
 
 
 class _FakeTty(io.StringIO):

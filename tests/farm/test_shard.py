@@ -1,9 +1,11 @@
 """Deterministic sharding tests (repro.farm.shard)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.farm import (deterministic_shards, parse_shard, select_shard,
-                        shard_index)
+                        shard_index, stable_digest)
 
 
 class TestShardIndex:
@@ -40,6 +42,20 @@ class TestShards:
         subset = deterministic_shards(items[5:], 4)
         for k in range(4):
             assert [x for x in full[k] if x in items[5:]] == subset[k]
+
+    @settings(max_examples=30, deadline=None)
+    @given(keys=st.lists(st.text(min_size=1, max_size=20), min_size=1,
+                         max_size=30, unique=True),
+           n_shards=st.integers(min_value=1, max_value=16),
+           subset_mask=st.lists(st.booleans(), min_size=30, max_size=30))
+    def test_shard_index_is_subset_stable(self, keys, n_shards, subset_mask):
+        # a digest's shard is a pure function of the digest itself
+        digests = [stable_digest(k) for k in keys]
+        full = {d: shard_index(d, n_shards) for d in digests}
+        subset = [d for d, keep in zip(digests, subset_mask) if keep]
+        for d in subset:
+            assert shard_index(d, n_shards) == full[d]
+            assert 0 <= full[d] < n_shards
 
     def test_select_matches_partition(self):
         items = [f"job-{i}" for i in range(20)]

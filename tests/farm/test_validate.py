@@ -1,9 +1,8 @@
 """Shared JobSpec JSON validation: one test per malformed-field case.
 
 The validator is the single entry point for untrusted run descriptions
-(serve 400 responses, ``--faults`` files), so each case asserts both the
-rejection and the structured ``{"field", "error"}`` entry the API
-returns.
+(job-spec documents, ``--faults`` files), so each case asserts both the
+rejection and the structured ``{"field", "error"}`` entry it reports.
 """
 
 import pytest

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -65,6 +66,31 @@ class TestCli:
             assert hasattr(mod, "make_input")
             assert hasattr(mod, "build")
             assert hasattr(mod, "check")
+
+
+class TestSubcommands:
+    def test_help_lists_exactly_the_subcommands(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        # the usage line and the positional list both spell the choices
+        listed = set(re.findall(r"\{([a-z,-]+)\}", capsys.readouterr().out))
+        assert listed == {"run,sweep,profile,crash-validate,apps,config"}
+
+    def test_profile_writes_json(self, tmp_path, capsys):
+        path = tmp_path / "profile.json"
+        assert main(["profile", "mis", "--cores", "4",
+                     "--json", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        assert doc["schema"] == "repro.hot-path-profile/2"
+        assert "profile json" in capsys.readouterr().out
+
+    def test_profile_without_app_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["profile"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "app" in err
 
 
 class TestTelemetryFlags:
