@@ -59,7 +59,7 @@ class Owner:
         self.order_key = key
         self.aborted = False
 
-    def still_executing(self):
+    def still_executing(self):  # the owner protocol before SpecMemory.finish
         return False
 
     def __repr__(self):
@@ -85,6 +85,15 @@ def _cascade(mem):
     return hook
 
 
+def _attach(mem, key):
+    """A fresh owner that has already finished (its stores have landed)."""
+    o = Owner(key)
+    mem.attach_owner(o)
+    if hasattr(mem, "finish"):
+        mem.finish(o)
+    return o
+
+
 def _make_memory(model, engine):
     space = AddressSpace(line_bytes=64, n_tiles=4)
     params = inspect.signature(SpecMemory.__init__).parameters
@@ -107,8 +116,7 @@ def run_churn(engine, waves=120, owners_per_wave=8, lines_each=4, rounds=12):
     for wave in range(waves):
         batch = []
         for i in range(owners_per_wave):
-            o = Owner((wave, i))
-            mem.attach_owner(o)
+            o = _attach(mem, (wave, i))
             batch.append(o)
         for i, o in enumerate(batch):
             base = i * lines_each * lw
@@ -144,13 +152,11 @@ def run_shared(engine, waves=120, readers_per_wave=8, hot_lines=4, rounds=6):
     for wave in range(waves):
         writers = []
         for j in range(lw):
-            o = Owner((wave, j))
-            mem.attach_owner(o)
+            o = _attach(mem, (wave, j))
             writers.append(o)
         readers = []
         for i in range(readers_per_wave):
-            o = Owner((wave, lw + i))
-            mem.attach_owner(o)
+            o = _attach(mem, (wave, lw + i))
             readers.append(o)
         for j, o in enumerate(writers):
             for ln in range(hot_lines):
@@ -181,8 +187,7 @@ def run_bloom(engine, waves=80, owners_per_wave=8, lines_each=4, rounds=10):
     for wave in range(waves):
         batch = []
         for i in range(owners_per_wave):
-            o = Owner((wave, i))
-            mem.attach_owner(o)
+            o = _attach(mem, (wave, i))
             batch.append(o)
         for i, o in enumerate(batch):
             base = i * lines_each * lw

@@ -427,6 +427,13 @@ class Simulator(AllocAPI):
     # ==================================================================
     def _dispatch_tile(self, tile_id: int) -> None:
         tile = self.tiles[tile_id]
+        if (not tile.unit.pending_count and not self._special_jobs[tile_id]
+                and not self._safe_mode):
+            # nothing to hand out: every free core would pick no job
+            for core in tile.cores:
+                if core.job is None:
+                    core.idle_since = self.now
+            return
         for core in tile.cores:
             if not core.is_free:
                 continue
@@ -517,7 +524,9 @@ class Simulator(AllocAPI):
             tb = self.alloc.alloc(self.now, core.cid)
         task.vt = task.vt.with_tiebreaker(tb)
         task.state = TaskState.RUNNING
-        self._frontier.add_run(task)
+        # The GVT frontier's run entry is pushed once the body returns: no
+        # GVT query runs inside a body, and an attempt that aborts there
+        # keeps its pending entry (same prefix), so it never needs one.
         task.core = core
         task.dispatch_time = self.now
         core.job = task
@@ -553,7 +562,11 @@ class Simulator(AllocAPI):
             self._wake_tile(core.tile_id)
             return
         except FractalError:
-            raise  # library invariants and typed API misuse stay fatal
+            # library invariants and typed API misuse stay fatal; the
+            # crash bundle's GVT must still see the attempt as running
+            if task.state is TaskState.RUNNING:
+                self._frontier.add_run(task)
+            raise
         except Exception as exc:  # app-code / injected task failure
             self._on_task_exception(core, task, ctx, exc)
             return
@@ -563,6 +576,8 @@ class Simulator(AllocAPI):
         task.duration = max(1, ctx.cycles + self.config.finish_cost)
         if self._faults is not None:
             task.duration = self._faults.stretch_duration(task, task.duration)
+        if task.state is TaskState.RUNNING:
+            self._frontier.add_run(task)
         self._schedule(self.now + task.duration, _FINISH,
                        (core, task, task.attempt))
         self._ensure_tick()
@@ -634,6 +649,7 @@ class Simulator(AllocAPI):
             return  # stale: the attempt was aborted while "running"
         unit = self.tiles[core.tile_id].unit
         task.finish_time = self.now
+        self.memory.finish(task)
         self._frontier.discard(task)  # finished work no longer bounds GVT
         if self._ebus is not None:
             self._ebus.emit(tev.FinishEvent(self.now, task.tid, core.cid,
@@ -788,6 +804,14 @@ class Simulator(AllocAPI):
         """
         self._cascade_seq += 1
         cascade_id = self._cascade_seq
+        if len(victims) == 1 and squash_extra is None:
+            leaf = victims[0]
+            if not leaf.children and not leaf.dependents:
+                # the common case (a premature access): one live victim,
+                # nothing to propagate to
+                if leaf.is_live:
+                    self._undo_one(leaf, False, reason, cascade_id, 0)
+                return
         # One pass over the child/dependent adjacency. Each victim's hop
         # distance from the seed set feeds the abort-chain-depth telemetry
         # (how far one conflict propagated); with events disabled the hops
@@ -799,8 +823,10 @@ class Simulator(AllocAPI):
             if t in cascade or not t.is_live:
                 continue
             cascade[t] = hop
-            stack.extend((c, hop + 1) for c in t.children)
-            stack.extend((d, hop + 1) for d in t.dependents)
+            if t.children:
+                stack.extend((c, hop + 1) for c in t.children)
+            if t.dependents:
+                stack.extend((d, hop + 1) for d in t.dependents)
         for t in sorted(cascade, key=_order_key, reverse=True):
             squash = (t.parent is not None and t.parent in cascade) or (
                 squash_extra is not None and t in squash_extra)
@@ -892,8 +918,11 @@ class Simulator(AllocAPI):
             task.state = TaskState.PENDING
             # Limbo tasks still bound the GVT through their stripped key
             # (the final real tiebreaker of the aborted attempt is dropped;
-            # the later _requeue keeps the same prefix).
-            self._frontier.add_dyn(task)
+            # the later _requeue keeps the same prefix). An attempt that
+            # dies inside its own body has no run entry yet and still holds
+            # its pending entry, which has that prefix already.
+            if task is not self._executing:
+                self._frontier.add_dyn(task)
             self._limbo[task] = None
             when = max(self.now + self.config.abort_penalty, task.retry_after)
             if self._resil is not None:

@@ -138,8 +138,10 @@ class TaskDesc:
         self.order_key = vt.key
 
     def still_executing(self) -> bool:
-        """SpecMemory owner protocol: True while this attempt's finish event
-        is still in the future (its stores are conceptually in flight)."""
+        """True while this attempt's finish event is still in the future
+        (its stores are conceptually in flight). ``SpecMemory`` tracks this
+        itself (``attach_owner`` to ``finish``); its audit engine checks
+        that index against this method."""
         return self.state is TaskState.RUNNING
 
     @property

@@ -91,10 +91,22 @@ class OwnerProtocol:
       totally orders all live owners. Global VT rewrites (zoom,
       tiebreaker compaction) replace it but preserve the relative order
       of live owners, so memoized clean probes stay valid across them.
-    - ``still_executing()`` — True while the owner's stores are conceptually
-      in flight (its finish event lies in the simulated future). May decay
-      to False during an attempt but never rises again without a fresh
-      attach (the fast engine's memoization relies on this).
+
+    The attempt's lifecycle, as the simulator reports it:
+
+    - :meth:`SpecMemory.attach_owner` starts an attempt *in flight*: its
+      stores are conceptually still landing, so a later task touching a
+      line it wrote is premature and aborts.
+    - :meth:`SpecMemory.finish` marks the moment its finish event fires.
+      From then on its stores are ordinary speculative data that later
+      tasks read by forwarding. An attempt never returns to flight
+      without a fresh attach (the fast engine's memoization relies on
+      this).
+    - :meth:`SpecMemory.commit` / :meth:`SpecMemory.rollback` end it.
+
+    Under the ``audit`` engine owners must also provide
+    ``still_executing()`` (True until the finish event fires): every probe
+    checks the in-flight index against it and raises on a mismatch.
     """
 
 
@@ -140,6 +152,11 @@ class SpecMemory:
         self._line_writers: Dict[int, List] = {}
         # word → VT-ordered live speculative writer chain
         self._word_writers: Dict[int, List] = {}
+        # owners attached and not yet finished (their stores in flight),
+        # and line → those of them that wrote the line, in the order of
+        # its writer chain: the writers a premature access can hit
+        self._in_flight: Dict[Any, None] = {}
+        self._line_in_flight: Dict[int, List] = {}
         # per-line population epochs (fast engine): bumped whenever a
         # line's reader (_repoch) / writer (_wepoch) membership changes,
         # so memoized clean probes invalidate with one int compare. Both
@@ -201,7 +218,22 @@ class SpecMemory:
         owner.deps = set()
         owner.dependents = set()
         owner._line_memo = {}
+        self._in_flight[owner] = None
         self.conflicts.register(owner)
+
+    def finish(self, owner) -> None:
+        """``owner``'s stores have landed: later tasks may now touch its
+        lines without aborting (they read its values by forwarding)."""
+        if owner not in self._in_flight:
+            return
+        del self._in_flight[owner]
+        # every line it wrote while in flight lists it
+        index = self._line_in_flight
+        for line in owner.write_lines:
+            writers = index[line]
+            writers.remove(owner)
+            if not writers:
+                del index[line]
 
     def detach_owner(self, owner) -> None:
         """Drop conflict-model tracking (commit and abort paths)."""
@@ -309,8 +341,7 @@ class SpecMemory:
                             self._emit_conflict("read-write", owner,
                                                 victims, line)
                         self._abort(victims, "read-write conflict")
-                    self._abort_if_earlier_writer_running(owner, line, key,
-                                                          chain)
+                    self._abort_if_earlier_writer_running(owner, line, key)
                     if owner.aborted:
                         return self.default
         else:
@@ -325,7 +356,7 @@ class SpecMemory:
                     if self.bus:
                         self._emit_conflict("read-write", owner, victims, line)
                     self._abort(victims, "read-write conflict")
-                self._abort_if_earlier_writer_running(owner, line, key, chain)
+                self._abort_if_earlier_writer_running(owner, line, key)
                 if owner.aborted:
                     return self.default
 
@@ -432,8 +463,7 @@ class SpecMemory:
                         self._emit_conflict("write", owner, victims, line)
                     self._abort(victims, "write conflict")
                 if chain:
-                    self._abort_if_earlier_writer_running(owner, line, key,
-                                                          chain)
+                    self._abort_if_earlier_writer_running(owner, line, key)
                     if owner.aborted:
                         return
         else:
@@ -456,7 +486,7 @@ class SpecMemory:
                     self._emit_conflict("write", owner, victims, line)
                 self._abort(victims, "write conflict")
             if chain:
-                self._abort_if_earlier_writer_running(owner, line, key, chain)
+                self._abort_if_earlier_writer_running(owner, line, key)
                 if owner.aborted:
                     return
 
@@ -498,6 +528,12 @@ class SpecMemory:
                 self._line_writers[line] = [owner]
             else:
                 lchain.append(owner)
+            if owner in self._in_flight:
+                running = self._line_in_flight.get(line)
+                if running is None:
+                    self._line_in_flight[line] = [owner]
+                else:
+                    running.append(owner)
             if self._fast:
                 self._bump(self._wepoch, line)
             self.conflicts.note_access(owner, line, is_write=True)
@@ -540,9 +576,10 @@ class SpecMemory:
             readers = self._line_readers.get(line) or ()
             victims = [r for r in readers
                        if r is not owner and r.order_key > key]
-        blockers = [w for w in chain
-                    if w is not owner and w.order_key < key
-                    and w.still_executing()]
+        running = self._line_in_flight.get(line)
+        self._audit_in_flight(owner, line, running)
+        blockers = [w for w in running or ()
+                    if w is not owner and w.order_key < key]
         if victims or blockers:
             raise SimulationError(
                 f"REPRO_MEM_AUDIT: fast path skipped a probe that finds "
@@ -550,7 +587,7 @@ class SpecMemory:
                 f"by {owner!r}: victims={victims} blockers={blockers}")
 
     def _abort_if_earlier_writer_running(self, owner, line: int,
-                                         key, chain) -> None:
+                                         key) -> None:
         """Kill the accessor when an earlier-VT task that wrote this line
         is still mid-execution.
 
@@ -563,15 +600,17 @@ class SpecMemory:
         finishes, after which ordinary speculative forwarding applies
         (Swarm forwards data of *finished*, still-uncommitted tasks).
 
-        ``chain`` is the line's writer chain the caller already fetched;
-        aborts of later writers mutate it in place, so it is still the
-        live list (re-fetching could only swap a drained chain for None,
-        which iterates the same: not at all).
+        The line's in-flight writers are indexed in writer-chain order, so
+        the blocker is the first earlier one — O(in-flight writers), not a
+        walk of the whole chain.
         """
-        if not chain:
+        running = self._line_in_flight.get(line)
+        if self._audit:
+            self._audit_in_flight(owner, line, running)
+        if not running:
             return
-        for w in chain:
-            if w is not owner and w.order_key < key and w.still_executing():
+        for w in running:
+            if w is not owner and w.order_key < key:
                 # Tell the scheduler when the blocking store lands, so the
                 # retry happens once instead of spinning (one abort per
                 # in-flight writer, as on real hardware).
@@ -582,6 +621,18 @@ class SpecMemory:
                     self._emit_conflict("premature-access", w, [owner], line)
                 self._abort([owner], "access during earlier writer")
                 return
+
+    def _audit_in_flight(self, owner, line: int, running) -> None:
+        """Cross-check the in-flight index against the owners' own
+        ``still_executing()``: the line's in-flight writers must be
+        exactly the chain's executing ones, in chain order."""
+        chain = self._line_writers.get(line) or ()
+        oracle = [w for w in chain if w.still_executing()]
+        if oracle != (running or []):
+            raise SimulationError(
+                f"REPRO_MEM_AUDIT: in-flight index of line {line} is "
+                f"{running} but the chain's executing writers are {oracle} "
+                f"(access by {owner!r})")
 
     def _emit_conflict(self, cause: str, aggressor, victims: List,
                        line: int) -> None:
@@ -675,6 +726,7 @@ class SpecMemory:
         `assert_quiescent` failure the old swallow-and-continue produced.
         """
         fast = self._fast
+        self.finish(owner)  # a rolled-back attempt is no longer in flight
         for line in owner.read_lines:
             readers = self._line_readers.get(line)
             if readers is None or owner not in readers:

@@ -4,12 +4,15 @@ import json
 
 import pytest
 
-from repro.errors import TaskExecutionError
+from repro import Ordering, Simulator, SystemConfig
+from repro.core.task import TaskState
+from repro.errors import FractalError, TaskExecutionError
 from repro.faults import FaultPlan
 from repro.faults.crashdump import (CRASH_BUNDLE_SCHEMA, build_crash_bundle,
                                     main, validate_crash_bundle,
                                     write_crash_bundle)
 
+from ..core.gvt_oracle import gvt_linear
 from .conftest import build_counter_sim
 
 
@@ -23,7 +26,40 @@ def _crashed_sim(tmp_path):
     return sim
 
 
+def _misuse_body(ctx):
+    ctx.store(64, 1)
+    ctx.compute(-1)                     # typed API misuse: FractalError
+
+
+def _later_body(ctx, i):
+    ctx.store(128 * (i + 2), i)
+
+
 class TestBundleFromRealFailure:
+    def test_library_error_in_a_body_keeps_the_gvt(self, tmp_path):
+        """A library error escaping a running body reaches the crash
+        bundle while the attempt is still RUNNING. The bundle's GVT must
+        count it by its full key, as the linear oracle does."""
+        cfg = SystemConfig.with_cores(8, conflict_mode="precise")
+        sim = Simulator(cfg, root_ordering=Ordering.ORDERED_32,
+                        crash_dump_dir=str(tmp_path))
+        for i in range(6):
+            sim.enqueue_root(_later_body, i, ts=i + 1, hint=0)
+        sim.enqueue_root(_misuse_body, ts=0, hint=1)
+        with pytest.raises(FractalError):
+            sim.run()
+        running = [t for t in sim._live if t.state is TaskState.RUNNING]
+        assert [t.label for t in running] == ["_misuse_body"]
+        # off core 0, the full key's tiebreaker differs from the pending
+        # entry's lower bound, so a missing run entry would show
+        assert running[0].core.cid != 0
+        with open(sim.crash_bundle_path) as fh:
+            doc = json.load(fh)
+        expect = gvt_linear(sim, sim.alloc.lower_bound(sim.now))
+        assert expect == running[0].order_key
+        assert doc["gvt"] == repr(expect)
+
+
     def test_dump_written_and_valid(self, tmp_path):
         sim = _crashed_sim(tmp_path)
         assert sim.crash_bundle_path is not None

@@ -10,20 +10,31 @@ from repro.mem.conflicts import PreciseConflictModel
 class FakeOwner:
     """A stand-in task attempt with a fixed VT key."""
 
-    def __init__(self, key):
+    def __init__(self, key, executing=False):
         self.order_key = key
         self.aborted = False
         self.children = []
         self.parent = None
         self.state = "running"
+        self.executing = executing
 
     def still_executing(self):
-        """FakeOwners act as instantaneous (already-finished) tasks unless a
-        test flips this flag to model an in-flight writer."""
-        return getattr(self, "executing", False)
+        """FakeOwners act as instantaneous (already-finished) tasks unless
+        created with ``executing=True`` to model an in-flight writer; the
+        audit engine checks ``SpecMemory``'s in-flight index against this."""
+        return self.executing
 
     def __repr__(self):
         return f"FakeOwner{self.order_key}"
+
+
+def attach_fake(mem, key, executing=False):
+    """Attach a FakeOwner; unless ``executing``, it finishes at once."""
+    o = FakeOwner(key, executing)
+    mem.attach_owner(o)
+    if not executing:
+        mem.finish(o)
+    return o
 
 
 class FakeCtx:
@@ -82,7 +93,5 @@ def mem(request, space):
 @pytest.fixture
 def owner_factory(mem):
     def make(key):
-        o = FakeOwner((key,))
-        mem.attach_owner(o)
-        return o
+        return attach_fake(mem, (key,))
     return make

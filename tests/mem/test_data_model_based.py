@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro.mem import AddressSpace, SpecDict, SpecMemory, SpecQueue
 from repro.mem.conflicts import PreciseConflictModel
 
-from .conftest import FakeCtx, FakeOwner
+from .conftest import FakeCtx, attach_fake
 
 _keys = st.sampled_from(["a", "b", "c", "d", "e"])
 _dict_ops = st.lists(st.one_of(
@@ -23,8 +23,7 @@ _dict_ops = st.lists(st.one_of(
 def fresh_ctx():
     space = AddressSpace(64, 1)
     mem = SpecMemory(space, PreciseConflictModel())
-    owner = FakeOwner((1,))
-    mem.attach_owner(owner)
+    owner = attach_fake(mem, (1,))
     return mem, FakeCtx(mem, owner), space
 
 

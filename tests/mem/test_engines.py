@@ -25,7 +25,7 @@ from repro.mem.bloom import H3HashFamily
 from repro.mem import bloom as bloom_mod
 from repro.mem.conflicts import PreciseConflictModel
 
-from .conftest import AbortRecorder, FakeOwner
+from .conftest import AbortRecorder, attach_fake
 
 
 def make_mem(engine):
@@ -36,9 +36,7 @@ def make_mem(engine):
 
 
 def attach(mem, key):
-    o = FakeOwner(key if isinstance(key, tuple) else (key,))
-    mem.attach_owner(o)
-    return o
+    return attach_fake(mem, key if isinstance(key, tuple) else (key,))
 
 
 # ---------------------------------------------------------------------------
