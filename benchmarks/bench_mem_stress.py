@@ -2,39 +2,29 @@
 
 Hammers :class:`repro.mem.memory.SpecMemory` and the conflict models with
 synthetic owner waves — no simulator, no apps — so wall time measures
-exactly the memory layer that ISSUE 10 vectorizes. This is the
-"memory-bound benchmark subset" whose before/after numbers are pinned in
-``BENCH_summary.json``.
+exactly the memory layer.
 
 Three sweeps:
 
 - ``churn``  — each owner re-accesses a small private working set many
-  times (re-access dominated: the epoch-memoized fast path should turn
-  almost every access into a dict hit; precise conflict model).
+  times (re-access dominated; precise conflict model).
 - ``shared`` — owner waves load a hot shared region plus a private slice
-  (probe/victim-scan dominated; precise model; no aborts so both engines
-  do identical work).
+  (probe/victim-scan dominated; precise model; no aborts).
 - ``bloom``  — the churn mix through ``BloomConflictModel`` sampled mode
   (signature insert + false-positive bookkeeping dominated).
 
-Every op sequence is seeded and fixed, so the two engines do identical
-logical work and per-config RunStats-grade counters must match exactly.
+Every op sequence is seeded and fixed, so per-config RunStats-grade
+counters are the same on every run.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_mem_stress.py \
-        [--engine fast|scalar] [--json OUT] [--repeat N]
-
-``--engine`` is forwarded to ``SpecMemory`` when the installed version
-supports it (post-vectorization); on older trees it falls back to the
-only engine there is, which makes this file runnable at the pre-change
-commit to record honest "before" numbers.
+        [--only churn,shared,bloom] [--json OUT] [--repeat N]
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 import time
@@ -53,14 +43,11 @@ class Owner:
 
     __slots__ = ("order_key", "aborted", "undo", "reads", "writes",
                  "read_lines", "write_lines", "deps", "dependents", "sig_read",
-                 "sig_write", "_fp_cached", "_line_memo", "_sig_row")
+                 "sig_write", "_fp_cached", "_sig_row")
 
     def __init__(self, key):
         self.order_key = key
         self.aborted = False
-
-    def still_executing(self):  # the owner protocol before SpecMemory.finish
-        return False
 
     def __repr__(self):
         return f"Owner{self.order_key}"
@@ -89,26 +76,21 @@ def _attach(mem, key):
     """A fresh owner that has already finished (its stores have landed)."""
     o = Owner(key)
     mem.attach_owner(o)
-    if hasattr(mem, "finish"):
-        mem.finish(o)
+    mem.finish(o)
     return o
 
 
-def _make_memory(model, engine):
+def _make_memory(model):
     space = AddressSpace(line_bytes=64, n_tiles=4)
-    params = inspect.signature(SpecMemory.__init__).parameters
-    if "engine" in params:
-        mem = SpecMemory(space, model, engine=engine)
-    else:  # pre-vectorization tree: single scalar engine
-        mem = SpecMemory(space, model)
+    mem = SpecMemory(space, model)
     mem.abort_cascade = _cascade(mem)
     return space, mem
 
 
-def run_churn(engine, waves=120, owners_per_wave=8, lines_each=4, rounds=12):
+def run_churn(waves=120, owners_per_wave=8, lines_each=4, rounds=12):
     """Private working sets, heavy re-access."""
     model = PreciseConflictModel()
-    space, mem = _make_memory(model, engine)
+    space, mem = _make_memory(model)
     lw = space.line_words
     region = space.alloc("churn", owners_per_wave * lines_each * lw)
     accesses = 0
@@ -133,18 +115,16 @@ def run_churn(engine, waves=120, owners_per_wave=8, lines_each=4, rounds=12):
     return wall, accesses, _counters(mem, model)
 
 
-def run_shared(engine, waves=120, readers_per_wave=8, hot_lines=4, rounds=6):
+def run_shared(waves=120, readers_per_wave=8, hot_lines=4, rounds=6):
     """Forwarding from hot lines with deep finished-writer chains.
 
     Per wave, one earlier-VT writer per word of each hot line stores its
     word (so every hot line carries a chain of ``line_words`` finished
     speculative writers), then later-VT readers repeatedly load the whole
     region — the forwarded-reduction pattern. Every load's victim scan
-    walks the full chain and finds nothing, so both engines do identical
-    logical work with zero aborts; the fast engine memoizes the clean
-    probe after the first touch."""
+    walks the full chain and finds nothing, with zero aborts."""
     model = PreciseConflictModel()
-    space, mem = _make_memory(model, engine)
+    space, mem = _make_memory(model)
     lw = space.line_words
     hot = space.alloc("hot", hot_lines * lw)
     accesses = 0
@@ -176,10 +156,10 @@ def run_shared(engine, waves=120, readers_per_wave=8, hot_lines=4, rounds=6):
     return wall, accesses, _counters(mem, model)
 
 
-def run_bloom(engine, waves=80, owners_per_wave=8, lines_each=4, rounds=10):
+def run_bloom(waves=80, owners_per_wave=8, lines_each=4, rounds=10):
     """The churn mix through Bloom signatures (sampled false positives)."""
     model = BloomConflictModel(bits=2048, ways=8, seed=7)
-    space, mem = _make_memory(model, engine)
+    space, mem = _make_memory(model)
     lw = space.line_words
     region = space.alloc("bloomset", owners_per_wave * lines_each * lw)
     accesses = 0
@@ -220,9 +200,7 @@ def _counters(mem, model):
         "n_stores": mem.n_stores,
         "n_true_conflicts": mem.n_true_conflicts,
         "mem_probe_steps": mem.probe_steps,
-        "fast_hits": getattr(mem, "fast_hits", 0),
-        "slow_probes": getattr(mem, "slow_probes", 0),
-        "conflict_probe_steps": getattr(model, "probe_steps", 0),
+        "conflict_probe_steps": model.probe_steps,
     }
 
 
@@ -235,8 +213,6 @@ CONFIGS = {
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--engine", default="fast", choices=["fast", "scalar"],
-                    help="SpecMemory engine (ignored on pre-engine trees)")
     ap.add_argument("--only", default=None,
                     help="comma-separated subset of configs")
     ap.add_argument("--repeat", type=int, default=3,
@@ -250,7 +226,7 @@ def main(argv=None):
         fn = CONFIGS[name]
         best, accesses, counters = None, 0, {}
         for _ in range(args.repeat):
-            wall, accesses, counters = fn(args.engine)
+            wall, accesses, counters = fn()
             best = wall if best is None else min(best, wall)
         rate = accesses / best if best else 0.0
         results[name] = {
@@ -259,12 +235,11 @@ def main(argv=None):
             "accesses_per_s": round(rate),
             "counters": counters,
         }
-        print(f"{name:8s} engine={args.engine:7s} {best:7.3f}s  "
+        print(f"{name:8s} {best:7.3f}s  "
               f"{accesses:9d} accesses  {rate / 1e3:8.1f} k/s")
 
     doc = {
-        "schema": "repro.mem-stress/1",
-        "engine": args.engine,
+        "schema": "repro.mem-stress/2",
         "configs": results,
     }
     if args.json:

@@ -1240,8 +1240,8 @@ class Simulator(AllocAPI):
 
         m.counter("conflicts", kind="true").value = \
             self.memory.n_true_conflicts
-        m.counter("conflicts", kind="false_positive").value = getattr(
-            self.conflicts, "false_positives", 0)
+        m.counter("conflicts", kind="false_positive").value = \
+            self.conflicts.false_positives
         m.counter("zooms", direction="in").value = self.arbiter.zoom_ins
         m.counter("zooms", direction="out").value = self.arbiter.zoom_outs
         m.counter("gvt_ticks").value = self.arbiter.ticks

@@ -74,7 +74,7 @@ class TaskDesc:
         # speculative owner state (installed by SpecMemory.attach_owner)
         "undo", "reads", "writes", "read_lines", "write_lines",
         "deps", "dependents", "sig_read", "sig_write", "_fp_cached",
-        "_line_memo", "_sig_row",
+        "_sig_row",
     )
 
     def __init__(self, fn: Callable, args: Tuple, domain: Domain,
@@ -140,8 +140,8 @@ class TaskDesc:
     def still_executing(self) -> bool:
         """True while this attempt's finish event is still in the future
         (its stores are conceptually in flight). ``SpecMemory`` tracks this
-        itself (``attach_owner`` to ``finish``); its audit engine checks
-        that index against this method."""
+        itself (``attach_owner`` to ``finish``); the tests' chain-walk
+        oracle (``tests/mem/inflight_oracle.py``) reads this method."""
         return self.state is TaskState.RUNNING
 
     @property

@@ -10,8 +10,7 @@ Carter & Wegman: each hash function is a matrix of random words; the hash
 of a key is the XOR of the rows selected by the key's set bits. Rather
 than walking key bits one at a time, the family precomputes byte-sliced
 tabulation tables (six 256-entry partial-XOR tables per function for
-48-bit keys), so a hash is six table lookups and XORs — and whole key
-*arrays* hash in a handful of numpy gathers (:meth:`indices_array`).
+48-bit keys), so a hash is six table lookups and XORs.
 
 :class:`BloomSignature` is a real bit-accurate signature used both
 directly (unit tests, small runs) and as the occupancy source for the
@@ -29,7 +28,7 @@ per-task-pair Python probe loop of exact conflict detection.
 from __future__ import annotations
 
 import random
-from typing import Iterable, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -81,9 +80,7 @@ class H3HashFamily:
             rows = mats[:, 8 * b: 8 * b + 8]                        # (k, 8)
             contrib = np.where(sel[None, :, :], rows[:, None, :], np.uint32(0))
             tables[:, b, :] = np.bitwise_xor.reduce(contrib, axis=2)
-        self._tables = tables
-        self._tables_py = tables.tolist()  # plain nested lists: scalar path
-        self._bank_offsets = (np.arange(k, dtype=np.int64) * self.bank_bits)
+        self._tables = tables.tolist()
         # key → [indices tuple, mask int, (word idx, word mask) or None].
         # Bounded (see _MAX_CACHED_KEYS); values are immutable or private.
         self._key_cache: dict = {}
@@ -99,7 +96,7 @@ class H3HashFamily:
         kbytes = [(masked >> (8 * b)) & 0xFF for b in range(_KEY_BYTES)]
         out = []
         mask = 0
-        for fn, table in enumerate(self._tables_py):
+        for fn, table in enumerate(self._tables):
             h = 0
             for b in range(_KEY_BYTES):
                 h ^= table[b][kbytes[b]]
@@ -139,15 +136,6 @@ class H3HashFamily:
             entry[2] = wm
         return wm
 
-    def indices_array(self, keys) -> np.ndarray:
-        """Vectorized :meth:`indices` over a key array → ``(n, k)`` int64."""
-        masked = np.asarray(keys, dtype=np.int64) & _KEY_MASK
-        h = np.zeros((self.k, masked.shape[0]), dtype=np.uint32)
-        for b in range(_KEY_BYTES):
-            kbytes = ((masked >> (8 * b)) & 0xFF).astype(np.intp)
-            h ^= self._tables[:, b, kbytes]
-        return h.T.astype(np.int64) + self._bank_offsets[None, :]
-
 
 class BloomSignature:
     """A bit-accurate, banked Bloom signature over cache-line addresses."""
@@ -176,49 +164,6 @@ class BloomSignature:
         """True when all banks hit. Never a false negative."""
         mask = self.family.mask(key)
         return self._bits & mask == mask
-
-    def update(self, keys: Iterable[int]) -> None:
-        """Insert every key."""
-        for key in keys:
-            self.insert(key)
-
-    def insert_many(self, keys) -> int:
-        """Batched :meth:`insert` over a key array; returns new-bit count."""
-        keys = np.asarray(keys, dtype=np.int64)
-        if keys.size == 0:
-            return 0
-        self._inserted += int(keys.size)
-        idx = self.family.indices_array(keys).ravel()
-        bitmap = np.zeros(self.family.m_bits, dtype=np.uint8)
-        bitmap[idx] = 1
-        mask = int.from_bytes(
-            np.packbits(bitmap, bitorder="little").tobytes(), "little")
-        bits = self._bits
-        new = bits | mask
-        added = (new ^ bits).bit_count()
-        if added:
-            self._popcount += added
-            self._bits = new
-        return added
-
-    def contains_many(self, keys) -> np.ndarray:
-        """Batched :meth:`maybe_contains` → bool array."""
-        keys = np.asarray(keys, dtype=np.int64)
-        if keys.size == 0:
-            return np.zeros(0, dtype=bool)
-        n_words = (self.family.m_bits + 63) // 64
-        words = np.frombuffer(
-            self._bits.to_bytes(n_words * 8, "little"), dtype=np.uint64)
-        idx = self.family.indices_array(keys)            # (n, k)
-        hit = (words[idx >> 6] >> (idx & 63).astype(np.uint64)) & 1
-        return hit.all(axis=1)
-
-    def clear(self) -> None:
-        """Reset the signature to empty."""
-        self._bits = 0
-        self._inserted = 0
-        self._popcount = 0
-        self._rate_cache = (0, 0.0)
 
     @property
     def inserted(self) -> int:
@@ -289,9 +234,6 @@ class SignatureBank:
         self._words[row] = 0
         self._free.append(row)
 
-    def clear(self, row: int) -> None:
-        self._words[row] = 0
-
     def insert(self, row: int, key: int) -> bool:
         """Set the key's bits in ``row``; True when any bit was new."""
         widx, wmask = self.family.word_masks(key)
@@ -304,22 +246,6 @@ class SignatureBank:
         r[widx] = after
         return True
 
-    def insert_many(self, row: int, keys) -> None:
-        """Batched insert of a key array into one row."""
-        keys = np.asarray(keys, dtype=np.int64)
-        if keys.size == 0:
-            return
-        idx = self.family.indices_array(keys).ravel()
-        self.bitmap_ops += 1
-        np.bitwise_or.at(self._words[row], idx >> 6,
-                         np.uint64(1) << (idx & 63).astype(np.uint64))
-
-    def probe(self, row: int, key: int) -> bool:
-        """True when all the key's bits are set in ``row``."""
-        widx, wmask = self.family.word_masks(key)
-        self.bitmap_ops += 1
-        return bool(((self._words[row, widx] & wmask) == wmask).all())
-
     def probe_rows(self, key: int, rows) -> np.ndarray:
         """Vectorized probe of many rows → bool array (aligned to ``rows``)."""
         widx, wmask = self.family.word_masks(key)
@@ -327,15 +253,3 @@ class SignatureBank:
         rows = np.asarray(rows, dtype=np.intp)
         sub = self._words[rows[:, None], widx[None, :]]
         return ((sub & wmask) == wmask).all(axis=1)
-
-    def popcount(self, row: int) -> int:
-        """Set bits in ``row`` (computed on demand)."""
-        return int(np.bitwise_count(self._words[row]).sum())
-
-    def fill(self, row: int) -> float:
-        """Fill fraction of ``row``."""
-        return self.popcount(row) / self.family.m_bits
-
-    def false_positive_rate(self, row: int) -> float:
-        """Same mean-fill model as :meth:`BloomSignature.false_positive_rate`."""
-        return (self.popcount(row) / self.family.m_bits) ** self.family.k

@@ -49,6 +49,15 @@ class ConflictPolicy:
     #: SpecMemory elides the per-access sampler call when False.
     samples_false_positives = True
 
+    #: profiling counters (see :mod:`repro.telemetry.profiling`); models
+    #: that sample or probe signatures bump their own instance copies
+    probe_steps = 0
+    false_positives = 0
+    bank_probes = 0
+    #: exact-mode signature banks (None unless a model keeps them)
+    _bank_read = None
+    _bank_write = None
+
     def register(self, owner) -> None:
         """Called when ``owner`` starts running speculatively."""
         raise NotImplementedError

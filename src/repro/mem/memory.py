@@ -19,42 +19,20 @@ speculative load/store flows through it:
 Conflict *detection* happens at cache-line granularity (real false
 sharing); versioning and dependences are word-granular.
 
-Engines
+Probing
 -------
 
 Per-access semantics are load-bearing: a conflicting later task must be
-aborted *before* the accessor reads a value, so detection cannot simply be
-deferred to end-of-task. What CAN be batched is the re-probe: within one
-task body, the population of a line's reader/writer indices only changes
-when an access registers a first touch or an abort cascade scrubs a
-victim. ``SpecMemory`` therefore keeps per-line *population epochs* —
-one for reader membership, one for writer membership, each bumped on any
-change — and memoizes, per owner, the epochs at which a line was last
-probed clean. Re-accesses at unchanged epochs skip the victim scans
-entirely: a read-grade memo watches only the writer epoch (new readers
-cannot conflict with a load), a write-grade memo watches both. Since
-probes find work only when the relevant membership changed, the memoized
-decision is exactly the scalar one.
+aborted *before* the accessor reads a value, so detection cannot be
+deferred to end-of-task. Every load therefore walks its line's writer
+chain, and every store walks the line's readers and writer chain, for
+later-VT victims. A line whose chain holds an earlier writer that is
+still in flight makes the access premature; those writers sit in a
+per-line in-flight index, so finding one does not walk the chain.
 
-Three engines share all bookkeeping and differ only in probing:
-
-- ``fast`` (default) — epoch-memoized probes as above.
-- ``scalar`` — the pre-vectorization reference: a full chain walk on
-  every access, no memoization.
-- ``audit`` — the fast engine, but every memoized skip is cross-checked
-  against a reference probe and any divergence raises
-  :class:`SimulationError`.
-
-Select with the constructor's ``engine=`` or the environment:
-``REPRO_MEM_AUDIT=1`` forces ``audit``; ``REPRO_MEM_ENGINE=scalar|fast``
-overrides the default. RunStats-visible counters (loads, stores, true /
-injected conflicts) and all values, victims, and dependences are
-byte-identical across engines; only the profile-only probe counters
-(``probe_steps``, ``fast_hits``, ``slow_probes``, ``epoch_bumps``) differ.
-
-The false-positive sampler and fault hook are deliberately invoked once
-per access in *every* engine — they consume seeded RNG draws, so skipping
-them on the fast path would desynchronize Bloom-mode runs.
+The false-positive sampler and fault hook are invoked once per access:
+they consume seeded RNG draws, so their call sequence is part of what
+makes a Bloom-mode run reproducible.
 
 Owners are task attempts; the protocol they must satisfy is documented on
 :class:`OwnerProtocol`.
@@ -62,7 +40,6 @@ Owners are task attempts; the protocol they must satisfy is documented on
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
@@ -72,8 +49,6 @@ from .address import AddressSpace
 from .conflicts import ConflictPolicy, PreciseConflictModel
 from .undo_log import UndoLog
 
-_ENGINES = ("fast", "scalar", "audit")
-
 
 class OwnerProtocol:
     """What :class:`SpecMemory` requires of a speculative owner.
@@ -82,15 +57,14 @@ class OwnerProtocol:
 
     - ``undo`` (:class:`UndoLog`), ``reads`` / ``writes`` (addr→value, for
       the serializability audit), ``read_lines`` / ``write_lines`` (sets),
-      ``deps`` / ``dependents`` (owner sets), ``sig_read`` / ``sig_write``,
-      ``_line_memo`` (line → packed probe epoch, fast engine only).
+      ``deps`` / ``dependents`` (owner sets), ``sig_read`` / ``sig_write``.
 
     What the owner class must provide:
 
     - ``order_key`` — attribute holding the current fractal-VT sort key;
       totally orders all live owners. Global VT rewrites (zoom,
       tiebreaker compaction) replace it but preserve the relative order
-      of live owners, so memoized clean probes stay valid across them.
+      of live owners.
 
     The attempt's lifecycle, as the simulator reports it:
 
@@ -100,13 +74,8 @@ class OwnerProtocol:
     - :meth:`SpecMemory.finish` marks the moment its finish event fires.
       From then on its stores are ordinary speculative data that later
       tasks read by forwarding. An attempt never returns to flight
-      without a fresh attach (the fast engine's memoization relies on
-      this).
+      without a fresh attach.
     - :meth:`SpecMemory.commit` / :meth:`SpecMemory.rollback` end it.
-
-    Under the ``audit`` engine owners must also provide
-    ``still_executing()`` (True until the finish event fires): every probe
-    checks the in-flight index against it and raises on a mismatch.
     """
 
 
@@ -119,31 +88,15 @@ class AccessRecord:
     latency: int
 
 
-def _default_engine() -> str:
-    if os.environ.get("REPRO_MEM_AUDIT", "") == "1":
-        return "audit"
-    return os.environ.get("REPRO_MEM_ENGINE", "") or "fast"
-
-
 class SpecMemory:
     """The chip's shared memory with speculative versioning."""
 
     def __init__(self, space: AddressSpace,
                  conflict_model: Optional[ConflictPolicy] = None,
-                 default_value: Any = 0,
-                 engine: Optional[str] = None):
+                 default_value: Any = 0):
         self.space = space
         self.conflicts = conflict_model or PreciseConflictModel()
         self.default = default_value
-        if engine is None:
-            engine = _default_engine()
-        if engine not in _ENGINES:
-            raise MemoryError_(
-                f"unknown memory engine {engine!r} (expected one of "
-                f"{', '.join(_ENGINES)})")
-        self.engine = engine
-        self._fast = engine != "scalar"
-        self._audit = engine == "audit"
         self._values: Dict[int, Any] = {}
         # line → live speculative readers (insertion-ordered dict-as-set:
         # victim enumeration must not depend on object addresses) /
@@ -157,17 +110,10 @@ class SpecMemory:
         # its writer chain: the writers a premature access can hit
         self._in_flight: Dict[Any, None] = {}
         self._line_in_flight: Dict[int, List] = {}
-        # per-line population epochs (fast engine): bumped whenever a
-        # line's reader (_repoch) / writer (_wepoch) membership changes,
-        # so memoized clean probes invalidate with one int compare. Both
-        # only ever increase, so their sum changes iff either changes.
-        self._repoch: List[int] = [0] * 1024
-        self._wepoch: List[int] = [0] * 1024
         # skip the per-access false-positive sampler when the model never
         # samples (precise mode): it consumes no RNG there, so eliding the
         # call cannot desynchronize anything
-        self._sample_fp = getattr(self.conflicts,
-                                  "samples_false_positives", True)
+        self._sample_fp = self.conflicts.samples_false_positives
         # bound once: called on every access when the model samples
         self._false_conflict = self.conflicts.false_conflict
         lw = space.line_words
@@ -195,15 +141,10 @@ class SpecMemory:
         self.n_stores = 0
         self.n_true_conflicts = 0
         self.n_injected_conflicts = 0
-        # profiling-only counters (out of the metrics registry unless
-        # `repro profile` asks; engines legitimately differ here)
         #: candidate owners examined by per-line conflict checks
+        #: (profiling only: out of the metrics registry unless
+        #: `repro profile` asks)
         self.probe_steps = 0
-        #: accesses that walked the chains (every access, under scalar);
-        #: ``fast_hits`` is derived from this — see the property below
-        self.slow_probes = 0
-        #: line-population changes observed (fast/audit engines)
-        self.epoch_bumps = 0
 
     # ------------------------------------------------------------------
     # owner lifecycle
@@ -217,7 +158,6 @@ class SpecMemory:
         owner.write_lines = set()
         owner.deps = set()
         owner.dependents = set()
-        owner._line_memo = {}
         self._in_flight[owner] = None
         self.conflicts.register(owner)
 
@@ -306,59 +246,20 @@ class SpecMemory:
         shift = self._line_shift
         line = addr >> shift if shift is not None else self.space.line_of(addr)
 
-        if self._fast:
-            state = owner._line_memo.get(line)
-            hit = False
-            if state is not None:
-                # epoch lists grow in lockstep (_bump), so one IndexError
-                # guard covers both; unseen lines are at epoch 0
-                try:
-                    if state & 1:
-                        hit = (state >> 1
-                               == self._wepoch[line] + self._repoch[line])
-                    else:
-                        hit = state >> 1 == self._wepoch[line]
-                except IndexError:
-                    hit = state >> 1 == 0
-            if hit:
-                # relevant population unchanged since this owner's last
-                # clean probe of the line: a re-probe finds nothing new.
-                memo_bit = state & 1
-                if self._audit:
-                    self._audit_probe(owner, line, is_write=False)
-            else:
-                self.slow_probes += 1
-                memo_bit = 0
-                key = owner.order_key
-                chain = self._line_writers.get(line)
-                if chain:
-                    self.probe_steps += len(chain)
-                    victims = [w for w in chain
-                               if w is not owner and w.order_key > key]
-                    if victims:
-                        self.n_true_conflicts += len(victims)
-                        if self.bus:
-                            self._emit_conflict("read-write", owner,
-                                                victims, line)
-                        self._abort(victims, "read-write conflict")
-                    self._abort_if_earlier_writer_running(owner, line, key)
-                    if owner.aborted:
-                        return self.default
-        else:
+        chain = self._line_writers.get(line)
+        if chain:
             key = owner.order_key
-            chain = self._line_writers.get(line)
-            if chain:
-                self.probe_steps += len(chain)
-                victims = [w for w in chain
-                           if w is not owner and w.order_key > key]
-                if victims:
-                    self.n_true_conflicts += len(victims)
-                    if self.bus:
-                        self._emit_conflict("read-write", owner, victims, line)
-                    self._abort(victims, "read-write conflict")
-                self._abort_if_earlier_writer_running(owner, line, key)
-                if owner.aborted:
-                    return self.default
+            self.probe_steps += len(chain)
+            victims = [w for w in chain
+                       if w is not owner and w.order_key > key]
+            if victims:
+                self.n_true_conflicts += len(victims)
+                if self.bus:
+                    self._emit_conflict("read-write", owner, victims, line)
+                self._abort(victims, "read-write conflict")
+            self._abort_if_earlier_writer_running(owner, line, key)
+            if owner.aborted:
+                return self.default
 
         if self._sample_fp:
             other = self._false_conflict(owner, line, False)
@@ -388,37 +289,14 @@ class SpecMemory:
 
         if addr not in owner.reads and addr not in owner.writes:
             owner.reads[addr] = value
-        if self._fast:
-            registered = line not in owner.read_lines
-            if registered:
-                owner.read_lines.add(line)
-                readers = self._line_readers.get(line)
-                if readers is None:
-                    self._line_readers[line] = {owner: None}
-                else:
-                    readers[owner] = None
-                self._bump(self._repoch, line)
-                self.conflicts.note_access(owner, line, is_write=False)
-            if registered or not hit:
-                # (Re-)memoize post-registration: epoch bumps since the
-                # probe were our own registration or cascade scrubs, both
-                # of which only shrink-or-self the population the clean
-                # probe verified. An unregistered fast hit leaves the
-                # memo exactly as it was — no write needed.
-                try:
-                    wep = self._wepoch[line]
-                    rep = self._repoch[line]
-                except IndexError:
-                    wep = rep = 0
-                if memo_bit:
-                    owner._line_memo[line] = ((wep + rep) << 1) | 1
-                else:
-                    owner._line_memo[line] = wep << 1
-        else:
-            self._line_readers.setdefault(line, {})[owner] = None
-            if line not in owner.read_lines:
-                owner.read_lines.add(line)
-                self.conflicts.note_access(owner, line, is_write=False)
+        if line not in owner.read_lines:
+            owner.read_lines.add(line)
+            readers = self._line_readers.get(line)
+            if readers is None:
+                self._line_readers[line] = {owner: None}
+            else:
+                readers[owner] = None
+            self.conflicts.note_access(owner, line, is_write=False)
         return value
 
     def store(self, owner, addr: int, value: Any) -> None:
@@ -427,68 +305,28 @@ class SpecMemory:
         shift = self._line_shift
         line = addr >> shift if shift is not None else self.space.line_of(addr)
 
-        if self._fast:
-            state = owner._line_memo.get(line)
-            hit = False
-            if state is not None and state & 1:
-                try:
-                    hit = (state >> 1
-                           == self._wepoch[line] + self._repoch[line])
-                except IndexError:
-                    hit = state >> 1 == 0
-            if hit:
-                # write-grade memo at unchanged epochs: the reader scan
-                # and writer-chain walk would find exactly what the last
-                # one did — nothing.
-                if self._audit:
-                    self._audit_probe(owner, line, is_write=True)
-            else:
-                self.slow_probes += 1
-                key = owner.order_key
-                victims = []
-                readers = self._line_readers.get(line)
-                if readers:
-                    self.probe_steps += len(readers)
-                    victims.extend(r for r in readers
-                                   if r is not owner and r.order_key > key)
-                chain = self._line_writers.get(line)
-                if chain:
-                    self.probe_steps += len(chain)
-                    victims.extend(w for w in chain
-                                   if w is not owner and w.order_key > key
-                                   and w not in victims)
-                if victims:
-                    self.n_true_conflicts += len(victims)
-                    if self.bus:
-                        self._emit_conflict("write", owner, victims, line)
-                    self._abort(victims, "write conflict")
-                if chain:
-                    self._abort_if_earlier_writer_running(owner, line, key)
-                    if owner.aborted:
-                        return
-        else:
-            key = owner.order_key
-            victims = []
-            readers = self._line_readers.get(line)
-            if readers:
-                self.probe_steps += len(readers)
-                victims.extend(r for r in readers
-                               if r is not owner and r.order_key > key)
-            chain = self._line_writers.get(line)
-            if chain:
-                self.probe_steps += len(chain)
-                victims.extend(w for w in chain
-                               if w is not owner and w.order_key > key
-                               and w not in victims)
-            if victims:
-                self.n_true_conflicts += len(victims)
-                if self.bus:
-                    self._emit_conflict("write", owner, victims, line)
-                self._abort(victims, "write conflict")
-            if chain:
-                self._abort_if_earlier_writer_running(owner, line, key)
-                if owner.aborted:
-                    return
+        key = owner.order_key
+        victims = []
+        readers = self._line_readers.get(line)
+        if readers:
+            self.probe_steps += len(readers)
+            victims.extend(r for r in readers
+                           if r is not owner and r.order_key > key)
+        chain = self._line_writers.get(line)
+        if chain:
+            self.probe_steps += len(chain)
+            victims.extend(w for w in chain
+                           if w is not owner and w.order_key > key
+                           and w not in victims)
+        if victims:
+            self.n_true_conflicts += len(victims)
+            if self.bus:
+                self._emit_conflict("write", owner, victims, line)
+            self._abort(victims, "write conflict")
+        if chain:
+            self._abort_if_earlier_writer_running(owner, line, key)
+            if owner.aborted:
+                return
 
         if self._sample_fp:
             other = self._false_conflict(owner, line, True)
@@ -534,58 +372,9 @@ class SpecMemory:
                     self._line_in_flight[line] = [owner]
                 else:
                     running.append(owner)
-            if self._fast:
-                self._bump(self._wepoch, line)
             self.conflicts.note_access(owner, line, is_write=True)
-        if self._fast and not hit:
-            # a fast hit leaves the write-grade memo current; a slow probe
-            # (or a grade upgrade) re-records it at the post-registration
-            # epochs, which only our own bump or cascade scrubs moved.
-            try:
-                eps = self._wepoch[line] + self._repoch[line]
-            except IndexError:
-                eps = 0
-            owner._line_memo[line] = (eps << 1) | 1
 
     # ------------------------------------------------------------------
-    def _bump(self, ep: List[int], line: int) -> None:
-        """Advance one line's reader or writer population epoch.
-
-        Both epoch lists grow in lockstep so the hot-path readers can
-        index them under a single IndexError guard.
-        """
-        if line >= len(ep):
-            grow = line + 1025
-            for lst in (self._repoch, self._wepoch):
-                if grow > len(lst):
-                    lst.extend([0] * (grow - len(lst)))
-        ep[line] += 1
-        self.epoch_bumps += 1
-
-    def _audit_probe(self, owner, line: int, is_write: bool) -> None:
-        """Cross-check a memoized skip against the reference probe.
-
-        The fast path claims "a re-probe of this line finds nothing"; run
-        the scalar probe and raise if it would have found victims or a
-        blocking earlier in-flight writer.
-        """
-        key = owner.order_key
-        chain = self._line_writers.get(line) or ()
-        victims = [w for w in chain if w is not owner and w.order_key > key]
-        if is_write and not victims:
-            readers = self._line_readers.get(line) or ()
-            victims = [r for r in readers
-                       if r is not owner and r.order_key > key]
-        running = self._line_in_flight.get(line)
-        self._audit_in_flight(owner, line, running)
-        blockers = [w for w in running or ()
-                    if w is not owner and w.order_key < key]
-        if victims or blockers:
-            raise SimulationError(
-                f"REPRO_MEM_AUDIT: fast path skipped a probe that finds "
-                f"work — {'store' if is_write else 'load'} of line {line} "
-                f"by {owner!r}: victims={victims} blockers={blockers}")
-
     def _abort_if_earlier_writer_running(self, owner, line: int,
                                          key) -> None:
         """Kill the accessor when an earlier-VT task that wrote this line
@@ -605,8 +394,6 @@ class SpecMemory:
         walk of the whole chain.
         """
         running = self._line_in_flight.get(line)
-        if self._audit:
-            self._audit_in_flight(owner, line, running)
         if not running:
             return
         for w in running:
@@ -621,18 +408,6 @@ class SpecMemory:
                     self._emit_conflict("premature-access", w, [owner], line)
                 self._abort([owner], "access during earlier writer")
                 return
-
-    def _audit_in_flight(self, owner, line: int, running) -> None:
-        """Cross-check the in-flight index against the owners' own
-        ``still_executing()``: the line's in-flight writers must be
-        exactly the chain's executing ones, in chain order."""
-        chain = self._line_writers.get(line) or ()
-        oracle = [w for w in chain if w.still_executing()]
-        if oracle != (running or []):
-            raise SimulationError(
-                f"REPRO_MEM_AUDIT: in-flight index of line {line} is "
-                f"{running} but the chain's executing writers are {oracle} "
-                f"(access by {owner!r})")
 
     def _emit_conflict(self, cause: str, aggressor, victims: List,
                        line: int) -> None:
@@ -665,14 +440,6 @@ class SpecMemory:
         if self.bus:
             self._emit_conflict("injected", owner, [owner], line)
         self._abort([owner], "injected conflict")
-
-    def _sample_false_conflict(self, owner, line: int, is_write: bool) -> None:
-        """Sample-and-resolve in one step (kept for tests / direct callers;
-        the hot paths inline the sampling call and only pay for resolution
-        on an actual hit)."""
-        other = self.conflicts.false_conflict(owner, line, is_write)
-        if other is not None:
-            self._resolve_false_positive(owner, other, line)
 
     def _resolve_false_positive(self, owner, other, line: int) -> None:
         if getattr(other, "aborted", False):
@@ -725,7 +492,6 @@ class SpecMemory:
         raising here, with the owner and line at hand, beats the distant
         `assert_quiescent` failure the old swallow-and-continue produced.
         """
-        fast = self._fast
         self.finish(owner)  # a rolled-back attempt is no longer in flight
         for line in owner.read_lines:
             readers = self._line_readers.get(line)
@@ -736,8 +502,6 @@ class SpecMemory:
             del readers[owner]
             if not readers:
                 del self._line_readers[line]
-            if fast:
-                self._bump(self._repoch, line)
         for line in owner.write_lines:
             chain = self._line_writers.get(line)
             try:
@@ -748,28 +512,15 @@ class SpecMemory:
                     f"line {line} (memory bookkeeping corrupted)") from None
             if not chain:
                 del self._line_writers[line]
-            if fast:
-                self._bump(self._wepoch, line)
         for dep in owner.deps:
             dep.dependents.discard(owner)
         for dependent in owner.dependents:
             dependent.deps.discard(owner)
         owner.deps = set()
         owner.dependents = set()
-        owner._line_memo = {}
         self.detach_owner(owner)
 
     # ------------------------------------------------------------------
-    @property
-    def fast_hits(self) -> int:
-        """Accesses whose probe was skipped via a valid line memo.
-
-        Every load/store is classified exactly once — memoized skip or
-        chain walk — so the count is derived rather than incremented on
-        the hot path (0 under the scalar engine, which walks every time).
-        """
-        return self.n_loads + self.n_stores - self.slow_probes
-
     @property
     def live_speculative_words(self) -> int:
         """Words currently holding uncommitted speculative values."""

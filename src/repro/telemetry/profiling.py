@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-#: JSON schema tag for exported profiles (v2 adds the memory-engine
-#: fast-path counters and the Bloom bank counters; all fields additive)
-PROFILE_SCHEMA = "repro.hot-path-profile/2"
+#: JSON schema tag for exported profiles (v3 drops the memory engine
+#: name and the memoized-probe hit ratio)
+PROFILE_SCHEMA = "repro.hot-path-profile/3"
 
 
 def collect_profile(sim, wall_s: Optional[float] = None) -> Dict:
@@ -39,7 +39,7 @@ def collect_profile(sim, wall_s: Optional[float] = None) -> Dict:
     accesses = mem.n_loads + mem.n_stores
     gvt_queries = frontier.queries
     gvt_scans = frontier.scan_steps + dyn.scan_steps
-    conflict_probes = getattr(sim.conflicts, "probe_steps", 0)
+    conflicts = sim.conflicts
     doc = {
         "schema": PROFILE_SCHEMA,
         "name": sim.stats.name,
@@ -58,26 +58,24 @@ def collect_profile(sim, wall_s: Optional[float] = None) -> Dict:
                               if queue_queries else 0.0),
         },
         "memory": {
-            "engine": getattr(mem, "engine", "scalar"),
             "accesses": accesses,
             "probe_steps": mem.probe_steps,
             "mean_probe_len": mem.probe_steps / accesses if accesses else 0.0,
             "true_conflicts": mem.n_true_conflicts,
-            "fast_hits": getattr(mem, "fast_hits", 0),
-            "slow_probes": getattr(mem, "slow_probes", 0),
-            "fast_hit_ratio": (getattr(mem, "fast_hits", 0) / accesses
-                               if accesses else 0.0),
-            "epoch_bumps": getattr(mem, "epoch_bumps", 0),
+            # constants kept for benchmarks/perf/workloads.py, which reads
+            # them: every access walks its line's chains
+            "fast_hits": 0,
+            "slow_probes": accesses,
+            "epoch_bumps": 0,
         },
         "conflict_model": {
-            "model": getattr(sim.conflicts, "name", "?"),
-            "probe_steps": conflict_probes,
-            "false_positives": getattr(sim.conflicts, "false_positives", 0),
-            "bank_probes": getattr(sim.conflicts, "bank_probes", 0),
+            "model": conflicts.name,
+            "probe_steps": conflicts.probe_steps,
+            "false_positives": conflicts.false_positives,
+            "bank_probes": conflicts.bank_probes,
             "bitmap_ops": sum(
                 bank.bitmap_ops
-                for bank in (getattr(sim.conflicts, "_bank_read", None),
-                             getattr(sim.conflicts, "_bank_write", None))
+                for bank in (conflicts._bank_read, conflicts._bank_write)
                 if bank is not None),
         },
         "tiebreaker_wraparounds": sim.alloc.wraparounds,
@@ -101,12 +99,6 @@ def fold_into_registry(metrics, profile: Dict) -> None:
         profile["queues"]["scan_steps"]
     metrics.counter("profile_mem_probe_steps").value = \
         profile["memory"]["probe_steps"]
-    metrics.counter("profile_mem_fast_hits").value = \
-        profile["memory"]["fast_hits"]
-    metrics.counter("profile_mem_slow_probes").value = \
-        profile["memory"]["slow_probes"]
-    metrics.counter("profile_mem_epoch_bumps").value = \
-        profile["memory"]["epoch_bumps"]
     metrics.counter("profile_conflict_probe_steps").value = \
         profile["conflict_model"]["probe_steps"]
     metrics.counter("profile_conflict_bank_probes").value = \
@@ -133,11 +125,6 @@ def format_profile(profile: Dict) -> str:
         f"  conflict checks  {m['accesses']:>12,} accesses  "
         f"{m['probe_steps']:>12,} candidate owners probed "
         f"(mean {m['mean_probe_len']:.2f}/access)",
-        f"  {m.get('engine', 'scalar'):<6} engine     "
-        f"{m.get('fast_hits', 0):>12,} memoized skips   "
-        f"{m.get('slow_probes', 0):>12,} chain walks   "
-        f"(hit ratio {m.get('fast_hit_ratio', 0.0):.1%}, "
-        f"{m.get('epoch_bumps', 0):,} epoch bumps)",
         f"  {c['model']:<6} sampling   "
         f"{c['probe_steps']:>12,} live tasks walked   "
         f"{c['false_positives']:>12,} false positives",

@@ -6,6 +6,16 @@ import pytest
 from repro.mem import AddressSpace, SpecMemory
 from repro.mem.conflicts import PreciseConflictModel
 
+from .inflight_oracle import ChainWalkMemory, CheckedMemory
+
+#: The memories the tests run under, by test id: production ``SpecMemory``
+#: ("fast": premature accesses found in its in-flight index), the
+#: ``ChainWalkMemory`` oracle ("scalar": found by walking the chain over
+#: each writer's ``still_executing()``), and ``CheckedMemory`` ("audit":
+#: production, with the index checked against that walk at every probe).
+MEMORIES = {"fast": SpecMemory, "scalar": ChainWalkMemory,
+            "audit": CheckedMemory}
+
 
 class FakeOwner:
     """A stand-in task attempt with a fixed VT key."""
@@ -21,7 +31,7 @@ class FakeOwner:
     def still_executing(self):
         """FakeOwners act as instantaneous (already-finished) tasks unless
         created with ``executing=True`` to model an in-flight writer; the
-        audit engine checks ``SpecMemory``'s in-flight index against this."""
+        chain-walk oracles read this."""
         return self.executing
 
     def __repr__(self):
@@ -80,14 +90,20 @@ def space():
     return AddressSpace(line_bytes=64, n_tiles=4)
 
 
-@pytest.fixture(params=["fast", "scalar", "audit"])
-def mem(request, space):
-    """Every memory test runs under all three probe engines: the scalar
-    reference, the memoized fast path, and the self-checking audit engine
-    (which raises on any fast/scalar divergence as the test executes)."""
-    m = SpecMemory(space, PreciseConflictModel(), engine=request.param)
+def make_mem(kind="fast", space=None):
+    """A standalone memory of one of :data:`MEMORIES`, precise conflicts,
+    aborts handled by an :class:`AbortRecorder`."""
+    m = MEMORIES[kind](space or AddressSpace(line_bytes=64, n_tiles=4),
+                       PreciseConflictModel())
     m.abort_cascade = AbortRecorder(m)
     return m
+
+
+@pytest.fixture(params=list(MEMORIES))
+def mem(request, space):
+    """Every memory test runs under production ``SpecMemory`` and both
+    oracles (see :data:`MEMORIES`)."""
+    return make_mem(request.param, space)
 
 
 @pytest.fixture

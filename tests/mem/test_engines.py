@@ -1,5 +1,5 @@
-"""Engine selection, satellite bug regressions, and the scalar/fast
-lockstep property test for the vectorized memory layer (ISSUE 10).
+"""Memory-layer bug regressions, and the lockstep property test of
+production ``SpecMemory`` against the chain-walk oracles.
 
 Each regression test here fails on the pre-fix code:
 
@@ -11,28 +11,15 @@ Each regression test here fails on the pre-fix code:
 - ``_scrub()`` swallowing corruption (``ValueError`` → silent pass).
 """
 
-import os
-import subprocess
-import sys
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import MemoryError_, SimulationError
-from repro.mem import AddressSpace, SpecMemory
 from repro.mem.bloom import H3HashFamily
 from repro.mem import bloom as bloom_mod
-from repro.mem.conflicts import PreciseConflictModel
 
-from .conftest import AbortRecorder, attach_fake
-
-
-def make_mem(engine):
-    space = AddressSpace(line_bytes=64, n_tiles=4)
-    m = SpecMemory(space, PreciseConflictModel(), engine=engine)
-    m.abort_cascade = AbortRecorder(m)
-    return m
+from .conftest import attach_fake, make_mem
 
 
 def attach(mem, key):
@@ -40,53 +27,16 @@ def attach(mem, key):
 
 
 # ---------------------------------------------------------------------------
-# engine selection
-# ---------------------------------------------------------------------------
-class TestEngineSelection:
-    def test_constructor_param(self):
-        for engine in ("fast", "scalar", "audit"):
-            assert make_mem(engine).engine == engine
-
-    def test_unknown_engine_rejected(self):
-        space = AddressSpace(line_bytes=64, n_tiles=4)
-        with pytest.raises(MemoryError_):
-            SpecMemory(space, engine="turbo")
-
-    def test_default_is_fast(self, monkeypatch):
-        monkeypatch.delenv("REPRO_MEM_AUDIT", raising=False)
-        monkeypatch.delenv("REPRO_MEM_ENGINE", raising=False)
-        space = AddressSpace(line_bytes=64, n_tiles=4)
-        assert SpecMemory(space).engine == "fast"
-
-    def test_env_engine_override(self, monkeypatch):
-        monkeypatch.delenv("REPRO_MEM_AUDIT", raising=False)
-        monkeypatch.setenv("REPRO_MEM_ENGINE", "scalar")
-        space = AddressSpace(line_bytes=64, n_tiles=4)
-        assert SpecMemory(space).engine == "scalar"
-
-    def test_env_audit_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MEM_AUDIT", "1")
-        monkeypatch.setenv("REPRO_MEM_ENGINE", "scalar")
-        space = AddressSpace(line_bytes=64, n_tiles=4)
-        assert SpecMemory(space).engine == "audit"
-
-    def test_constructor_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MEM_AUDIT", "1")
-        space = AddressSpace(line_bytes=64, n_tiles=4)
-        assert SpecMemory(space, engine="scalar").engine == "scalar"
-
-
-# ---------------------------------------------------------------------------
 # satellite 1: victim enumeration order over the reader population
 # ---------------------------------------------------------------------------
 class TestVictimOrder:
-    @pytest.mark.parametrize("engine", ["fast", "scalar"])
-    def test_store_victims_follow_registration_order(self, engine):
+    @pytest.mark.parametrize("kind", ["fast", "scalar"])
+    def test_store_victims_follow_registration_order(self, kind):
         """A store that kills several readers of its line must list the
         victims in reader-registration order — with the old set-backed
         reader index the order depended on object addresses (ConflictEvent
         victim lists differed between runs of the same seed)."""
-        mem = make_mem(engine)
+        mem = make_mem(kind)
         seen = []
         inner = mem.abort_cascade
 
@@ -106,11 +56,11 @@ class TestVictimOrder:
         assert seen[0] == readers  # registration order, not key/id order
         assert all(r.aborted for r in readers)
 
-    @pytest.mark.parametrize("engine", ["fast", "scalar"])
-    def test_store_victims_dedupe_reader_writers(self, engine):
+    @pytest.mark.parametrize("kind", ["fast", "scalar"])
+    def test_store_victims_dedupe_reader_writers(self, kind):
         """An owner that both read and wrote the line is one victim, with
         its reader-position rank."""
-        mem = make_mem(engine)
+        mem = make_mem(kind)
         seen = []
         inner = mem.abort_cascade
 
@@ -202,18 +152,18 @@ class TestPokeGuards:
 # satellite 4: strict scrub
 # ---------------------------------------------------------------------------
 class TestStrictScrub:
-    @pytest.mark.parametrize("engine", ["fast", "scalar"])
-    def test_corrupted_reader_index_raises(self, engine):
-        mem = make_mem(engine)
+    @pytest.mark.parametrize("kind", ["fast", "scalar"])
+    def test_corrupted_reader_index_raises(self, kind):
+        mem = make_mem(kind)
         o = attach(mem, 1)
         mem.load(o, 0)
         del mem._line_readers[0][o]  # simulate corrupted bookkeeping
         with pytest.raises(SimulationError, match="reader index"):
             mem.commit(o)
 
-    @pytest.mark.parametrize("engine", ["fast", "scalar"])
-    def test_corrupted_writer_chain_raises(self, engine):
-        mem = make_mem(engine)
+    @pytest.mark.parametrize("kind", ["fast", "scalar"])
+    def test_corrupted_writer_chain_raises(self, kind):
+        mem = make_mem(kind)
         o = attach(mem, 1)
         mem.store(o, 0, 1)
         mem._line_writers[0].remove(o)
@@ -222,22 +172,9 @@ class TestStrictScrub:
 
 
 # ---------------------------------------------------------------------------
-# the audit engine actually audits
+# the checked memory stays silent on a clean run
 # ---------------------------------------------------------------------------
 class TestAuditEngine:
-    def test_audit_catches_planted_epoch_divergence(self):
-        """Plant a later writer in a line's chain without bumping the
-        epoch — exactly the corruption the memo relies on never happening
-        — and the next memoized skip must raise."""
-        mem = make_mem("audit")
-        o = attach(mem, 1)
-        mem.load(o, 0)
-        intruder = attach(mem, 9)
-        intruder.write_lines.add(0)
-        mem._line_writers.setdefault(0, []).append(intruder)  # no _bump
-        with pytest.raises(SimulationError, match="skipped a probe"):
-            mem.load(o, 0)
-
     def test_audit_clean_run_is_silent(self):
         mem = make_mem("audit")
         o = attach(mem, 1)
@@ -249,7 +186,7 @@ class TestAuditEngine:
 
 
 # ---------------------------------------------------------------------------
-# satellite 5: scalar/fast lockstep property test
+# satellite 5: lockstep property test against the oracles
 # ---------------------------------------------------------------------------
 OPS = st.lists(
     st.tuples(st.integers(0, 5),            # owner slot
@@ -262,8 +199,8 @@ OPS = st.lists(
 class _Driver:
     """Drives one SpecMemory instance and records everything observable."""
 
-    def __init__(self, engine, n_owners):
-        self.mem = make_mem(engine)
+    def __init__(self, kind, n_owners):
+        self.mem = make_mem(kind)
         self.trace = []
         inner = self.mem.abort_cascade
 
@@ -305,37 +242,14 @@ class TestLockstepProperty:
     @settings(max_examples=120, deadline=None)
     @given(ops=OPS)
     def test_scalar_fast_audit_agree(self, ops):
-        """Identical op sequences through all three engines produce
-        identical values, victim cascades (order included), final memory,
-        read/write records, and RunStats-grade counters. The audit engine
-        additionally cross-checks every memoized skip inline."""
-        drivers = [_Driver(e, 6) for e in ("scalar", "fast", "audit")]
+        """Identical op sequences through production ``SpecMemory`` and
+        both oracles produce identical values, victim cascades (order
+        included), final memory, read/write records, and RunStats-grade
+        counters. The checked memory also cross-checks its in-flight
+        index inline."""
+        drivers = [_Driver(kind, 6) for kind in ("scalar", "fast", "audit")]
         for d in drivers:
             d.apply(ops)
         ref = drivers[0].observable()
         assert drivers[1].observable() == ref
         assert drivers[2].observable() == ref
-
-
-# ---------------------------------------------------------------------------
-# cross-process: the env knob reaches a real run
-# ---------------------------------------------------------------------------
-class TestEndToEndEnv:
-    def test_audit_env_run_matches_scalar(self, tmp_path):
-        import json
-        digests = {}
-        for name, env_over in [("scalar", {"REPRO_MEM_ENGINE": "scalar"}),
-                               ("audit", {"REPRO_MEM_AUDIT": "1"})]:
-            out = tmp_path / f"{name}.json"
-            env = dict(os.environ)
-            env.pop("REPRO_MEM_AUDIT", None)
-            env.pop("REPRO_MEM_ENGINE", None)
-            env.update(env_over)
-            r = subprocess.run(
-                [sys.executable, "-m", "repro", "run", "mis", "--cores", "8",
-                 "--metrics-out", str(out)],
-                env=env, capture_output=True, text=True)
-            assert r.returncode == 0, r.stderr
-            digests[name] = json.dumps(
-                json.load(out.open())["stats"], sort_keys=True)
-        assert digests["scalar"] == digests["audit"]

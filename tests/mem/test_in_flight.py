@@ -12,20 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.mem import AddressSpace, SpecMemory
-from repro.mem.conflicts import PreciseConflictModel
 
-from .conftest import AbortRecorder, FakeOwner, attach_fake
-from .inflight_oracle import ChainWalkMemory
-
-ENGINES = ("fast", "scalar", "audit")
-
-
-def make_mem(engine, cls=SpecMemory):
-    m = cls(AddressSpace(line_bytes=64, n_tiles=4), PreciseConflictModel(),
-            engine=engine)
-    m.abort_cascade = AbortRecorder(m)
-    return m
+from .conftest import MEMORIES, FakeOwner, attach_fake, make_mem
 
 
 def in_flight(mem, key, dispatch_time=0, duration=0):
@@ -36,10 +24,10 @@ def in_flight(mem, key, dispatch_time=0, duration=0):
     return o
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("kind", list(MEMORIES))
 class TestInFlightIndex:
-    def test_access_under_earlier_in_flight_writer_aborts(self, engine):
-        mem = make_mem(engine)
+    def test_access_under_earlier_in_flight_writer_aborts(self, kind):
+        mem = make_mem(kind)
         w = in_flight(mem, 1, dispatch_time=10, duration=5)
         mem.store(w, 0, 7)
         r = in_flight(mem, 2)
@@ -48,8 +36,8 @@ class TestInFlightIndex:
         assert r.retry_after == 15
         assert mem.abort_cascade.aborted == [r]
 
-    def test_finished_writer_forwards(self, engine):
-        mem = make_mem(engine)
+    def test_finished_writer_forwards(self, kind):
+        mem = make_mem(kind)
         w = in_flight(mem, 1)
         mem.store(w, 0, 7)
         mem.finish(w)
@@ -59,16 +47,16 @@ class TestInFlightIndex:
         assert not r.aborted
         assert w in r.deps
 
-    def test_later_in_flight_writer_does_not_block(self, engine):
-        mem = make_mem(engine)
+    def test_later_in_flight_writer_does_not_block(self, kind):
+        mem = make_mem(kind)
         late = in_flight(mem, 5)
         mem.store(late, 0, 1)
         early = in_flight(mem, 1)
         mem.load(early, 0)
         assert late.aborted and not early.aborted
 
-    def test_only_the_in_flight_writer_of_a_chain_blocks(self, engine):
-        mem = make_mem(engine)
+    def test_only_the_in_flight_writer_of_a_chain_blocks(self, kind):
+        mem = make_mem(kind)
         done = attach_fake(mem, (1,))        # finished at once
         mem.store(done, 0, 1)
         w = in_flight(mem, 2, dispatch_time=3, duration=40)
@@ -79,8 +67,8 @@ class TestInFlightIndex:
         mem.store(r, 2, 1)
         assert r.aborted and r.retry_after == 43
 
-    def test_rollback_leaves_the_index(self, engine):
-        mem = make_mem(engine)
+    def test_rollback_leaves_the_index(self, kind):
+        mem = make_mem(kind)
         w = in_flight(mem, 1)
         mem.store(w, 0, 1)
         mem.abort_cascade([w], "test")
@@ -89,8 +77,8 @@ class TestInFlightIndex:
         mem.load(r, 0)
         assert not r.aborted
 
-    def test_finish_is_idempotent_and_commit_clears(self, engine):
-        mem = make_mem(engine)
+    def test_finish_is_idempotent_and_commit_clears(self, kind):
+        mem = make_mem(kind)
         w = in_flight(mem, 1)
         mem.store(w, 0, 1)
         mem.finish(w)
@@ -103,7 +91,7 @@ class TestInFlightIndex:
 
 def test_audit_engine_catches_a_stale_index():
     """An owner that stopped executing without ``finish`` still sits in
-    the index; the audit engine's oracle check must say so."""
+    the index; the checked memory's oracle check must say so."""
     mem = make_mem("audit")
     w = in_flight(mem, 1)
     mem.store(w, 0, 1)
@@ -128,8 +116,8 @@ class _Replay:
     """Replays one op sequence; records victims, retry times and the
     aggressor of every conflict."""
 
-    def __init__(self, engine, cls):
-        self.mem = make_mem(engine, cls)
+    def __init__(self, kind):
+        self.mem = make_mem(kind)
         self.trace = []
         inner = self.mem.abort_cascade
 
@@ -189,13 +177,12 @@ class _Replay:
 @settings(max_examples=200, deadline=None)
 @given(ops=OPS)
 def test_index_matches_chain_walk_oracle(ops):
-    """Under every engine, the in-flight index picks the same victims,
-    retry times and aggressors as the chain walk over
-    ``still_executing()``; the audit engine also checks the index inline
-    at every probe."""
-    ref = _Replay("scalar", ChainWalkMemory)
+    """The in-flight index picks the same victims, retry times and
+    aggressors as the chain walk over ``still_executing()``; the checked
+    memory also compares the two inline at every probe."""
+    ref = _Replay("scalar")
     ref.apply(ops)
-    for engine in ENGINES:
-        d = _Replay(engine, SpecMemory)
+    for kind in ("fast", "audit"):
+        d = _Replay(kind)
         d.apply(ops)
-        assert d.observable() == ref.observable(), engine
+        assert d.observable() == ref.observable(), kind
