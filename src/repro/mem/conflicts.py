@@ -14,7 +14,8 @@ the behaviour that distinguishes real hardware:
   from actual signature occupancy): the expected number of spurious hits
   per access is preserved, and a sampled hit aborts exactly what hardware
   would abort — the later of {accessor, falsely-matching task}. Small runs
-  and unit tests can enable ``exact=True`` to probe pairwise instead.
+  and unit tests can enable ``exact=True`` to probe every live signature
+  bit by bit instead.
 
 Both models also answer "who must die" for true conflicts identically, via
 the earlier-VT-wins policy (paper Sec. 4.1: on a conflict, abort only
@@ -26,8 +27,6 @@ from __future__ import annotations
 
 import random
 from typing import Dict
-
-import numpy as np
 
 from .bloom import BloomSignature, H3HashFamily, SignatureBank
 
@@ -122,14 +121,14 @@ class BloomConflictModel(ConflictPolicy):
         self.family = H3HashFamily(k=ways, m_bits=bits, seed=seed)
         self._rng = random.Random(seed ^ 0xB100F)
         self._rand = self._rng.random  # bound once: called on every access
+        self._rates = self.family.rates
         self.exact = exact
         # registration-ordered: the sampled victim walk and the exact
         # probe order iterate this — set iteration would make the chosen
         # victim depend on object addresses and differ run to run
         self._live: Dict = {}
-        # exact mode mirrors every signature into struct-of-arrays banks
-        # (one row per live task) so a probe against the whole live set is
-        # a single vectorized pass instead of a Python pair loop
+        # exact mode mirrors every signature into banks (one int row per
+        # live task), probed for the whole live set with one mask lookup
         self._bank_read = SignatureBank(self.family) if exact else None
         self._bank_write = SignatureBank(self.family) if exact else None
         #: running sum of per-live-task false-positive rates (read+write sigs)
@@ -139,7 +138,7 @@ class BloomConflictModel(ConflictPolicy):
         #: live tasks examined by victim sampling / exact probing
         #: (profiling; folded into metrics only under `repro profile`)
         self.probe_steps = 0
-        #: vectorized whole-bank probes issued (exact mode; profiling)
+        #: whole-bank probes issued (exact mode; profiling)
         self.bank_probes = 0
 
     # ------------------------------------------------------------------
@@ -178,16 +177,13 @@ class BloomConflictModel(ConflictPolicy):
             # are exactly what the last access computed, so the running
             # sum is already correct (the delta would be a literal +0.0)
             return
-        new_fp = self._pair_rate(owner)
+        # probability an unrelated access false-hits either signature
+        rates = self._rates
+        fr = rates[owner.sig_read._popcount]
+        fw = rates[owner.sig_write._popcount]
+        new_fp = fr + fw - fr * fw
         self._fp_sum += new_fp - owner._fp_cached
         owner._fp_cached = new_fp
-
-    @staticmethod
-    def _pair_rate(owner) -> float:
-        """Probability an unrelated access false-hits either signature."""
-        fr = owner.sig_read.false_positive_rate()
-        fw = owner.sig_write.false_positive_rate()
-        return fr + fw - fr * fw
 
     # ------------------------------------------------------------------
     def false_conflict(self, owner, line: int, is_write: bool):
@@ -231,23 +227,20 @@ class BloomConflictModel(ConflictPolicy):
         hits; true hits are handled by the exact indices, so we report any
         signature hit and let the caller dedupe against true conflicts.
 
-        The whole live set is probed in one vectorized pass over the
-        signature banks; hits are then resolved in registration order,
-        which matches the old per-pair Python walk exactly (same first
-        match, same victim).
+        The whole live set is probed through the signature banks; hits are
+        then resolved in registration order, which matches the old per-pair
+        walk exactly (same first match, same victim).
         """
         owners = list(self._live)
-        n = len(owners)
-        self.probe_steps += n
+        self.probe_steps += len(owners)
         self.bank_probes += 1
-        rows = np.fromiter((o._sig_row for o in owners),
-                           dtype=np.intp, count=n)
+        rows = [o._sig_row for o in owners]
         hits = self._bank_write.probe_rows(line, rows)
         if is_write:
-            hits |= self._bank_read.probe_rows(line, rows)
-        for i in np.flatnonzero(hits):
-            other = owners[i]
-            if other is owner:
+            hits = [w or r for w, r in
+                    zip(hits, self._bank_read.probe_rows(line, rows))]
+        for other, hit in zip(owners, hits):
+            if not hit or other is owner:
                 continue
             if not self._truly_touches(other, line, is_write):
                 self.false_positives += 1

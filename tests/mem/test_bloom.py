@@ -113,7 +113,11 @@ class TestBatchedOps:
             b.insert(k)
         assert b._bits == a._bits
         assert b.popcount == a.popcount == bin(a._bits).count("1")
-        assert b.inserted == a.inserted == len(keys)
+        fam = a.family
+        union = 0
+        for k in keys:
+            union |= fam.mask(k)
+        assert a._bits == union
 
     def test_contains_many_matches_serial_probes(self):
         from repro.mem import SignatureBank
@@ -140,7 +144,6 @@ class TestSignatureBank:
             assert bool(bank.probe_rows(p, [row])[0]) == sig.maybe_contains(p)
 
     def test_probe_rows_matches_per_row_probe(self):
-        import numpy as np
         from repro.mem import SignatureBank
         fam = H3HashFamily(k=4, m_bits=512, seed=2)
         bank = SignatureBank(fam, capacity=2)
@@ -151,7 +154,7 @@ class TestSignatureBank:
                 bank.insert(row, k)
                 sig.insert(k)
         for key in range(0, 70, 3):
-            got = bank.probe_rows(key, np.array(rows))
+            got = bank.probe_rows(key, rows)
             assert [bool(x) for x in got] == [sig.maybe_contains(key)
                                               for sig in sigs]
 
@@ -166,7 +169,7 @@ class TestSignatureBank:
         row2 = bank.acquire()
         assert row2 == row
         assert not bank.probe_rows(33, [row2])[0]
-        assert not bank._words[row2].any()
+        assert bank._rows[row2] == 0
 
     def test_insert_many_matches_scalar_inserts(self):
         from repro.mem import SignatureBank
@@ -180,5 +183,64 @@ class TestSignatureBank:
             sig.insert(k)
         for k in reversed(keys):
             bank.insert(b, k)
-        assert (bank._words[a] == bank._words[b]).all()
-        assert int.from_bytes(bank._words[a].tobytes(), "little") == sig._bits
+        assert bank._rows[a] == bank._rows[b]
+        assert bank._rows[a] == sig._bits
+
+
+# Shapes whose per-bank field widths (log2(m/k) = 5, 7, 8, 9 bits) straddle
+# the byte boundaries of the packed tables, at three seeds each.
+ORACLE_SHAPES = [(k, m, seed) for k, m in ((2, 64), (4, 512), (8, 2048),
+                                           (8, 4096))
+                 for seed in (0, 1, 7)]
+
+
+def oracle_keys(seed):
+    """449 keys: small, random up to 60 bits (so above 2**48), single bits."""
+    import random
+    rng = random.Random(seed)
+    keys = list(range(64))
+    keys += [rng.getrandbits(bits) for bits in (16, 32, 48, 60)
+             for _ in range(80)]
+    keys += [1 << b for b in range(62)]
+    keys += [(1 << 48) - 1, (1 << 48) + 5, (1 << 61) | 0xABCDEF]
+    return keys
+
+
+def h3_by_definition(fam, key):
+    """H3 from its definition: per function, the XOR of the ``_matrices``
+    rows selected by the set bits of the key's low 48 bits."""
+    out = []
+    for fn, matrix in enumerate(fam._matrices):
+        h = 0
+        for bit in range(48):
+            if (key >> bit) & 1:
+                h ^= matrix[bit]
+        out.append(fn * fam.bank_bits + h)
+    return tuple(out)
+
+
+class TestHashOracle:
+    @pytest.mark.parametrize("k,m,seed", ORACLE_SHAPES)
+    def test_packed_tables_match_h3_definition(self, k, m, seed):
+        fam = H3HashFamily(k=k, m_bits=m, seed=seed)
+        keys = oracle_keys(seed)
+        assert len(keys) * len(ORACLE_SHAPES) >= 5000
+        assert any(key >= 1 << 48 for key in keys)
+        for key in keys:
+            want = h3_by_definition(fam, key)
+            assert fam.indices(key) == want, hex(key)
+            mask = 0
+            for idx in want:
+                mask |= 1 << idx
+            assert fam.mask(key) == mask, hex(key)
+
+    @pytest.mark.parametrize("k,m", [(2, 64), (4, 512), (8, 2048), (8, 4096)])
+    def test_rate_table_is_fill_to_the_k(self, k, m):
+        fam = H3HashFamily(k=k, m_bits=m, seed=0)
+        assert len(fam.rates) == m + 1
+        for pc in range(m + 1):
+            assert fam.rates[pc] == (pc / m) ** k
+        sig = BloomSignature(fam)
+        for key in range(0, 400, 3):
+            sig.insert(key)
+            assert sig.false_positive_rate() == (sig.popcount / m) ** k

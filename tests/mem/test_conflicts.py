@@ -184,3 +184,64 @@ class TestFactory:
         assert isinstance(make_conflict_model("bloom"), BloomConflictModel)
         with pytest.raises(ValueError):
             make_conflict_model("magic")
+
+
+def pinned_accesses(n):
+    """(owner index, line, is_write): fresh lines, repeats, keys > 2**48."""
+    for i in range(n):
+        line = (i * 0x9E3779B1) % 5003
+        if i % 7 == 0:
+            line += (i + 1) << 49
+        yield i % 3, line, i % 4 == 0
+
+
+def victim_string(model, owners, n, stride):
+    """Ask for a false conflict n times; one char per call ('.' = none)."""
+    out = []
+    for i in range(n):
+        v = model.false_conflict(owners[i % 3], 10**7 + i * stride,
+                                 i % 2 == 0)
+        out.append("." if v is None else str(owners.index(v)))
+    return "".join(out)
+
+
+class TestPinnedFloats:
+    """Running rates and victims are bit-pinned: ``_fp_sum`` feeds seeded
+    RNG draws, so any change to how a rate is computed (or in which order
+    its floats combine) shows up here before it shifts a RunStats digest."""
+
+    SAMPLED_VICTIMS = (
+        ".0.22..0...1......2.....1.....1.1..02.0.2.1......................."
+        "1.1..11.020..0..00.21..0....2...1.0.20......1.......0..........221"
+        "20.....2.2...0...0.2..0.2.0.0.1.......0..1...2..1.1...........020."
+        ".0...0...10...1.21...1.....2.1....0..0..2.1...2..20.....0..120...."
+        "...1...2.1..2..20.22..211...0......1....0........0.2..2202.0....0."
+        ".20..0....21..1.2......11.....2...211..........0.....11.12..20..0."
+        "..0.")
+    EXACT_VICTIMS = (
+        "......1...2...0.......2.........0.2...1...12............0........."
+        "..........0.......................0.22..........1...............2."
+        "......2...2.......................21............2.0.......2.1...2."
+        "............2.1.........1...............0.....2.2.0.............2."
+        "..0.............0.......2...2...0...")
+
+    def test_sampled_rates_and_victims(self):
+        model = BloomConflictModel(bits=2048, ways=8, seed=1)
+        owners = [attach(model, k) for k in range(3)]
+        for j, line, w in pinned_accesses(1500):
+            model.note_access(owners[j], line, w)
+        assert model._fp_sum.hex() == "0x1.d33f7d05f62f5p-2"
+        assert [o._fp_cached.hex() for o in owners] == [
+            "0x1.515c6bc91b27dp-3", "0x1.3adf72e1bcd37p-3",
+            "0x1.1a431b611462ep-3"]
+        assert victim_string(model, owners, 400, 1) == self.SAMPLED_VICTIMS
+
+    def test_exact_victims(self):
+        model = BloomConflictModel(bits=256, ways=4, seed=1, exact=True)
+        owners = [attach(model, k) for k in range(3)]
+        for j, line, w in pinned_accesses(240):
+            model.note_access(owners[j], line, w)
+            (owners[j].write_lines if w else owners[j].read_lines).add(line)
+        assert victim_string(model, owners, 300, 3) == self.EXACT_VICTIMS
+        assert model.false_positives == 38
+        assert model._fp_sum.hex() == "0x1.cdcb8a7985c6cp-2"

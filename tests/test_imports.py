@@ -2,11 +2,15 @@
 
 Walks the package tree, so a module-level import of a deleted or renamed
 module fails here even when no other test happens to import the module
-that holds it.
+that holds it. A bloom-mode simulation must not load numpy at all.
 """
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -27,3 +31,28 @@ def test_walk_finds_the_package_tree():
 @pytest.mark.parametrize("name", MODULES)
 def test_module_imports(name):
     importlib.import_module(name)
+
+
+def test_bloom_simulation_does_not_load_numpy():
+    """The simulator, its memory layer and the Bloom signatures are plain
+    Python: importing numpy would cost every run its start-up time and
+    memory. Runs in a fresh interpreter, since this one may have numpy."""
+    script = textwrap.dedent("""
+        import sys
+        import repro
+        from repro.apps import mis
+        from repro.bench.harness import run_app
+        from repro.config import SystemConfig
+        cfg = SystemConfig.with_cores(4, conflict_mode="bloom")
+        run = run_app(mis, mis.make_input(scale=5), variant="fractal",
+                      n_cores=4, config=cfg)
+        assert run.stats.tasks_committed > 0
+        assert "numpy" not in sys.modules, "numpy was imported"
+    """)
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
