@@ -53,7 +53,6 @@ def observed_counters(profile):
         "queue_scan_steps": profile["queues"]["scan_steps"],
         "mem_probe_steps": profile["memory"]["probe_steps"],
         "conflict_probe_steps": profile["conflict_model"]["probe_steps"],
-        "conflict_bank_probes": profile["conflict_model"]["bank_probes"],
     }
 
 

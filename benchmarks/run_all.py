@@ -10,7 +10,8 @@ Usage:
 
 Results land in benchmarks/results/; a machine-readable run summary
 (per-bench wall time, cache hit/miss counts, result makespans) is written
-to BENCH_summary.json at the repo root — the perf-trajectory seed.
+to BENCH_summary.json at the repo root. Each run overwrites it, so it is
+not tracked; ``--summary-out`` writes it elsewhere.
 
 Each bench module runs in its own process (``--jobs N`` runs N of them
 concurrently); every simulation inside goes through the

@@ -70,7 +70,6 @@ class SystemConfig:
     bloom_bits: int = 2048
     bloom_ways: int = 8
     conflict_check_cost: int = 5      # per tile check
-    commit_queue_compare_cost: int = 1
 
     # --- commits / spills ------------------------------------------------
     commit_interval: int = 200        # GVT arbiter period
@@ -90,7 +89,6 @@ class SystemConfig:
     # --- misc --------------------------------------------------------------
     seed: int = 0                     # seeds Bloom hashing & any stochastic model
     abort_penalty: int = 20           # rollback delay per aborted task
-    mispeculation_extra: int = 0      # extra cycles wasted per aborted run
 
     def __post_init__(self) -> None:
         if self.mesh_dim < 1:

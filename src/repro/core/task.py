@@ -74,7 +74,6 @@ class TaskDesc:
         # speculative owner state (installed by SpecMemory.attach_owner)
         "undo", "reads", "writes", "read_lines", "write_lines",
         "deps", "dependents", "sig_read", "sig_write", "_fp_cached",
-        "_sig_row",
     )
 
     def __init__(self, fn: Callable, args: Tuple, domain: Domain,

@@ -13,8 +13,8 @@ result cache"):
 - :class:`Farm` — the ``multiprocessing`` scheduler: worker warm-up,
   bounded in-flight backpressure, watchdog timeouts and retries reusing
   the :mod:`repro.faults` backoff curve, ordered result collection (so
-  tables are byte-identical to serial runs), merged worker telemetry,
-  farm-level events, and a live progress line;
+  tables are byte-identical to serial runs), farm-level events, and a
+  live progress line;
 - :func:`deterministic_shards` / :func:`select_shard` — stable,
   coordination-free partitioning of job sets across machines
   (``benchmarks/run_all.py --shard K/N`` over a shared cache dir);
@@ -24,7 +24,7 @@ result cache"):
 """
 
 from .cache import CACHE_SCHEMA, ResultCache, code_fingerprint
-from .farm import Farm, install_sigterm_drain
+from .farm import Farm
 from .job import (JOB_SCHEMA, JobResult, JobSpec, canonical, canonical_json,
                   execute_job, stable_digest)
 from .shard import (deterministic_shards, parse_shard, select_shard,
@@ -45,7 +45,6 @@ __all__ = [
     "code_fingerprint",
     "deterministic_shards",
     "execute_job",
-    "install_sigterm_drain",
     "parse_shard",
     "select_shard",
     "shard_index",

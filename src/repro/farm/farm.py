@@ -10,15 +10,14 @@ byte-identical to a serial run. On top of the pool it layers:
   content address already has a fresh entry without executing anything;
 - worker warm-up (the heavy ``repro`` imports are paid once per worker,
   not on each worker's first job);
-- bounded in-flight backpressure (at most ``jobs * backlog_factor``
+- bounded in-flight backpressure (at most ``jobs * BACKLOG_FACTOR``
   submitted but unfinished jobs, so huge sweeps don't pickle every input
   up front);
 - per-job timeouts via the :mod:`repro.faults` graceful watchdog (the
   job returns partial stats instead of being killed) and parent-side
   retries for crashed/raising jobs using the same exponential
   :func:`repro.faults.backoff_delay` curve, read in milliseconds;
-- telemetry: worker metric registries are merged into one parent
-  :class:`~repro.telemetry.MetricsRegistry`, farm-level events
+- telemetry: farm-level events
   (``job_start``/``job_done``/``cache_hit``/``worker_crash``) are
   published on the parent's :class:`~repro.telemetry.EventBus`, and an
   optional single-line live progress display tracks the sweep.
@@ -27,9 +26,7 @@ byte-identical to a serial run. On top of the pool it layers:
 from __future__ import annotations
 
 import dataclasses
-import signal
 import sys
-import threading
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -38,13 +35,17 @@ from typing import List, Optional, Sequence
 from ..errors import FarmError
 from ..faults.resilience import ResiliencePolicy, backoff_delay
 from ..telemetry import (CacheHitEvent, EventBus, JobDoneEvent,
-                         JobStartEvent, MetricsRegistry, WorkerCrashEvent)
+                         JobStartEvent, WorkerCrashEvent)
 from .cache import ResultCache
 from .job import JobResult, JobSpec, execute_job
 
+#: attempts per job before its failure is reported
+MAX_ATTEMPTS = 2
 #: retry curve reused from repro.faults; cycles read as milliseconds here
-_DEFAULT_RETRY = ResiliencePolicy(backoff_base=200, backoff_factor=2.0,
-                                  backoff_cap=5_000)
+RETRY_POLICY = ResiliencePolicy(backoff_base=200, backoff_factor=2.0,
+                                backoff_cap=5_000)
+#: submitted-but-unfinished jobs allowed per worker
+BACKLOG_FACTOR = 4
 
 
 def _warmup_worker() -> None:
@@ -59,45 +60,24 @@ class Farm:
     ``jobs <= 1`` executes inline in the parent process (identical code
     path minus the pool), which is both the determinism baseline and the
     debuggable mode; ``jobs > 1`` runs a process pool that lives for one
-    ``run()`` call. ``registry``/``bus`` default to fresh private
-    instances; pass shared ones to aggregate across farms.
+    ``run()`` call. ``bus`` defaults to a fresh private instance.
     """
 
     def __init__(self, jobs: int = 1, *,
                  cache: Optional[ResultCache] = None,
                  bus: Optional[EventBus] = None,
-                 registry: Optional[MetricsRegistry] = None,
-                 max_attempts: int = 2,
                  timeout_s: float = 0.0,
-                 backlog_factor: int = 4,
                  progress: bool = False,
-                 trace_dir: Optional[str] = None,
-                 collect_metrics: bool = True,
-                 retry_policy: Optional[ResiliencePolicy] = None,
-                 warmup: bool = True,
                  crash_dump_dir: Optional[str] = None):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
         self.jobs = jobs
         self.cache = cache
         self.bus = bus if bus is not None else EventBus()
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.max_attempts = max_attempts
         self.timeout_s = timeout_s
-        self.backlog_factor = max(1, backlog_factor)
         self.progress = progress
-        self.trace_dir = str(trace_dir) if trace_dir else None
-        self.collect_metrics = collect_metrics
-        self.retry_policy = retry_policy or _DEFAULT_RETRY
-        self.warmup = warmup
         self.crash_dump_dir = str(crash_dump_dir) if crash_dump_dir \
             else None
-        #: set by request_stop()/SIGTERM: drain in-flight, fail unstarted
-        self._stop_requested = threading.Event()
-        self.n_drained = 0
-        self.n_drain_failed = 0
         # lifetime counters (across run() calls) for summary()
         self.n_jobs = 0
         self.n_done = 0
@@ -152,7 +132,6 @@ class Farm:
         never raise here so one bad job cannot sink a sweep.
         """
         t_run = time.monotonic()
-        self._stop_requested.clear()
         specs = [self._with_timeout(s) for s in specs]
         self.n_jobs += len(specs)
         results: List[Optional[JobResult]] = [None] * len(specs)
@@ -168,7 +147,6 @@ class Farm:
                     cached=True)
                 self.n_cache_hits += 1
                 self.n_done += 1
-                self.registry.inc("farm_jobs", status="cached")
                 self._emit(CacheHitEvent(t=self._now_ms(),
                                          digest=spec.digest(), app=spec.app,
                                          variant=spec.variant,
@@ -193,49 +171,17 @@ class Farm:
         self.n_done += 1
         if res.error is not None:
             self.n_failed += 1
-            self.registry.inc("farm_jobs", status="failed")
-        else:
-            self.registry.inc("farm_jobs", status="done")
-            if res.metrics is not None:
-                self.registry.merge_snapshot(res.metrics)
-            # never cache partial (watchdog-stopped) results
-            if (self.cache is not None and res.stats is not None
-                    and res.stats.completed and not res.cached):
-                self.cache.put(spec, res.stats, wall_s=res.wall_s)
+        # never cache partial (watchdog-stopped) results
+        elif (self.cache is not None and res.stats is not None
+                and res.stats.completed and not res.cached):
+            self.cache.put(spec, res.stats, wall_s=res.wall_s)
         self._emit(JobDoneEvent(t=self._now_ms(), digest=res.digest,
                                 ok=res.error is None, cached=res.cached,
                                 wall_ms=int(res.wall_s * 1000),
                                 error=res.error or ""))
 
     def _retry_delay_s(self, attempt: int) -> float:
-        return backoff_delay(self.retry_policy, attempt) / 1000.0
-
-    # -- graceful drain ------------------------------------------------
-    def request_stop(self) -> None:
-        """Ask a running sweep to drain: in-flight jobs finish (and their
-        cache entries persist), unstarted jobs fail fast with a
-        ``farm stopped`` error instead of executing. Thread/signal-safe;
-        idempotent; a later ``run()`` call starts fresh."""
-        self._stop_requested.set()
-
-    @property
-    def stopping(self) -> bool:
-        return self._stop_requested.is_set()
-
-    def _drain_queue(self, specs, queue, results) -> None:
-        # fail everything not yet submitted; in-flight futures keep
-        # running and are finalized (cached) by the normal path
-        while queue:
-            idx, attempt, _ = queue.popleft()
-            spec = specs[idx]
-            self.n_drain_failed += 1
-            self.registry.inc("farm_drain_failed")
-            self._finalize(spec, JobResult(
-                digest=spec.digest(), app=spec.app, variant=spec.variant,
-                n_cores=spec.resolved_config().n_cores,
-                label=spec.display, attempts=attempt,
-                error="farm stopped: job drained before execution"),
-                results, idx)
+        return backoff_delay(RETRY_POLICY, attempt) / 1000.0
 
     def _dump_worker_crash(self, spec, attempt: int, detail: str) -> None:
         if self.crash_dump_dir is None:
@@ -249,12 +195,7 @@ class Farm:
             pass
 
     def _run_inline(self, specs, pending, results) -> None:
-        for i, idx in enumerate(pending):
-            if self._stop_requested.is_set():
-                self._drain_queue(
-                    specs, deque((j, 1, 0.0) for j in pending[i:]),
-                    results)
-                return
+        for idx in pending:
             spec = specs[idx]
             attempt = 1
             while True:
@@ -263,28 +204,23 @@ class Farm:
                                          variant=spec.variant,
                                          n_cores=spec.resolved_config().n_cores,
                                          attempt=attempt))
-                res = execute_job(spec, self.trace_dir, self.collect_metrics)
+                res = execute_job(spec)
                 res.attempts = attempt
-                if res.error is None or attempt >= self.max_attempts:
+                if res.error is None or attempt >= MAX_ATTEMPTS:
                     break
                 self.n_retries += 1
-                self.registry.inc("farm_retries")
                 time.sleep(self._retry_delay_s(attempt))
                 attempt += 1
             self._finalize(spec, res, results, idx)
             self._progress(len(specs), running=0)
 
     def _run_pool(self, specs, pending, results) -> None:
-        max_inflight = self.jobs * self.backlog_factor
+        max_inflight = self.jobs * BACKLOG_FACTOR
         queue = deque((idx, 1, 0.0) for idx in pending)
         inflight = {}
         executor = self._make_executor()
         try:
             while queue or inflight:
-                if self._stop_requested.is_set() and queue:
-                    self._drain_queue(specs, queue, results)
-                    if not inflight:
-                        break
                 now = time.monotonic()
                 while queue and len(inflight) < max_inflight:
                     idx, attempt, ready_at = queue[0]
@@ -292,8 +228,7 @@ class Farm:
                         break
                     queue.popleft()
                     spec = specs[idx]
-                    fut = executor.submit(execute_job, spec, self.trace_dir,
-                                          self.collect_metrics)
+                    fut = executor.submit(execute_job, spec)
                     inflight[fut] = (idx, attempt)
                     self._emit(JobStartEvent(
                         t=self._now_ms(), digest=spec.digest(), app=spec.app,
@@ -315,7 +250,6 @@ class Farm:
                         # is broken; every in-flight job went down with it
                         crashed = True
                         self.n_worker_crashes += 1
-                        self.registry.inc("farm_worker_crashes")
                         self._emit(WorkerCrashEvent(
                             t=self._now_ms(), n_inflight=len(inflight) + 1,
                             detail=f"{type(exc).__name__}: {exc}"))
@@ -328,16 +262,12 @@ class Farm:
                         continue
                     res = fut.result()
                     res.attempts = attempt
-                    if res.error is not None and attempt < self.max_attempts:
+                    if res.error is not None and attempt < MAX_ATTEMPTS:
                         self.n_retries += 1
-                        self.registry.inc("farm_retries")
                         queue.append((idx, attempt + 1,
                                       time.monotonic()
                                       + self._retry_delay_s(attempt)))
                     else:
-                        if self._stop_requested.is_set() \
-                                and res.error is None:
-                            self.n_drained += 1
                         self._finalize(specs[idx], res, results, idx)
                 if crashed:
                     # drain the victims — salvage any future that finished
@@ -347,9 +277,8 @@ class Farm:
                             res = fut.result()
                             res.attempts = attempt
                             if (res.error is not None
-                                    and attempt < self.max_attempts):
+                                    and attempt < MAX_ATTEMPTS):
                                 self.n_retries += 1
-                                self.registry.inc("farm_retries")
                                 queue.append((idx, attempt + 1,
                                               time.monotonic()
                                               + self._retry_delay_s(attempt)))
@@ -364,16 +293,12 @@ class Farm:
                     executor = self._make_executor()
                 self._progress(len(specs), running=len(inflight))
         finally:
-            # drain shutdown waits for the workers so the pool is never
-            # orphaned mid-write
-            executor.shutdown(wait=self._stop_requested.is_set(),
-                              cancel_futures=True)
+            executor.shutdown(wait=False, cancel_futures=True)
 
     def _requeue_or_fail(self, specs, idx, attempt, detail, queue,
                          results) -> None:
-        if attempt < self.max_attempts:
+        if attempt < MAX_ATTEMPTS:
             self.n_retries += 1
-            self.registry.inc("farm_retries")
             queue.append((idx, attempt + 1,
                           time.monotonic() + self._retry_delay_s(attempt)))
         else:
@@ -387,8 +312,7 @@ class Farm:
 
     def _make_executor(self) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(
-            max_workers=self.jobs,
-            initializer=_warmup_worker if self.warmup else None)
+            max_workers=self.jobs, initializer=_warmup_worker)
 
     # ------------------------------------------------------------------
     def _progress(self, total: int, *, running: int,
@@ -419,8 +343,6 @@ class Farm:
                 "done": self.n_done, "failed": self.n_failed,
                 "cache_hits": self.n_cache_hits, "retries": self.n_retries,
                 "worker_crashes": self.n_worker_crashes,
-                "drained": self.n_drained,
-                "drain_failed": self.n_drain_failed,
                 "wall_s": round(self.wall_s, 3), "cache": cache}
 
     def raise_on_failures(self, results: Sequence[JobResult]) -> None:
@@ -432,23 +354,3 @@ class Farm:
             raise FarmError(
                 f"{len(failures)} of {len(results)} farm jobs failed "
                 f"(first: {label}: {err})", failures=failures)
-
-
-def install_sigterm_drain(farm: Farm) -> None:
-    """Make SIGTERM (and SIGINT) drain ``farm`` instead of killing it.
-
-    In-flight jobs finish and persist their cache entries; unstarted jobs
-    fail fast; the process pool shuts down waited-for, never orphaned.
-    Must run on the main thread (signal-handler rule); chains any
-    previously installed handler.
-    """
-    for sig in (signal.SIGTERM, signal.SIGINT):
-        previous = signal.getsignal(sig)
-
-        def _drain(signum, frame, _prev=previous):
-            farm.request_stop()
-            if callable(_prev) and _prev not in (signal.SIG_IGN,
-                                                 signal.SIG_DFL):
-                _prev(signum, frame)
-
-        signal.signal(sig, _drain)

@@ -171,7 +171,7 @@ class JobSpec:
 
 @dataclass
 class JobResult:
-    """Outcome of one job: stats plus provenance and worker telemetry."""
+    """Outcome of one job: stats plus provenance."""
 
     digest: str
     app: str
@@ -182,8 +182,6 @@ class JobResult:
     cached: bool = False
     wall_s: float = 0.0
     attempts: int = 1
-    #: worker-side ``MetricsRegistry.snapshot()`` (None for cached results)
-    metrics: Optional[dict] = None
     #: ``"ExcType: message"`` when the job ultimately failed, else None
     error: Optional[str] = None
     traceback: Optional[str] = None
@@ -195,41 +193,31 @@ class JobResult:
         return self.error is None and self.stats is not None
 
 
-def execute_job(spec: JobSpec, trace_dir: Optional[str] = None,
-                collect_metrics: bool = True) -> JobResult:
+def execute_job(spec: JobSpec) -> JobResult:
     """Run one :class:`JobSpec` to completion in *this* process.
 
     This is the farm's worker entry point — it never raises for
     application/simulation errors; failures come back as a
     :class:`JobResult` with ``error`` set so the parent can apply its
-    retry policy. ``trace_dir`` attaches a per-job JSONL telemetry sink
-    (``<digest>.jsonl``).
+    retry policy.
     """
     from ..bench.harness import run_app
-    from ..telemetry import EventBus, JsonlExporter
 
     t0 = time.perf_counter()
     base = dict(digest=spec.digest(), app=spec.app, variant=spec.variant,
                 n_cores=spec.resolved_config().n_cores, label=spec.display)
-    exporter = None
     try:
         app = importlib.import_module(spec.app)
         inp = spec.input_obj
         if inp is None and spec.input_kwargs is not None:
             inp = app.make_input(**spec.input_kwargs)
         cfg = spec.resolved_config()
-        bus = None
-        if trace_dir:
-            bus = EventBus()
-            exporter = JsonlExporter(f"{trace_dir}/{spec.digest()}.jsonl")
-            bus.subscribe(exporter)
         run = run_app(app, inp, variant=spec.variant, n_cores=cfg.n_cores,
                       config=cfg, check=spec.check,
-                      max_cycles=spec.max_cycles, telemetry=bus,
+                      max_cycles=spec.max_cycles,
                       faults=spec.fault_plan, resilience=spec.resilience,
                       **spec.build_options)
-        metrics = run.metrics.snapshot() if collect_metrics else None
-        return JobResult(stats=run.stats, metrics=metrics,
+        return JobResult(stats=run.stats,
                          wall_s=time.perf_counter() - t0, **base)
     except ConfigError:
         raise                     # caller bug, not a transient failure
@@ -237,6 +225,3 @@ def execute_job(spec: JobSpec, trace_dir: Optional[str] = None,
         return JobResult(error=f"{type(exc).__name__}: {exc}",
                          traceback=traceback.format_exc(),
                          wall_s=time.perf_counter() - t0, **base)
-    finally:
-        if exporter is not None:
-            exporter.close()

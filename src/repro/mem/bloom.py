@@ -22,10 +22,10 @@ occupancy source for the simulator's sampled false-positive model (see
 popcount delta instead of k per-bit updates. Rates come from the family's
 popcount → false-positive-rate table.
 
-:class:`SignatureBank` holds the signatures of exact conflict detection
-as rows, one int each, indexed by a row id that tasks acquire and
-release; ``probe_rows`` answers "which of these live tasks' signatures
-hit this key?" for a list of rows. Everything here is plain Python ints.
+:class:`SignatureBank` holds many signatures as rows, one int each,
+indexed by a row id that callers acquire and release; ``probe_rows``
+answers "which of these rows hit this key?" for a list of rows. The
+simulator does not use it. Everything here is plain Python ints.
 """
 
 from __future__ import annotations

@@ -7,15 +7,16 @@ the behaviour that distinguishes real hardware:
 - :class:`PreciseConflictModel` — the paper's idealized scheme with no
   false positives (dashed lines in Fig. 14a).
 - :class:`BloomConflictModel` — 2 Kbit 8-way H3 signatures per task. Each
-  task maintains bit-accurate read/write signatures; every access then
-  probes the signatures of all other live speculative tasks. Probing every
-  pair bit-by-bit is exact but quadratic, so the model *samples* false
-  positives from the true per-signature false-positive rates (which come
-  from actual signature occupancy): the expected number of spurious hits
-  per access is preserved, and a sampled hit aborts exactly what hardware
-  would abort — the later of {accessor, falsely-matching task}. Small runs
-  and unit tests can enable ``exact=True`` to probe every live signature
-  bit by bit instead.
+  task maintains bit-accurate read/write signatures; on hardware every
+  access then probes the signatures of all other live speculative tasks.
+  Probing every pair bit-by-bit is exact but quadratic, so the model
+  *samples* false positives from per-signature false-positive rates
+  derived from actual signature occupancy: the pairwise probe's spurious
+  hit rate per access is bounded above (not preserved; loads sample the
+  same rate as stores), and a sampled hit aborts exactly what hardware
+  would abort — the later of {accessor, falsely-matching task}. The
+  pairwise probe lives on as the test oracle in
+  ``tests/mem/bloom_oracle.py``.
 
 Both models also answer "who must die" for true conflicts identically, via
 the earlier-VT-wins policy (paper Sec. 4.1: on a conflict, abort only
@@ -28,7 +29,7 @@ from __future__ import annotations
 import random
 from typing import Dict
 
-from .bloom import BloomSignature, H3HashFamily, SignatureBank
+from .bloom import BloomSignature, H3HashFamily
 
 
 class ConflictPolicy:
@@ -49,13 +50,9 @@ class ConflictPolicy:
     samples_false_positives = True
 
     #: profiling counters (see :mod:`repro.telemetry.profiling`); models
-    #: that sample or probe signatures bump their own instance copies
+    #: that sample signatures bump their own instance copies
     probe_steps = 0
     false_positives = 0
-    bank_probes = 0
-    #: exact-mode signature banks (None unless a model keeps them)
-    _bank_read = None
-    _bank_write = None
 
     def register(self, owner) -> None:
         """Called when ``owner`` starts running speculatively."""
@@ -116,30 +113,22 @@ class BloomConflictModel(ConflictPolicy):
 
     name = "bloom"
 
-    def __init__(self, bits: int = 2048, ways: int = 8, seed: int = 0,
-                 exact: bool = False):
+    def __init__(self, bits: int = 2048, ways: int = 8, seed: int = 0):
         self.family = H3HashFamily(k=ways, m_bits=bits, seed=seed)
         self._rng = random.Random(seed ^ 0xB100F)
         self._rand = self._rng.random  # bound once: called on every access
         self._rates = self.family.rates
-        self.exact = exact
-        # registration-ordered: the sampled victim walk and the exact
-        # probe order iterate this — set iteration would make the chosen
-        # victim depend on object addresses and differ run to run
+        # registration-ordered: the sampled victim walk iterates this —
+        # set iteration would make the chosen victim depend on object
+        # addresses and differ run to run
         self._live: Dict = {}
-        # exact mode mirrors every signature into banks (one int row per
-        # live task), probed for the whole live set with one mask lookup
-        self._bank_read = SignatureBank(self.family) if exact else None
-        self._bank_write = SignatureBank(self.family) if exact else None
         #: running sum of per-live-task false-positive rates (read+write sigs)
         self._fp_sum = 0.0
         #: spurious conflicts generated, for stats
         self.false_positives = 0
-        #: live tasks examined by victim sampling / exact probing
+        #: live tasks examined by victim sampling
         #: (profiling; folded into metrics only under `repro profile`)
         self.probe_steps = 0
-        #: whole-bank probes issued (exact mode; profiling)
-        self.bank_probes = 0
 
     # ------------------------------------------------------------------
     def register(self, owner) -> None:
@@ -150,11 +139,6 @@ class BloomConflictModel(ConflictPolicy):
         owner.sig_read = BloomSignature(self.family)
         owner.sig_write = BloomSignature(self.family)
         owner._fp_cached = 0.0
-        if self.exact:
-            # both banks allocate in lockstep, so one row id serves both
-            row = self._bank_read.acquire()
-            self._bank_write.acquire()
-            owner._sig_row = row
 
     def unregister(self, owner) -> None:
         if owner in self._live:
@@ -162,16 +146,9 @@ class BloomConflictModel(ConflictPolicy):
             self._fp_sum -= owner._fp_cached
             if self._fp_sum < 0:
                 self._fp_sum = 0.0
-            if self.exact:
-                self._bank_read.release(owner._sig_row)
-                self._bank_write.release(owner._sig_row)
-                owner._sig_row = -1
 
     def note_access(self, owner, line: int, is_write: bool) -> None:
         sig = owner.sig_write if is_write else owner.sig_read
-        if self.exact:
-            bank = self._bank_write if is_write else self._bank_read
-            bank.insert(owner._sig_row, line)
         if not sig.insert(line):
             # no new bits set: both fills — and therefore the pair rate —
             # are exactly what the last access computed, so the running
@@ -189,8 +166,6 @@ class BloomConflictModel(ConflictPolicy):
     def false_conflict(self, owner, line: int, is_write: bool):
         if len(self._live) <= 1:
             return None
-        if self.exact:
-            return self._probe_exact(owner, line, is_write)
         # Expected spurious hits for this access is the sum of the other
         # live tasks' false-positive rates; sample one Bernoulli draw with
         # that mean (clamped), then pick the victim weighted by rate.
@@ -218,51 +193,16 @@ class BloomConflictModel(ConflictPolicy):
             self.false_positives += 1
         return chosen
 
-    def _probe_exact(self, owner, line: int, is_write: bool):
-        """Bit-accurate probe of every live signature (small runs only).
-
-        A write probes the other task's read and write signatures; a read
-        probes only its write signature — the standard RW/WW conflict
-        matrix. Only lines the prober did not truly touch can be *false*
-        hits; true hits are handled by the exact indices, so we report any
-        signature hit and let the caller dedupe against true conflicts.
-
-        The whole live set is probed through the signature banks; hits are
-        then resolved in registration order, which matches the old per-pair
-        walk exactly (same first match, same victim).
-        """
-        owners = list(self._live)
-        self.probe_steps += len(owners)
-        self.bank_probes += 1
-        rows = [o._sig_row for o in owners]
-        hits = self._bank_write.probe_rows(line, rows)
-        if is_write:
-            hits = [w or r for w, r in
-                    zip(hits, self._bank_read.probe_rows(line, rows))]
-        for other, hit in zip(owners, hits):
-            if not hit or other is owner:
-                continue
-            if not self._truly_touches(other, line, is_write):
-                self.false_positives += 1
-                return other
-        return None
-
-    @staticmethod
-    def _truly_touches(other, line: int, is_write: bool) -> bool:
-        if line in other.write_lines:
-            return True
-        return is_write and line in other.read_lines
-
     @property
     def live_count(self) -> int:
         return len(self._live)
 
 
 def make_conflict_model(mode: str, *, bits: int = 2048, ways: int = 8,
-                        seed: int = 0, exact: bool = False) -> ConflictPolicy:
+                        seed: int = 0) -> ConflictPolicy:
     """Factory used by the simulator (``config.conflict_mode``)."""
     if mode == "precise":
         return PreciseConflictModel()
     if mode == "bloom":
-        return BloomConflictModel(bits=bits, ways=ways, seed=seed, exact=exact)
+        return BloomConflictModel(bits=bits, ways=ways, seed=seed)
     raise ValueError(f"unknown conflict mode {mode!r}")

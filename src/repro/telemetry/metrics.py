@@ -21,15 +21,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 LabelKey = Tuple[str, Tuple[Tuple[str, object], ...]]
 
 
-def _parse_bound(key: str):
-    """Invert the ``le_<bound>`` snapshot bucket key back to its bound."""
-    text = key[3:]
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
-
-
 class Counter:
     """A monotonically increasing integer cell."""
 
@@ -145,36 +136,6 @@ class MetricsRegistry:
         """All ``(labels, counter)`` pairs for one metric name."""
         return [(dict(labels), c) for (n, labels), c in
                 self._counters.items() if n == name]
-
-    # ------------------------------------------------------------------
-    def merge_snapshot(self, snap: dict) -> None:
-        """Fold another registry's :meth:`snapshot` into this one.
-
-        The cross-process aggregation path: farm workers ship their
-        registry as a snapshot dict and the parent merges every job into
-        one registry. Counters and histogram buckets add; gauges keep the
-        maximum seen (the only merge that is order-independent).
-        Histograms with different bucket bounds cannot be combined and
-        raise ``ValueError``.
-        """
-        for row in snap.get("counters", ()):
-            self.counter(row["name"], **row["labels"]).inc(row["value"])
-        for row in snap.get("gauges", ()):
-            self.gauge(row["name"], **row["labels"]).track_max(row["value"])
-        for row in snap.get("histograms", ()):
-            value = row["value"]
-            buckets = value["buckets"]
-            bounds = tuple(_parse_bound(k) for k in buckets if k != "inf")
-            h = self.histogram(row["name"], bounds=bounds, **row["labels"])
-            if h.bounds != bounds:
-                raise ValueError(
-                    f"histogram {row['name']!r} bucket bounds differ: "
-                    f"{h.bounds} vs {bounds}")
-            for i, b in enumerate(bounds):
-                h.counts[i] += buckets[f"le_{b}"]
-            h.counts[-1] += buckets["inf"]
-            h.sum += value["sum"]
-            h.count += value["count"]
 
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-#: JSON schema tag for exported profiles (v3 drops the memory engine
-#: name and the memoized-probe hit ratio)
-PROFILE_SCHEMA = "repro.hot-path-profile/3"
+#: JSON schema tag for exported profiles (v4 drops the exact-Bloom
+#: signature-bank counters)
+PROFILE_SCHEMA = "repro.hot-path-profile/4"
 
 
 def collect_profile(sim, wall_s: Optional[float] = None) -> Dict:
@@ -72,11 +72,6 @@ def collect_profile(sim, wall_s: Optional[float] = None) -> Dict:
             "model": conflicts.name,
             "probe_steps": conflicts.probe_steps,
             "false_positives": conflicts.false_positives,
-            "bank_probes": conflicts.bank_probes,
-            "bitmap_ops": sum(
-                bank.bitmap_ops
-                for bank in (conflicts._bank_read, conflicts._bank_write)
-                if bank is not None),
         },
         "tiebreaker_wraparounds": sim.alloc.wraparounds,
     }
@@ -101,10 +96,6 @@ def fold_into_registry(metrics, profile: Dict) -> None:
         profile["memory"]["probe_steps"]
     metrics.counter("profile_conflict_probe_steps").value = \
         profile["conflict_model"]["probe_steps"]
-    metrics.counter("profile_conflict_bank_probes").value = \
-        profile["conflict_model"]["bank_probes"]
-    metrics.counter("profile_conflict_bitmap_ops").value = \
-        profile["conflict_model"]["bitmap_ops"]
 
 
 def format_profile(profile: Dict) -> str:

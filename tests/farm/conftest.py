@@ -2,6 +2,16 @@
 
 import pytest
 
+from repro.farm import farm as farm_module
+from repro.faults import ResiliencePolicy
+
+
+@pytest.fixture(autouse=True)
+def fast_retry(monkeypatch):
+    """Near-zero retry backoff, so retry tests don't sleep for real."""
+    monkeypatch.setattr(farm_module, "RETRY_POLICY", ResiliencePolicy(
+        backoff_base=1, backoff_factor=1.0, backoff_cap=1))
+
 
 @pytest.fixture
 def pool_spy():

@@ -10,14 +10,9 @@ import pytest
 from repro.errors import FarmError
 from repro.farm import (Farm, JobSpec, ResultCache, select_shard,
                         stable_digest)
-from repro.faults import ResiliencePolicy
-from repro.telemetry import EventBus, EventRecorder, MetricsRegistry
+from repro.telemetry import EventBus, EventRecorder
 
 FAKEAPP = "tests.farm._fakeapp"
-
-#: near-zero backoff so retry tests don't sleep for real
-FAST_RETRY = ResiliencePolicy(backoff_base=1, backoff_factor=1.0,
-                              backoff_cap=1)
 
 
 def specs_for(counts=(4, 6, 8), **extra):
@@ -41,21 +36,11 @@ class TestInline:
         assert farm.summary()["done"] == 3
         assert farm.summary()["failed"] == 0
 
-    def test_metrics_merged_into_parent_registry(self):
-        reg = MetricsRegistry()
-        farm = Farm(jobs=1, registry=reg)
-        farm.run(specs_for(counts=(4,)))
-        snap = reg.snapshot()
-        names = {c["name"] for c in snap["counters"]}
-        assert "farm_jobs" in names
-        # and the worker simulator's own metrics were merged in
-        assert len(names) > 1
-
     def test_retry_until_success(self, tmp_path):
         spec = JobSpec(app=FAKEAPP, variant="fractal", n_cores=2,
                        input_kwargs={"n_tasks": 4, "fail_times": 1,
                                      "scratch": str(tmp_path / "s")})
-        farm = Farm(jobs=1, max_attempts=3, retry_policy=FAST_RETRY)
+        farm = Farm(jobs=1)
         (res,) = farm.run([spec])
         assert res.ok
         assert res.attempts == 2
@@ -66,7 +51,7 @@ class TestInline:
                        input_kwargs={"n_tasks": 4, "fail_times": 99,
                                      "scratch": str(tmp_path / "s")},
                        label="doomed")
-        farm = Farm(jobs=1, max_attempts=2, retry_policy=FAST_RETRY)
+        farm = Farm(jobs=1)
         (res,) = farm.run([spec])
         assert not res.ok
         assert "transient fake-app failure" in res.error
@@ -128,15 +113,14 @@ class TestPool:
     def test_parallel_matches_inline(self):
         specs = specs_for()
         inline = Farm(jobs=1).run(specs_for())
-        pooled = Farm(jobs=2, warmup=False).run(specs)
+        pooled = Farm(jobs=2).run(specs)
         assert [r.label for r in pooled] == [r.label for r in inline]
         assert stats_digests(pooled) == stats_digests(inline)
-        assert all(r.metrics is not None for r in pooled)
 
     def test_events_per_job(self):
         bus = EventBus()
         rec = bus.subscribe(EventRecorder())
-        Farm(jobs=2, bus=bus, warmup=False).run(specs_for())
+        Farm(jobs=2, bus=bus).run(specs_for())
         starts = [e for e in rec.events if e.kind == "job_start"]
         dones = [e for e in rec.events if e.kind == "job_done"]
         assert len(starts) == 3 and len(dones) == 3
@@ -147,8 +131,7 @@ class TestPool:
         specs.append(JobSpec(app=FAKEAPP, variant="fractal", n_cores=2,
                              input_kwargs={"n_tasks": 4, "fail_times": 1,
                                            "scratch": str(tmp_path / "s")}))
-        farm = Farm(jobs=2, max_attempts=3, retry_policy=FAST_RETRY,
-                    warmup=False)
+        farm = Farm(jobs=2)
         results = farm.run(specs)
         assert all(r.ok for r in results)
         assert results[-1].attempts == 2
@@ -162,8 +145,7 @@ class TestPool:
                              input_kwargs={"n_tasks": 4, "crash_times": 1,
                                            "scratch": str(tmp_path / "s")},
                              label="crasher"))
-        farm = Farm(jobs=2, max_attempts=3, retry_policy=FAST_RETRY,
-                    bus=bus, warmup=False)
+        farm = Farm(jobs=2, bus=bus)
         results = farm.run(specs)
         assert [r.label for r in results][:2] == ["fake-4", "fake-6"]
         assert all(r.ok for r in results)
@@ -175,8 +157,7 @@ class TestPool:
                        input_kwargs={"n_tasks": 4, "crash_times": 99,
                                      "scratch": str(tmp_path / "s")},
                        label="always-crashes")
-        farm = Farm(jobs=2, max_attempts=2, retry_policy=FAST_RETRY,
-                    warmup=False)
+        farm = Farm(jobs=2)
         (res,) = farm.run([spec])
         assert not res.ok
         assert "crash" in res.error or "broke" in res.error

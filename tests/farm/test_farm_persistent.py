@@ -19,7 +19,7 @@ def spec(n_tasks=4):
 
 class TestPoolLifecycle:
     def test_pool_torn_down_after_run(self, pool_spy):
-        farm = Farm(jobs=2, warmup=False)
+        farm = Farm(jobs=2)
         pools = pool_spy(farm)
         (res,) = farm.run([spec(4)])
         assert res.ok

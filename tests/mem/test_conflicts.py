@@ -8,6 +8,7 @@ from repro.mem.conflicts import (
     make_conflict_model,
 )
 
+from .bloom_oracle import exact_false_conflict
 from .conftest import FakeOwner
 
 
@@ -74,24 +75,26 @@ class TestBloomSampled:
 
 
 class TestBloomExact:
+    """The pairwise probe oracle (``bloom_oracle.exact_false_conflict``)."""
+
     def test_exact_probe_finds_aliases(self):
-        model = BloomConflictModel(bits=64, ways=2, seed=1, exact=True)
+        model = BloomConflictModel(bits=64, ways=2, seed=1)
         a, b = attach(model, 1), attach(model, 2)
         for line in range(500):
             model.note_access(a, line, is_write=True)
             a.write_lines.add(line)
         # some unseen line must alias in a 64-bit filter with 500 lines
-        hits = sum(model.false_conflict(b, 10**6 + i, True) is not None
-                   for i in range(50))
+        hits = sum(exact_false_conflict(model, b, 10**6 + i, True)
+                   is not None for i in range(50))
         assert hits > 0
 
     def test_exact_probe_excludes_true_hits(self):
-        model = BloomConflictModel(bits=2048, ways=8, seed=1, exact=True)
+        model = BloomConflictModel(bits=2048, ways=8, seed=1)
         a, b = attach(model, 1), attach(model, 2)
         model.note_access(a, 7, is_write=True)
         a.write_lines.add(7)
         # touching the truly-written line is a true conflict, not false
-        assert model.false_conflict(b, 7, True) is None
+        assert exact_false_conflict(model, b, 7, True) is None
 
 
 class ForcedRandom:
@@ -148,8 +151,8 @@ class TestBloomVictimSelection:
         assert model.false_positives == 0
 
     def test_victim_walk_follows_registration_order(self):
-        # Regression: _live used to be a set, so the weighted walk (and
-        # the exact probe) iterated live tasks in object-address order —
+        # Regression: _live used to be a set, so the weighted walk
+        # iterated live tasks in object-address order —
         # the elected victim differed from run to run of the same seed
         # (the 256b column of bench_ablation_conflict was observably
         # nondeterministic). With registration-ordered iteration and a
@@ -164,18 +167,20 @@ class TestBloomVictimSelection:
         assert model.false_conflict(owner, 999, True) is others[0]
 
     def test_exact_and_sampled_agree_on_who_must_die(self):
-        # With one saturated task and one empty task live, both probing
-        # modes must only ever elect the saturated one: an empty signature
-        # cannot falsely match, so "who must die" never names it.
-        for exact in (False, True):
-            model = BloomConflictModel(bits=128, ways=2, seed=3, exact=exact)
+        # With one saturated task and one empty task live, both the
+        # sampled model and the pairwise oracle must only ever elect the
+        # saturated one: an empty signature cannot falsely match, so "who
+        # must die" never names it.
+        for probe in (BloomConflictModel.false_conflict,
+                      exact_false_conflict):
+            model = BloomConflictModel(bits=128, ways=2, seed=3)
             sat, empty, prober = (attach(model, k) for k in (1, 2, 3))
             for line in range(2000):
                 model.note_access(sat, line, is_write=True)
-            victims = {model.false_conflict(prober, 10**6 + i, True)
+            victims = {probe(model, prober, 10**6 + i, True)
                        for i in range(300)}
             victims.discard(None)
-            assert victims == {sat}, f"exact={exact}"
+            assert victims == {sat}, probe.__name__
 
 
 class TestFactory:
@@ -195,12 +200,12 @@ def pinned_accesses(n):
         yield i % 3, line, i % 4 == 0
 
 
-def victim_string(model, owners, n, stride):
+def victim_string(model, owners, n, stride,
+                  probe=BloomConflictModel.false_conflict):
     """Ask for a false conflict n times; one char per call ('.' = none)."""
     out = []
     for i in range(n):
-        v = model.false_conflict(owners[i % 3], 10**7 + i * stride,
-                                 i % 2 == 0)
+        v = probe(model, owners[i % 3], 10**7 + i * stride, i % 2 == 0)
         out.append("." if v is None else str(owners.index(v)))
     return "".join(out)
 
@@ -237,11 +242,14 @@ class TestPinnedFloats:
         assert victim_string(model, owners, 400, 1) == self.SAMPLED_VICTIMS
 
     def test_exact_victims(self):
-        model = BloomConflictModel(bits=256, ways=4, seed=1, exact=True)
+        # EXACT_VICTIMS was taken from the runtime exact mode this oracle
+        # replaced, so matching it shows the oracle probes the same way
+        model = BloomConflictModel(bits=256, ways=4, seed=1)
         owners = [attach(model, k) for k in range(3)]
         for j, line, w in pinned_accesses(240):
             model.note_access(owners[j], line, w)
             (owners[j].write_lines if w else owners[j].read_lines).add(line)
-        assert victim_string(model, owners, 300, 3) == self.EXACT_VICTIMS
-        assert model.false_positives == 38
+        victims = victim_string(model, owners, 300, 3, exact_false_conflict)
+        assert victims == self.EXACT_VICTIMS
+        assert len(victims) - victims.count(".") == 38
         assert model._fp_sum.hex() == "0x1.cdcb8a7985c6cp-2"

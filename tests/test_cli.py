@@ -82,7 +82,7 @@ class TestSubcommands:
         assert main(["profile", "mis", "--cores", "4",
                      "--json", str(path)]) == 0
         doc = json.loads(path.read_text())
-        assert doc["schema"] == "repro.hot-path-profile/3"
+        assert doc["schema"] == "repro.hot-path-profile/4"
         assert "profile json" in capsys.readouterr().out
 
     def test_profile_without_app_is_a_usage_error(self, capsys):
