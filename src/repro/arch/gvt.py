@@ -2,9 +2,9 @@
 
 Tiles periodically report their earliest unfinished work; everything that
 precedes the global minimum can safely commit (Jefferson's virtual time
-algorithm). In Fractal the same central arbiter also serializes zoom-in /
-zoom-out requests and tiebreaker wrap-around walks, and manages the small
-in-memory stack of saved base-domain timestamps.
+algorithm). The arbiter here only paces those ticks; the zoom-in /
+zoom-out arbitration and the stack of saved base-domain timestamps that
+the paper also places in the arbiter live in :mod:`repro.core.zoom`.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from typing import List, Optional
 
 from ..core.task import TaskState
 from ..telemetry.events import GvtTickEvent
-from ..vt import DomainVT
 from .frontier import StrippedIndex
 
 
@@ -106,45 +105,22 @@ class GvtFrontier:
 
 
 class GvtArbiter:
-    """Paces GVT ticks and keeps the zoomed-out base-domain stack."""
+    """Paces GVT ticks."""
 
     def __init__(self, commit_interval: int = 200):
         self.commit_interval = commit_interval
-        #: saved base levels (DomainVT: ordering + timestamp), pushed at
-        #: zoom-in
-        self.base_stack: List[DomainVT] = []
         #: telemetry bus (installed by the simulator; None/falsy = off)
         self.bus = None
-        # stats
         self.ticks = 0
-        self.commits_total = 0
-        self.zoom_ins = 0
-        self.zoom_outs = 0
 
-    # ------------------------------------------------------------------
     def next_tick(self, now: int) -> int:
         """Cycle of the next arbiter update after ``now``."""
         return now + self.commit_interval
 
-    def note_tick(self, now: int, n_live: int, n_finished: int) -> None:
-        """Record one arbiter update (and emit its telemetry event)."""
+    def note_tick(self, now: int, n_live: int, n_finished: int,
+                  commits: int) -> None:
+        """Record one arbiter update (and emit its telemetry event);
+        ``commits`` is the number of commits so far."""
         self.ticks += 1
         if self.bus:
-            self.bus.emit(GvtTickEvent(now, n_live, n_finished,
-                                       self.commits_total))
-
-    # ------------------------------------------------------------------
-    def push_base(self, base: DomainVT) -> None:
-        """Save a zoomed-out base domain's ordering and timestamp."""
-        self.base_stack.append(base)
-        self.zoom_ins += 1
-
-    def pop_base(self) -> DomainVT:
-        """Restore the most recently saved base domain level."""
-        self.zoom_outs += 1
-        return self.base_stack.pop()
-
-    @property
-    def zoom_depth(self) -> int:
-        """Number of base domains currently parked on the stack."""
-        return len(self.base_stack)
+            self.bus.emit(GvtTickEvent(now, n_live, n_finished, commits))

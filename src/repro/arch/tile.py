@@ -1,13 +1,13 @@
 """Tiles and cores (paper Fig. 8).
 
-These are bookkeeping shells: a :class:`Core` tracks what it is doing and
-until when; a :class:`Tile` groups cores with their task unit. All behaviour
-lives in the simulator.
+These are bookkeeping shells: a :class:`Core` tracks what it is doing; a
+:class:`Tile` groups cores with their task unit. All behaviour lives in
+the simulator.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from .task_unit import TaskUnit
 
@@ -15,17 +15,13 @@ from .task_unit import TaskUnit
 class Core:
     """One in-order core."""
 
-    __slots__ = ("cid", "tile_id", "busy_until", "job", "idle_since",
-                 "idle_reason")
+    __slots__ = ("cid", "tile_id", "job")
 
     def __init__(self, cid: int, tile_id: int):
         self.cid = cid
         self.tile_id = tile_id
-        self.busy_until = 0
         #: the task attempt / coalescer / splitter currently occupying us
         self.job = None
-        self.idle_since: Optional[int] = 0
-        self.idle_reason: str = "empty"
 
     @property
     def is_free(self) -> bool:
@@ -47,10 +43,6 @@ class Tile:
         self.tid = tid
         self.cores: List[Core] = []
         self.unit = TaskUnit(tid, task_queue_cap, commit_queue_cap)
-
-    def free_cores(self) -> List[Core]:
-        """Cores currently available for dispatch."""
-        return [c for c in self.cores if c.is_free]
 
     def __repr__(self) -> str:
         return f"Tile{self.tid}({len(self.cores)} cores, {self.unit})"

@@ -109,15 +109,15 @@ def run_serial(app, inp, variant: str = "fractal", *, check: bool = True,
 
 
 def sweep_cores(app, inp, variants: Iterable[str], core_counts: Iterable[int],
-                *, config_for=None, check: bool = True,
+                *, check: bool = True,
                 telemetry: Optional[EventBus] = None,
                 jobs: int = 1, cache=None, farm=None,
                 **build_options) -> List[AppRun]:
     """Run every (variant, core count) pair; returns all runs.
 
-    ``config_for(n_cores, variant)`` may supply custom configs (e.g. the
-    precise-conflict runs of Fig. 14a). A ``telemetry`` bus is shared by
-    every run in the sweep; subscribers see the concatenated streams.
+    Each run uses the default config for its core count. A ``telemetry``
+    bus is shared by every run in the sweep; subscribers see the
+    concatenated streams.
 
     With ``jobs > 1``, a ``cache`` (:class:`repro.farm.ResultCache`), or
     a prebuilt ``farm`` (:class:`repro.farm.Farm`), the sweep is executed
@@ -133,15 +133,13 @@ def sweep_cores(app, inp, variants: Iterable[str], core_counts: Iterable[int],
         runs = []
         for variant in variants:
             for n in core_counts:
-                cfg = config_for(n, variant) if config_for else None
                 runs.append(run_app(app, inp, variant=variant, n_cores=n,
-                                    config=cfg, check=check,
+                                    check=check,
                                     telemetry=telemetry, **build_options))
         return runs
 
     from ..farm import Farm, JobSpec
     specs = [JobSpec(app=app.__name__, variant=variant, n_cores=n,
-                     config=(config_for(n, variant) if config_for else None),
                      input_obj=inp, check=check,
                      build_options=dict(build_options))
              for variant in variants for n in core_counts]

@@ -22,8 +22,7 @@ from ..vt import Ordering
 class Domain:
     """One node of the domain tree."""
 
-    __slots__ = ("ordering", "creator", "parent", "depth",
-                 "tasks_created", "tasks_committed")
+    __slots__ = ("ordering", "creator", "parent", "depth")
 
     def __init__(self, ordering: Ordering, creator=None,
                  parent: Optional["Domain"] = None):
@@ -32,8 +31,6 @@ class Domain:
         self.parent = parent            # Domain or None for the root
         #: VT depth of tasks living in this domain (root = 1)
         self.depth = 1 if parent is None else parent.depth + 1
-        self.tasks_created = 0
-        self.tasks_committed = 0
 
     @property
     def is_root(self) -> bool:

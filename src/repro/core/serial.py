@@ -127,20 +127,19 @@ class SerialContext:
                                 hint, label, kind="super")
 
 
+#: per-access latencies of the serial baseline: the Table 2 defaults
+_LATENCY = LatencyModel()
+
+
 class SerialExecutor(AllocAPI):
     """Serial host with the same allocation/enqueue surface as Simulator."""
 
     def __init__(self, *, root_ordering: Ordering = Ordering.UNORDERED,
-                 name: str = "serial", latency: Optional[LatencyModel] = None,
-                 line_bytes: int = 64, include_task_overheads: bool = False,
-                 task_overhead: int = 15):
+                 name: str = "serial"):
         self.name = name
-        self.space = AddressSpace(line_bytes, 1)
+        self.space = AddressSpace(64, 1)  # 64-byte lines, one tile
         self.memory = _SerialMemory()
         self.root_domain = Domain(root_ordering)
-        self.latency = latency or LatencyModel()
-        self.include_task_overheads = include_task_overheads
-        self.task_overhead = task_overhead
         self._heap: List[Tuple[tuple, int, TaskDesc]] = []
         self._seq = 0
         self._keys: Dict[int, tuple] = {}   # task id -> serial key
@@ -154,9 +153,9 @@ class SerialExecutor(AllocAPI):
     def _access_cost(self, addr: int) -> int:
         line = self.space.line_of(addr)
         if line in self._touched_lines:
-            return self.latency.l1_hit
+            return _LATENCY.l1_hit
         self._touched_lines.add(line)
-        return self.latency.l2_hit
+        return _LATENCY.l2_hit
 
     # ------------------------------------------------------------------
     def enqueue_root(self, fn: Callable, *args, ts: Optional[int] = None,
@@ -198,7 +197,7 @@ class SerialExecutor(AllocAPI):
         return child
 
     # ------------------------------------------------------------------
-    def run(self, max_tasks: Optional[int] = None) -> "SerialExecutor":
+    def run(self) -> "SerialExecutor":
         """Execute every task to completion in serial order."""
         if self._ran:
             raise SimulationError("a SerialExecutor runs exactly once")
@@ -208,14 +207,5 @@ class SerialExecutor(AllocAPI):
             ctx = SerialContext(self, task)
             task.fn(ctx, *task.args)
             self.cycles += ctx.cycles
-            if self.include_task_overheads:
-                self.cycles += self.task_overhead
             self.tasks_executed += 1
-            if max_tasks is not None and self.tasks_executed > max_tasks:
-                raise SimulationError(f"exceeded max_tasks={max_tasks}")
         return self
-
-    # ------------------------------------------------------------------
-    def values_snapshot(self) -> Dict[int, Any]:
-        """Copy of final memory for differential comparisons."""
-        return dict(self.memory._values)

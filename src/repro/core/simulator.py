@@ -170,6 +170,8 @@ class Simulator(AllocAPI):
                 tile.cores.append(core)
                 self.cores.append(core)
             self.tiles.append(tile)
+        # the scheduler's view of the tiles, built once for every enqueue
+        self._units = [t.unit for t in self.tiles]
         self._special_jobs: List[List] = [[] for _ in range(cfg.n_tiles)]
         self._coalescer_queued = [False] * cfg.n_tiles
         self._spill_buffers: List[SpillBuffer] = []
@@ -190,12 +192,13 @@ class Simulator(AllocAPI):
         self._finished: List[TaskDesc] = []
         self._executing: Optional[TaskDesc] = None
         self._executing_ctx: Optional[TaskContext] = None
+        # commits so far: the next commit's sequence number, and the count
+        # that GVT ticks, the livelock detector and crash bundles report
         self._commit_seq = 0
 
         # Commit-order invariant: within one zoom epoch, commits must be
         # VT-monotone (the audit alone cannot see blind-write misorderings).
         self._last_commit_key: Optional[tuple] = None
-        self._commit_epoch = 0
 
         self.enable_audit = enable_audit
         self.commit_log: List[TaskDesc] = []
@@ -228,7 +231,6 @@ class Simulator(AllocAPI):
         self._m_tasks: Dict[Tuple[str, int], Any] = {}
         self._m_spilled = m.counter("tasks_spilled")
         self._m_domains = m.counter("domains_created")
-        self._m_wraps = m.counter("tiebreaker_wraparounds")
         self._m_depth = m.gauge("max_depth")
         self._m_depth.set(1)
         self._m_task_len = m.histogram("committed_task_cycles")
@@ -275,7 +277,6 @@ class Simulator(AllocAPI):
         task.vt = FractalVT.root(self.root_domain.ordering,
                                  task.timestamp or 0,
                                  self.alloc.lower_bound(0))
-        task.enqueue_time = 0
         self._admit(task)
         return task
 
@@ -375,14 +376,12 @@ class Simulator(AllocAPI):
 
     def _admit(self, task: TaskDesc) -> None:
         """Place a new or re-enqueued pending task into a task unit."""
-        units = [t.unit for t in self.tiles]
-        tile_id = self.scheduler.tile_for(task.hint, units,
+        tile_id = self.scheduler.tile_for(task.hint, self._units,
                                           hard_cap=self._resil is not None)
         self._live[task] = None
         self._frontier.add_dyn(task)
         self.tiles[tile_id].unit.enqueue(task)
         self._m_enqueues[tile_id].value += 1
-        task.domain.tasks_created += 1
         depth = task.domain.depth
         if depth > self._m_depth.value:
             self._m_depth.value = depth
@@ -397,7 +396,6 @@ class Simulator(AllocAPI):
     def _requeue(self, task: TaskDesc) -> None:
         """Re-enqueue an aborted / zoom-released / restored task."""
         task.vt = task.vt.with_tiebreaker(self.alloc.lower_bound(self.now))
-        task.enqueue_time = self.now
         tile_id = task.queue_tile if task.queue_tile >= 0 else 0
         self.tiles[tile_id].unit.enqueue(task)
         self._maybe_spill(tile_id)
@@ -416,7 +414,6 @@ class Simulator(AllocAPI):
                                     lb).check_budget(self.vt_budget)
         else:
             child.vt = vt.child_super(ts, lb)
-        child.enqueue_time = self.now
         self._admit(child)
         # enqueue messages to a remote tile traverse the mesh
         if child.queue_tile != ctx.tile_id:
@@ -429,11 +426,7 @@ class Simulator(AllocAPI):
         tile = self.tiles[tile_id]
         if (not tile.unit.pending_count and not self._special_jobs[tile_id]
                 and not self._safe_mode):
-            # nothing to hand out: every free core would pick no job
-            for core in tile.cores:
-                if core.job is None:
-                    core.idle_since = self.now
-            return
+            return  # nothing to hand out: every free core would pick no job
         for core in tile.cores:
             if not core.is_free:
                 continue
@@ -447,7 +440,6 @@ class Simulator(AllocAPI):
                                       for c in tile.cores)
             job = self._pick_job(tile, allow_tasks)
             if job is None:
-                core.idle_since = self.now
                 continue
             if isinstance(job, TaskDesc):
                 parent = job.parent
@@ -673,7 +665,7 @@ class Simulator(AllocAPI):
         if not self._live:
             return
         self.arbiter.note_tick(self.now, len(self._live),
-                               len(self._finished))
+                               len(self._finished), self._commit_seq)
         if self._resil is not None:
             self._resilience_tick()
         gvt = self._compute_gvt()
@@ -752,14 +744,11 @@ class Simulator(AllocAPI):
         task.state = TaskState.COMMITTED
         task.commit_seq = self._commit_seq
         self._commit_seq += 1
-        task.commit_time = self.now
         self._live.pop(task, None)
         depth = task.domain.depth
         self._m_cycles["committed"][core.cid].value += task.duration
         self._task_counter("committed", depth).value += 1
         self._m_task_len.observe(task.duration)
-        task.domain.tasks_committed += 1
-        self.arbiter.commits_total += 1
         if self.enable_audit:
             self.commit_log.append(task)
         if self._ebus is not None:
@@ -998,7 +987,6 @@ class Simulator(AllocAPI):
         also resets the commit-monotonicity watermark, whose old keys are
         no longer comparable."""
         self._last_commit_key = None
-        self._commit_epoch += 1
         for tile in self.tiles:
             tile.unit.rebuild()
         for buf in self._spill_buffers:
@@ -1030,7 +1018,6 @@ class Simulator(AllocAPI):
         for t in victims:
             unit.remove(t)
         buf = SpillBuffer(victims)
-        buf.is_zoom = False
         for t in victims:
             t.state = TaskState.SPILLED
             t.spill_buffer = buf
@@ -1123,8 +1110,7 @@ class Simulator(AllocAPI):
         det = self._livelock
         if det is None:
             return
-        action = det.note_tick(self._aborts_total,
-                               self.arbiter.commits_total)
+        action = det.note_tick(self._aborts_total, self._commit_seq)
         if action is None:
             return
         if action == "safe_enter":
@@ -1213,7 +1199,6 @@ class Simulator(AllocAPI):
     # tiebreaker wrap-around (paper Sec. 4.4)
     # ==================================================================
     def _compact_tiebreakers(self) -> None:
-        self._m_wraps.inc()
         if self._ebus is not None:
             self._ebus.emit(tev.WraparoundEvent(self.now, len(self._live)))
         for t in self._live:
@@ -1242,9 +1227,10 @@ class Simulator(AllocAPI):
             self.memory.n_true_conflicts
         m.counter("conflicts", kind="false_positive").value = \
             self.conflicts.false_positives
-        m.counter("zooms", direction="in").value = self.arbiter.zoom_ins
-        m.counter("zooms", direction="out").value = self.arbiter.zoom_outs
+        m.counter("zooms", direction="in").value = self.zoom.zoom_ins
+        m.counter("zooms", direction="out").value = self.zoom.zoom_outs
         m.counter("gvt_ticks").value = self.arbiter.ticks
+        m.counter("tiebreaker_wraparounds").value = self.alloc.wraparounds
         m.counter("mem_accesses", op="load").value = self.memory.n_loads
         m.counter("mem_accesses", op="store").value = self.memory.n_stores
         for key, value in self.cache.snapshot().items():
@@ -1267,7 +1253,7 @@ class Simulator(AllocAPI):
         s.domains_created = self._m_domains.value
         s.domains_flattened = m.counter("domains_flattened").value
         s.max_depth = self._m_depth.value
-        s.tiebreaker_wraparounds = self._m_wraps.value
+        s.tiebreaker_wraparounds = self.alloc.wraparounds
         s.true_conflicts = m.counter("conflicts", kind="true").value
         s.false_positive_conflicts = m.counter(
             "conflicts", kind="false_positive").value

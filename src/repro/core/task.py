@@ -65,12 +65,11 @@ class TaskDesc:
         # GVT frontier entry version (see arch.gvt.GvtFrontier)
         "_gvt_token",
         # timing (current attempt)
-        "enqueue_time", "dispatch_time", "duration", "finish_time",
-        "retry_after",
+        "dispatch_time", "duration", "finish_time", "retry_after",
         # deferred app events (ctx.emit), published at commit
         "emits",
         # commit record
-        "commit_seq", "commit_time",
+        "commit_seq",
         # speculative owner state (installed by SpecMemory.attach_owner)
         "undo", "reads", "writes", "read_lines", "write_lines",
         "deps", "dependents", "sig_read", "sig_write", "_fp_cached",
@@ -111,14 +110,12 @@ class TaskDesc:
         self.core = None
         self.spill_buffer = None
 
-        self.enqueue_time = 0
         self.dispatch_time = 0
         self.duration = 0
         self.finish_time = 0
         self.retry_after = 0
         self.emits = None
         self.commit_seq = -1
-        self.commit_time = -1
         # Dependence edges exist even before the first dispatch (the abort
         # cascade walks children's dependents); SpecMemory.attach_owner
         # resets them per attempt.

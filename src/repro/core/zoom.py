@@ -12,6 +12,11 @@ when the zoomed-in region drains.
 All of this reuses the ordinary spill machinery; speculative state is never
 spilled — speculative base tasks are aborted first, exactly as the paper
 prescribes.
+
+The paper places zoom arbitration and the small stack of saved
+base-domain timestamps in the GVT arbiter; here both live in
+:class:`ZoomController`, whose :class:`ZoomFrame` stack is that base
+stack (:mod:`repro.arch.gvt` only paces the GVT ticks).
 """
 
 from __future__ import annotations
@@ -53,12 +58,15 @@ class ZoomFrame:
 
 
 class ZoomController:
-    """Serializes zoom-in/zoom-out operations for one simulator."""
+    """Serializes zoom-in/zoom-out operations for one simulator and keeps
+    its stack of zoomed-out base domains."""
 
     def __init__(self, sim):
         self.sim = sim
         self.frames: List[ZoomFrame] = []
         self.requests: List[ZoomRequest] = []
+        self.zoom_ins = 0
+        self.zoom_outs = 0
         # min order key over the active live set for the current
         # process() pass; _UNSCANNED until needed, reset by every release
         # or zoom (the only steps inside a pass that move a live key)
@@ -176,7 +184,7 @@ class ZoomController:
             t.state = TaskState.SPILLED
             t.spill_buffer = frame.buffer
         self.frames.append(frame)
-        sim.arbiter.push_base(base)
+        self.zoom_ins += 1
 
         # 3. The outermost subdomain becomes the base (Fig. 13d): every
         #    remaining task shares the requester's base domain VT; shift
@@ -197,12 +205,12 @@ class ZoomController:
         """Restore the most recently spilled base domain."""
         sim = self.sim
         frame = self.frames.pop()
-        base = sim.arbiter.pop_base()
+        self.zoom_outs += 1
         # Right-shift every live VT, prepending the restored base domain VT
         # with a zero tiebreaker: the zoomed region holds all the earliest
         # active tasks, so this changes no order relations.
         for t in sim._active_live():
-            t.vt = t.vt.with_base(base)
+            t.vt = t.vt.with_base(frame.base)
         restored_tasks = list(frame.buffer.tasks)
         for t in restored_tasks:
             t.state = TaskState.PENDING

@@ -8,7 +8,7 @@ without a debugger attached: the telemetry event ring buffer, per-tile
 queue states, the GVT, the earliest live tasks with their fractal VTs,
 fault-injection counts, and a partial stats snapshot.
 
-``python -m repro.faults.crashdump <bundle.json>`` validates a bundle
+``python -m repro crash-validate <bundle.json>`` validates a bundle
 against :data:`CRASH_BUNDLE_SCHEMA` (the CI smoke job runs this).
 """
 
@@ -82,7 +82,7 @@ def build_crash_bundle(sim, reason: str,
             "tasks_squashed": m.total("tasks", outcome="squashed"),
             "enqueues": m.total("enqueues"),
             "gvt_ticks": sim.arbiter.ticks,
-            "commits_total": sim.arbiter.commits_total,
+            "commits_total": sim._commit_seq,
         },
         "events": ([] if ring is None
                    else [e.to_dict() for e in ring]),
@@ -238,18 +238,3 @@ def validate_paths(paths: List[str], *, out=None) -> int:
               f"cycle {doc['cycle']}, reason {doc['reason']!r})")
     return worst
 
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Validate crash bundle files given on the command line."""
-    import sys
-    paths = argv if argv is not None else sys.argv[1:]
-    if not paths:
-        print("usage: python -m repro.faults.crashdump BUNDLE.json ...",
-              file=sys.stderr)
-        return 2
-    return validate_paths(paths)
-
-
-if __name__ == "__main__":
-    import sys
-    sys.exit(main())

@@ -18,7 +18,7 @@ context.
 from .address import AddressSpace, Region
 from .bloom import BloomSignature, H3HashFamily, SignatureBank
 from .undo_log import UndoLog
-from .memory import SpecMemory, AccessRecord
+from .memory import SpecMemory
 from .conflicts import ConflictPolicy, BloomConflictModel, PreciseConflictModel
 from .data import SpecArray, SpecCell, SpecDict, SpecQueue
 
@@ -30,7 +30,6 @@ __all__ = [
     "SignatureBank",
     "UndoLog",
     "SpecMemory",
-    "AccessRecord",
     "ConflictPolicy",
     "BloomConflictModel",
     "PreciseConflictModel",

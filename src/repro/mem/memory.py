@@ -40,7 +40,6 @@ Owners are task attempts; the protocol they must satisfy is documented on
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from ..errors import MemoryError_, SimulationError
@@ -77,15 +76,6 @@ class OwnerProtocol:
       without a fresh attach.
     - :meth:`SpecMemory.commit` / :meth:`SpecMemory.rollback` end it.
     """
-
-
-@dataclass
-class AccessRecord:
-    """One access, as recorded for traces and latency accounting."""
-
-    addr: int
-    is_write: bool
-    latency: int
 
 
 class SpecMemory:
@@ -174,10 +164,6 @@ class SpecMemory:
             writers.remove(owner)
             if not writers:
                 del index[line]
-
-    def detach_owner(self, owner) -> None:
-        """Drop conflict-model tracking (commit and abort paths)."""
-        self.conflicts.unregister(owner)
 
     # ------------------------------------------------------------------
     # non-speculative access (initialization / result inspection)
@@ -518,14 +504,9 @@ class SpecMemory:
             dependent.deps.discard(owner)
         owner.deps = set()
         owner.dependents = set()
-        self.detach_owner(owner)
+        self.conflicts.unregister(owner)
 
     # ------------------------------------------------------------------
-    @property
-    def live_speculative_words(self) -> int:
-        """Words currently holding uncommitted speculative values."""
-        return len(self._word_writers)
-
     def assert_quiescent(self) -> None:
         """Check that no speculative state remains (end-of-run invariant)."""
         if self._word_writers or self._line_readers or self._line_writers:

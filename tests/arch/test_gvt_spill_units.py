@@ -2,7 +2,6 @@
 
 from repro.arch.gvt import GvtArbiter, GvtFrontier
 from repro.arch.spill import CoalescerJob, SpillBuffer, SplitterJob
-from repro.vt import DomainVT, Ordering
 
 
 class _Task:
@@ -32,15 +31,6 @@ class TestGvtArbiter:
 
     def test_min_of_nothing_is_none(self):
         assert GvtFrontier().min_key(0) is None
-
-    def test_base_stack_lifo(self):
-        arb = GvtArbiter()
-        arb.push_base(DomainVT(Ordering.ORDERED_32, 7))
-        arb.push_base(DomainVT(Ordering.UNORDERED))
-        assert arb.zoom_depth == 2
-        assert arb.pop_base() == DomainVT(Ordering.UNORDERED, 0)
-        assert arb.pop_base() == DomainVT(Ordering.ORDERED_32, 7)
-        assert arb.zoom_ins == 2 and arb.zoom_outs == 2
 
 
 class TestSpillBuffer:

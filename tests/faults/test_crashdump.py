@@ -5,12 +5,12 @@ import json
 import pytest
 
 from repro import Ordering, Simulator, SystemConfig
+from repro.cli import main as cli_main
 from repro.core.task import TaskState
 from repro.errors import FractalError, TaskExecutionError
 from repro.faults import FaultPlan
 from repro.faults.crashdump import (CRASH_BUNDLE_SCHEMA, build_crash_bundle,
-                                    main, validate_crash_bundle,
-                                    write_crash_bundle)
+                                    validate_crash_bundle, write_crash_bundle)
 
 from ..core.gvt_oracle import gvt_linear
 from .conftest import build_counter_sim
@@ -131,6 +131,11 @@ class TestValidation:
             validate_crash_bundle(doc)
 
 
+def main(paths):
+    """``python -m repro crash-validate PATHS...`` in-process."""
+    return cli_main(["crash-validate", *paths])
+
+
 class TestValidatorCli:
     def test_valid_bundle_returns_zero(self, tmp_path, capsys):
         sim = _crashed_sim(tmp_path)
@@ -144,7 +149,9 @@ class TestValidatorCli:
         assert "INVALID" in capsys.readouterr().err
 
     def test_no_arguments_returns_two(self, capsys):
-        assert main([]) == 2
+        with pytest.raises(SystemExit) as exit_info:
+            main([])
+        assert exit_info.value.code == 2
         assert "usage" in capsys.readouterr().err
 
     def test_truncated_json_returns_four_without_traceback(
@@ -199,7 +206,6 @@ class TestValidatorCli:
 class TestCrashValidateSubcommand:
     def test_repro_crash_validate_exits_four_on_torn_json(
             self, tmp_path, capsys):
-        from repro.cli import main as cli_main
         path = tmp_path / "torn.json"
         path.write_text('{"schema": "repro.crash/1", "run"')
         assert cli_main(["crash-validate", str(path)]) == 4
@@ -209,6 +215,5 @@ class TestCrashValidateSubcommand:
 
     def test_repro_crash_validate_ok_bundle(self, tmp_path, capsys):
         sim = _crashed_sim(tmp_path)
-        from repro.cli import main as cli_main
         assert cli_main(["crash-validate", sim.crash_bundle_path]) == 0
         assert "ok" in capsys.readouterr().out

@@ -48,6 +48,13 @@ def assert_consistent(run, rec):
     assert len([e for e in zooms if e.direction == "out"]) == stats.zoom_outs
 
     assert len(rec.of("gvt_tick")) == stats.gvt_ticks
+    # each tick reports the number of commits that precede it
+    n_commits = 0
+    for e in rec:
+        if e.KIND == "commit":
+            n_commits += 1
+        elif e.KIND == "gvt_tick":
+            assert e.commits == n_commits
     assert len(rec.of("wraparound")) == stats.tiebreaker_wraparounds
 
     depths = [e.depth for e in rec.of("enqueue")]
