@@ -11,12 +11,12 @@ Each ``bench_*.py`` regenerates one paper table/figure:
 
 Set ``REPRO_BENCH_CORES=1,4,16,64,256`` to override the core-count sweep.
 
-Result cache (:mod:`repro.farm`): when ``REPRO_BENCH_CACHE`` is set to a
-truthy value (``run_all.py`` does this by default), :func:`run_once`
-content-addresses every run and serves repeats from
-``benchmarks/results/.cache`` (``REPRO_BENCH_CACHE_DIR`` overrides the
-location). Cached runs return identical stats but no live simulator, so
-benches that inspect ``run.handles``/``run.sim`` must pass ``live=True``.
+Every :func:`run_once` is a :class:`repro.farm.Farm` job, so its run
+carries stats only (no live simulator; a bench that needs one calls
+``run_app`` itself). When ``REPRO_BENCH_CACHE`` is set to a truthy value
+(``run_all.py`` does this by default), the farm content-addresses every
+run and serves repeats from ``benchmarks/results/.cache``
+(``REPRO_BENCH_CACHE_DIR`` overrides the location).
 """
 
 from __future__ import annotations
@@ -26,8 +26,9 @@ import os
 import pathlib
 from typing import Iterable, List, Optional
 
-from repro.bench.harness import AppRun, run_app
+from repro.bench.harness import AppRun
 from repro.config import SystemConfig
+from repro.farm import Farm, JobSpec, ResultCache
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
 
@@ -36,8 +37,6 @@ RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
 DEFAULT_CORES = (1, 4, 16, 64)
 QUICK_CORES = (1, 16)
 
-#: run_once cache counters for the current process (one bench module)
-_CACHE_STATS = {"hits": 0, "misses": 0}
 _CACHE = None
 
 
@@ -47,23 +46,10 @@ def _result_cache():
     if os.environ.get("REPRO_BENCH_CACHE", "") in ("", "0"):
         return None
     if _CACHE is None:
-        from repro.farm import ResultCache
         root = os.environ.get("REPRO_BENCH_CACHE_DIR") or (RESULTS_DIR
                                                            / ".cache")
         _CACHE = ResultCache(root)
     return _CACHE
-
-
-def cache_stats() -> dict:
-    """Hit/miss counts of :func:`run_once` since the last reset."""
-    return dict(_CACHE_STATS)
-
-
-def reset_cache_stats() -> None:
-    """Zero the :func:`run_once` cache counters (run_all does this per
-    bench module)."""
-    _CACHE_STATS["hits"] = 0
-    _CACHE_STATS["misses"] = 0
 
 
 def core_counts(quick: bool = False) -> List[int]:
@@ -82,41 +68,25 @@ def config_for(n_cores: int, *, conflict_mode: str = "bloom",
 def run_once(app, inp, variant: str, n_cores: int, *,
              conflict_mode: str = "bloom", use_hints: bool = True,
              check: bool = True, max_cycles: Optional[int] = None,
-             live: bool = False, config: Optional[SystemConfig] = None,
+             config: Optional[SystemConfig] = None,
              **build_options) -> AppRun:
-    """One simulation run, served from the result cache when enabled.
+    """One simulation run as a farm job, served from the result cache
+    when enabled; a failed job raises :class:`repro.errors.FarmError`.
 
     ``config`` overrides the default :func:`config_for` construction for
     benches with custom configurations (zooming VT budgets, flattening).
-    ``live=True`` bypasses the cache entirely (no lookup, no store) for
-    benches that need the in-process simulator afterwards (timelines,
-    zoom handles).
     """
     cfg = config or config_for(n_cores, conflict_mode=conflict_mode,
                                use_hints=use_hints)
-    cache = None if live else _result_cache()
-    if cache is None:
-        return run_app(app, inp, variant=variant, n_cores=n_cores,
-                       config=cfg, check=check, max_cycles=max_cycles,
-                       **build_options)
-
-    from repro.farm import JobSpec
     spec = JobSpec(app=app.__name__, variant=variant, n_cores=n_cores,
                    config=cfg, input_obj=inp, check=check,
                    max_cycles=max_cycles,
                    build_options=dict(build_options))
-    stats = cache.get(spec.digest())
-    if stats is not None:
-        _CACHE_STATS["hits"] += 1
-        return AppRun(app=app.__name__, variant=variant,
-                      n_cores=cfg.n_cores, stats=stats, handles={},
-                      cached=True)
-    _CACHE_STATS["misses"] += 1
-    run = run_app(app, inp, variant=variant, n_cores=n_cores, config=cfg,
-                  check=check, max_cycles=max_cycles, **build_options)
-    if run.stats.completed:
-        cache.put(spec, run.stats)
-    return run
+    farm = Farm(jobs=1, cache=_result_cache())
+    (res,) = farm.run([spec])
+    farm.raise_on_failures([res])
+    return AppRun(app=spec.app, variant=variant, n_cores=res.n_cores,
+                  stats=res.stats, handles={}, cached=True)
 
 
 def emit(name: str, text: str,

@@ -13,7 +13,7 @@ Four gates, all on small seeded inputs (stdlib + repro only):
    determinism bug (or an intentional change: regenerate with
    ``python benchmarks/pbbs_smoke.py --pin``).
 3. **Sweep parity** — a ``sweep_cores`` over the specfor matrix executed
-   serially and again with ``--jobs 4`` farm workers must return
+   inline and again on a ``Farm(jobs=4)`` worker pool must return
    byte-identical stats in the same order.
 4. **Round telemetry** — the specfor runs must fold ``specfor_rounds``
    counters, and refine must show reservation failures (its cavities
@@ -32,7 +32,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.apps.pbbs import contract, refine, spanning        # noqa: E402
 from repro.bench.harness import run_app, run_serial, sweep_cores  # noqa: E402
-from repro.farm.job import stable_digest                      # noqa: E402
+from repro.farm import Farm, stable_digest                    # noqa: E402
 
 BASELINE = pathlib.Path(__file__).resolve().parent / "pbbs_baseline.json"
 
@@ -102,18 +102,18 @@ def check_digests(digests):
 
 
 def check_sweep_parity():
-    """Serial sweep vs --jobs 4 farm sweep: identical stats, same order."""
+    """Inline sweep vs 4-worker farm sweep: identical stats, same order."""
     name, app, params = SUITE[0]
     inp = app.make_input(**params)
-    serial = sweep_cores(app, inp, ["specfor"], [2, 4], jobs=1)
-    farmed = sweep_cores(app, inp, ["specfor"], [2, 4], jobs=4)
+    serial = sweep_cores(app, inp, ["specfor"], [2, 4])
+    farmed = sweep_cores(app, inp, ["specfor"], [2, 4], farm=Farm(jobs=4))
     failures = []
     if len(serial) != len(farmed):
         return [f"sweep lengths differ: {len(serial)} vs {len(farmed)}"]
     for a, b in zip(serial, farmed):
         if a.stats.to_dict() != b.stats.to_dict():
             failures.append(f"sweep stats diverge at {a.variant}@"
-                            f"{a.n_cores}c (serial vs --jobs 4)")
+                            f"{a.n_cores}c (inline vs 4 workers)")
     return failures
 
 

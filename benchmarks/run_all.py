@@ -97,8 +97,8 @@ def run_bench(name):
     import importlib.util
     import runpy
 
-    common = importlib.import_module("_common")
-    common.reset_cache_stats()
+    cache = importlib.import_module("_common")._result_cache()
+    seen = (cache.hits, cache.misses) if cache else (0, 0)
     buf = io.StringIO()
     t0 = time.perf_counter()
     error = None
@@ -116,9 +116,10 @@ def run_bench(name):
             error = f"SystemExit({exc.code})"
     except BaseException:
         error = traceback.format_exc()
+    hits, misses = (cache.hits, cache.misses) if cache else (0, 0)
     return {"name": name, "wall_s": round(time.perf_counter() - t0, 3),
             "output": buf.getvalue(), "error": error,
-            "cache": common.cache_stats()}
+            "cache": {"hits": hits - seen[0], "misses": misses - seen[1]}}
 
 
 def collect_makespans():

@@ -13,7 +13,8 @@ Run:  python examples/maxflow_nested.py
 
 from repro.apps import maxflow
 from repro.bench.harness import run_app
-from repro.core.trace import render_timeline
+from repro.telemetry import EventBus, EventRecorder
+from repro.telemetry.timeline import render_timeline
 
 N_CORES = 16
 
@@ -23,10 +24,12 @@ def main():
     print(f"rmf-wide network: {inp.n} nodes, {inp.m // 2} edges")
     print(f"oracle max flow: {maxflow.reference_maxflow(inp)}\n")
 
-    runs = {}
+    runs, events = {}, {}
     for variant in ("flat", "fractal"):
+        bus = EventBus()
+        events[variant] = bus.subscribe(EventRecorder(("commit", "abort")))
         run = run_app(maxflow, inp, variant=variant, n_cores=N_CORES,
-                      enable_trace=True, audit=True)
+                      audit=True, telemetry=bus)
         flow = maxflow.check(run.handles, inp)
         runs[variant] = run
         print(f"maxflow-{variant}: flow={flow}")
@@ -37,9 +40,8 @@ def main():
     print(f"fractal vs flat speedup at {N_CORES} cores: {speedup:.2f}x\n")
 
     for variant in ("flat", "fractal"):
-        sim = runs[variant].handles["_sim"]
         print(f"--- maxflow-{variant} timeline (first 8 cores) ---")
-        print(render_timeline(sim.trace, n_cores=8, width=90,
+        print(render_timeline(events[variant], n_cores=8, width=90,
                               glyphs={"active": ".", "bfs": "o",
                                       "global_relabel": "G"}))
         print()

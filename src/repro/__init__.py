@@ -26,7 +26,7 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every reproduced table and figure.
 """
 
-from .config import LatencyModel, SystemConfig, PAPER_CORE_COUNTS, QUICK_CORE_COUNTS
+from .config import LatencyModel, SystemConfig
 from .errors import (
     AppError,
     ConfigError,
@@ -90,8 +90,6 @@ __version__ = "1.0.0"
 __all__ = [
     "LatencyModel",
     "SystemConfig",
-    "PAPER_CORE_COUNTS",
-    "QUICK_CORE_COUNTS",
     "AppError",
     "ConfigError",
     "DomainError",

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence
+from typing import Sequence
 
 from ..errors import AppError
 
@@ -14,14 +14,6 @@ def require_variant(variant: str, allowed: Sequence[str]) -> str:
     if variant not in allowed:
         raise AppError(f"unknown variant {variant!r}; pick one of {allowed}")
     return variant
-
-
-def chunked(items: Sequence, size: int) -> Iterator[List]:
-    """Split a sequence into chunks of at most ``size`` items."""
-    if size < 1:
-        raise AppError("chunk size must be >= 1")
-    for i in range(0, len(items), size):
-        yield list(items[i:i + size])
 
 
 def join_increment(ctx, cell, arrivals: int) -> bool:

@@ -33,10 +33,6 @@ class GenomeInput:
     segment_len: int
     segments: List[str]          # occurrences, shuffled, with duplicates
 
-    @property
-    def unique_count(self) -> int:
-        return len(set(self.segments))
-
 
 def make_input(genome_len: int = 160, segment_len: int = 12,
                duplication: float = 1.5, seed: int = 9) -> GenomeInput:

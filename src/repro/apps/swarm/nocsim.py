@@ -31,10 +31,6 @@ class NocInput:
     mesh: int
     packets: List[Tuple[int, int, int]]   # (inject cycle, src, dst)
 
-    @property
-    def n_routers(self) -> int:
-        return self.mesh * self.mesh
-
 
 def make_input(mesh: int = 4, n_packets: int = 24, seed: int = 25) -> NocInput:
     rng = random.Random(seed)

@@ -45,9 +45,3 @@ class MeshNoC:
 
     def round_trip(self, src_tile: int, dst_tile: int) -> int:
         return 2 * self._lat[src_tile][dst_tile]
-
-    @property
-    def mean_latency(self) -> float:
-        """Average one-way latency over all tile pairs."""
-        n = self.mesh_dim * self.mesh_dim
-        return sum(sum(row) for row in self._lat) / (n * n)

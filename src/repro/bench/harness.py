@@ -2,7 +2,8 @@
 
 ``run_app`` drives any module following the :mod:`repro.apps` convention on
 a speculative simulator; ``run_serial`` runs the same program on the serial
-reference executor; ``sweep_cores`` produces the paper's scaling curves.
+reference executor; ``sweep_cores`` produces the paper's scaling curves
+as :mod:`repro.farm` jobs.
 """
 
 from __future__ import annotations
@@ -22,10 +23,11 @@ from ..vt import Ordering
 class AppRun:
     """Outcome of one application run.
 
-    ``cached`` marks a run rebuilt from the :mod:`repro.farm` result
-    cache (or executed in a farm worker): its stats are byte-identical
-    to a live run's, but there is no in-process simulator behind it, so
-    :attr:`sim` / :attr:`metrics` / ``handles`` are unavailable.
+    ``cached`` marks a run that went through :mod:`repro.farm` (served
+    from its result cache or executed as a farm job): its stats are
+    byte-identical to a live run's, but there is no in-process simulator
+    behind it, so :attr:`sim` / :attr:`metrics` / ``handles`` are
+    unavailable.
     """
 
     app: str
@@ -46,8 +48,8 @@ class AppRun:
             return self.handles["_sim"]
         except KeyError:
             raise AttributeError(
-                "this AppRun has no live simulator (cache/farm result); "
-                "re-run with the cache bypassed to inspect sim state")
+                "this AppRun has no live simulator (farm result); "
+                "use run_app to inspect sim state")
 
     @property
     def metrics(self):
@@ -62,8 +64,7 @@ def _root_ordering(app, variant: str) -> Ordering:
 
 def run_app(app, inp, variant: str = "fractal", n_cores: int = 4, *,
             config: Optional[SystemConfig] = None, check: bool = True,
-            audit: bool = False, enable_trace: bool = False,
-            max_cycles: Optional[int] = None,
+            audit: bool = False, max_cycles: Optional[int] = None,
             telemetry: Optional[EventBus] = None,
             faults=None, resilience=None,
             crash_dump_dir: Optional[str] = None,
@@ -80,9 +81,8 @@ def run_app(app, inp, variant: str = "fractal", n_cores: int = 4, *,
     cfg = config or SystemConfig.with_cores(n_cores)
     sim = Simulator(cfg, root_ordering=_root_ordering(app, variant),
                     name=f"{app.__name__.rsplit('.', 1)[-1]}-{variant}",
-                    enable_trace=enable_trace, enable_audit=audit,
-                    bus=telemetry, faults=faults, resilience=resilience,
-                    crash_dump_dir=crash_dump_dir)
+                    enable_audit=audit, bus=telemetry, faults=faults,
+                    resilience=resilience, crash_dump_dir=crash_dump_dir)
     handles = app.build(sim, inp, variant=variant, **build_options)
     stats = sim.run(max_cycles=max_cycles)
     if audit and stats.completed:
@@ -109,42 +109,25 @@ def run_serial(app, inp, variant: str = "fractal", *, check: bool = True,
 
 
 def sweep_cores(app, inp, variants: Iterable[str], core_counts: Iterable[int],
-                *, check: bool = True,
-                telemetry: Optional[EventBus] = None,
-                jobs: int = 1, cache=None, farm=None,
+                *, farm=None, check: bool = True,
                 **build_options) -> List[AppRun]:
-    """Run every (variant, core count) pair; returns all runs.
+    """Run every (variant, core count) pair on ``farm``; returns all runs.
 
-    Each run uses the default config for its core count. A ``telemetry``
-    bus is shared by every run in the sweep; subscribers see the
-    concatenated streams.
-
-    With ``jobs > 1``, a ``cache`` (:class:`repro.farm.ResultCache`), or
-    a prebuilt ``farm`` (:class:`repro.farm.Farm`), the sweep is executed
-    as a deterministic parallel job graph instead: results come back in
-    the same order with identical stats, but the returned runs carry no
-    live simulator/handles (``AppRun.cached`` semantics), and the
-    ``telemetry`` bus sees farm-level events rather than per-cycle
-    simulator events (those stay in the workers). Job failures raise
+    Each run uses the default config for its core count. ``farm`` (a
+    :class:`repro.farm.Farm`, default ``Farm()``: inline, no cache) sets
+    the worker count and result cache. Runs come back in sweep order with
+    stats identical to :func:`run_app`'s, but carry no live
+    simulator/handles (``AppRun.cached`` semantics). Job failures raise
     :class:`repro.errors.FarmError` after the whole sweep has been
     attempted.
     """
-    if jobs <= 1 and cache is None and farm is None:
-        runs = []
-        for variant in variants:
-            for n in core_counts:
-                runs.append(run_app(app, inp, variant=variant, n_cores=n,
-                                    check=check,
-                                    telemetry=telemetry, **build_options))
-        return runs
-
     from ..farm import Farm, JobSpec
     specs = [JobSpec(app=app.__name__, variant=variant, n_cores=n,
                      input_obj=inp, check=check,
                      build_options=dict(build_options))
              for variant in variants for n in core_counts]
     if farm is None:
-        farm = Farm(jobs=jobs, cache=cache, bus=telemetry)
+        farm = Farm()
     results = farm.run(specs)
     farm.raise_on_failures(results)
     return [AppRun(app=spec.app, variant=spec.variant, n_cores=res.n_cores,

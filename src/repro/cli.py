@@ -17,11 +17,12 @@ Commands:
 - ``apps`` — list available applications and their variants.
 - ``config`` — print the paper's Table 2 system configuration.
 - ``sweep <app>`` — scaling sweep over core counts with a speedup table
-  and an ASCII chart. ``--jobs N`` fans the sweep out over a
-  :class:`repro.farm.Farm` worker pool; ``--cache`` reuses / populates
-  the content-addressed result cache so repeated sweeps only execute
-  jobs whose digest is missing or stale (``--cache-dir`` relocates it,
-  ``--summary-out`` dumps the farm summary JSON).
+  and an ASCII chart, run as :class:`repro.farm.Farm` jobs (exit 2 when
+  a job fails). ``--jobs N`` fans the sweep out over a worker pool;
+  ``--cache`` reuses / populates the content-addressed result cache so
+  repeated sweeps only execute jobs whose digest is missing or stale
+  (``--cache-dir`` relocates it, ``--summary-out`` dumps the farm
+  summary JSON).
 - ``crash-validate BUNDLE.json ...`` — validate ``repro.crash/1`` crash
   bundles: exit 0 all valid, 1 structurally invalid, 4 unreadable or
   truncated/garbage JSON (field-level messages, never a traceback).
@@ -127,8 +128,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--cores", default="1,4,16",
                          help="comma-separated core counts")
     p_sweep.add_argument("--jobs", type=int, default=1, metavar="N",
-                         help="worker processes for the sweep (repro.farm; "
-                              "default 1 = in-process)")
+                         help="worker processes for the sweep "
+                              "(default 1 = in-process)")
     p_sweep.add_argument("--cache", action="store_true",
                          help="reuse/populate the content-addressed result "
                               "cache; only missing or stale digests run")
@@ -333,12 +334,10 @@ def _cmd_sweep(args) -> int:
     cores = [int(c) for c in args.cores.split(",")]
     inp = app.make_input()
 
-    farm = None
-    if args.jobs > 1 or args.cache or args.timeout or args.summary_out:
-        from .farm import Farm, ResultCache
-        cache = ResultCache(args.cache_dir) if args.cache else None
-        farm = Farm(jobs=args.jobs, cache=cache, timeout_s=args.timeout,
-                    progress=sys.stderr.isatty())
+    from .farm import Farm, ResultCache
+    cache = ResultCache(args.cache_dir) if args.cache else None
+    farm = Farm(jobs=args.jobs, cache=cache, timeout_s=args.timeout,
+                progress=sys.stderr.isatty())
     try:
         runs = sweep_cores(app, inp, variants, cores, farm=farm)
     except FarmError as exc:
@@ -351,18 +350,15 @@ def _cmd_sweep(args) -> int:
     print()
     print(speedup_chart(runs, baseline_variant=variants[0],
                         baseline_cores=cores[0]))
-    if farm is not None:
-        s = farm.summary()
-        print(f"[farm] {s['jobs']} jobs on {s['workers']} workers: "
-              f"{s['cache_hits']} cached, {s['failed']} failed, "
-              f"{s['retries']} retries in {s['wall_s']:.2f}s",
-              file=sys.stderr)
-        if args.summary_out:
-            import json as _json
-            with open(args.summary_out, "w") as f:
-                _json.dump({"schema": "repro.farm-summary/1", **s}, f,
-                           indent=2)
-                f.write("\n")
+    s = farm.summary()
+    print(f"[farm] {s['jobs']} jobs on {s['workers']} workers: "
+          f"{s['cache_hits']} cached, {s['failed']} failed, "
+          f"{s['retries']} retries in {s['wall_s']:.2f}s", file=sys.stderr)
+    if args.summary_out:
+        import json as _json
+        with open(args.summary_out, "w") as f:
+            _json.dump({"schema": "repro.farm-summary/1", **s}, f, indent=2)
+            f.write("\n")
     return 0
 
 

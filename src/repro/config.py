@@ -199,10 +199,3 @@ class SystemConfig:
             f"{self.line_bytes} B lines",
         ]
         return "\n".join(lines)
-
-
-#: Core counts used for the paper's scaling curves (1c ... 256c).
-PAPER_CORE_COUNTS = (1, 4, 16, 64, 256)
-
-#: Smaller sweep used by default in this reproduction's quick benches.
-QUICK_CORE_COUNTS = (1, 4, 16, 64)

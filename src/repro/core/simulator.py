@@ -52,7 +52,6 @@ from ..mem.memory import SpecMemory
 from ..telemetry import events as tev
 from ..telemetry.bus import EventBus, EventRingBuffer
 from ..telemetry.metrics import MetricsRegistry
-from ..telemetry.timeline import TraceBuilder
 from ..vt import FractalVT, Ordering, TiebreakerAllocator
 from ..vt.tiebreaker import WrapAround
 from .api import NeedZoomIn, NeedZoomOut, TaskAborted, TaskContext
@@ -60,7 +59,6 @@ from .domain import Domain
 from .hostbase import AllocAPI
 from .stats import CycleBreakdown, RunStats
 from .task import TaskDesc, TaskState, tid_watermark
-from .trace import Trace
 from .zoom import ZoomController
 
 _FINISH = 0
@@ -90,8 +88,7 @@ class Simulator(AllocAPI):
 
     def __init__(self, config: Optional[SystemConfig] = None, *,
                  root_ordering: Ordering = Ordering.UNORDERED,
-                 name: str = "sim", enable_trace: bool = False,
-                 enable_audit: bool = True,
+                 name: str = "sim", enable_audit: bool = True,
                  bus: Optional[EventBus] = None,
                  faults: Optional[Union[FaultPlan, FaultInjector]] = None,
                  resilience: Optional[ResiliencePolicy] = None,
@@ -203,11 +200,6 @@ class Simulator(AllocAPI):
         self.enable_audit = enable_audit
         self.commit_log: List[TaskDesc] = []
         self._initial_snapshot: Optional[Dict[int, Any]] = None
-        # The ASCII timeline is now just one bus consumer.
-        self.trace: Optional[Trace] = None
-        if enable_trace:
-            self.trace = Trace()
-            self.bus.subscribe(TraceBuilder(self.trace))
         if crash_dump_dir is not None:
             # last-N event ring feeding crash bundles (repro.faults.crashdump)
             self._crash_ring = EventRingBuffer()

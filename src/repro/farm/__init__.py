@@ -13,8 +13,7 @@ result cache"):
 - :class:`Farm` — the ``multiprocessing`` scheduler: worker warm-up,
   bounded in-flight backpressure, watchdog timeouts and retries reusing
   the :mod:`repro.faults` backoff curve, ordered result collection (so
-  tables are byte-identical to serial runs), farm-level events, and a
-  live progress line;
+  tables are byte-identical to serial runs), and a live progress line;
 - :func:`deterministic_shards` / :func:`select_shard` — stable,
   coordination-free partitioning of job sets across machines
   (``benchmarks/run_all.py --shard K/N`` over a shared cache dir);

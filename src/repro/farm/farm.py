@@ -17,10 +17,8 @@ byte-identical to a serial run. On top of the pool it layers:
   job returns partial stats instead of being killed) and parent-side
   retries for crashed/raising jobs using the same exponential
   :func:`repro.faults.backoff_delay` curve, read in milliseconds;
-- telemetry: farm-level events
-  (``job_start``/``job_done``/``cache_hit``/``worker_crash``) are
-  published on the parent's :class:`~repro.telemetry.EventBus`, and an
-  optional single-line live progress display tracks the sweep.
+- an optional single-line live progress display and lifetime
+  :meth:`Farm.summary` counters.
 """
 
 from __future__ import annotations
@@ -34,8 +32,6 @@ from typing import List, Optional, Sequence
 
 from ..errors import FarmError
 from ..faults.resilience import ResiliencePolicy, backoff_delay
-from ..telemetry import (CacheHitEvent, EventBus, JobDoneEvent,
-                         JobStartEvent, WorkerCrashEvent)
 from .cache import ResultCache
 from .job import JobResult, JobSpec, execute_job
 
@@ -60,12 +56,11 @@ class Farm:
     ``jobs <= 1`` executes inline in the parent process (identical code
     path minus the pool), which is both the determinism baseline and the
     debuggable mode; ``jobs > 1`` runs a process pool that lives for one
-    ``run()`` call. ``bus`` defaults to a fresh private instance.
+    ``run()`` call.
     """
 
     def __init__(self, jobs: int = 1, *,
                  cache: Optional[ResultCache] = None,
-                 bus: Optional[EventBus] = None,
                  timeout_s: float = 0.0,
                  progress: bool = False,
                  crash_dump_dir: Optional[str] = None):
@@ -73,7 +68,6 @@ class Farm:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
         self.cache = cache
-        self.bus = bus if bus is not None else EventBus()
         self.timeout_s = timeout_s
         self.progress = progress
         self.crash_dump_dir = str(crash_dump_dir) if crash_dump_dir \
@@ -86,7 +80,6 @@ class Farm:
         self.n_retries = 0
         self.n_worker_crashes = 0
         self.wall_s = 0.0
-        self._t0 = time.monotonic()
         self._progress_tty = hasattr(sys.stderr, "isatty") \
             and sys.stderr.isatty()
         #: seconds between plain-text progress lines on non-TTY stderr
@@ -94,13 +87,6 @@ class Farm:
         self._progress_last = 0.0
 
     # ------------------------------------------------------------------
-    def _now_ms(self) -> int:
-        return int((time.monotonic() - self._t0) * 1000)
-
-    def _emit(self, event) -> None:
-        if self.bus:
-            self.bus.emit(event)
-
     def _with_timeout(self, spec: JobSpec) -> JobSpec:
         """Attach the graceful wall-clock watchdog for ``timeout_s``.
 
@@ -140,17 +126,9 @@ class Farm:
         for i, spec in enumerate(specs):
             hit = self.cache.get(spec.digest()) if self.cache else None
             if hit is not None:
-                cfg_cores = spec.resolved_config().n_cores
-                results[i] = JobResult(
-                    digest=spec.digest(), app=spec.app, variant=spec.variant,
-                    n_cores=cfg_cores, label=spec.display, stats=hit,
-                    cached=True)
+                results[i] = JobResult.for_spec(spec, stats=hit, cached=True)
                 self.n_cache_hits += 1
                 self.n_done += 1
-                self._emit(CacheHitEvent(t=self._now_ms(),
-                                         digest=spec.digest(), app=spec.app,
-                                         variant=spec.variant,
-                                         n_cores=cfg_cores))
             else:
                 pending.append(i)
 
@@ -165,23 +143,23 @@ class Farm:
         return [r for r in results if r is not None]  # all are set
 
     # ------------------------------------------------------------------
-    def _finalize(self, spec: JobSpec, res: JobResult,
-                  results: List[Optional[JobResult]], idx: int) -> None:
+    def _settle(self, specs, idx: int, attempt: int, res: JobResult,
+                queue, results: List[Optional[JobResult]]) -> None:
+        """Queue a failed attempt for a backed-off retry while attempts
+        remain; otherwise record ``res`` as the job's final result."""
+        res.attempts = attempt
+        if res.error is not None and attempt < MAX_ATTEMPTS:
+            self.n_retries += 1
+            delay_s = backoff_delay(RETRY_POLICY, attempt) / 1000.0
+            queue.append((idx, attempt + 1, time.monotonic() + delay_s))
+            return
         results[idx] = res
         self.n_done += 1
         if res.error is not None:
             self.n_failed += 1
         # never cache partial (watchdog-stopped) results
-        elif (self.cache is not None and res.stats is not None
-                and res.stats.completed and not res.cached):
-            self.cache.put(spec, res.stats, wall_s=res.wall_s)
-        self._emit(JobDoneEvent(t=self._now_ms(), digest=res.digest,
-                                ok=res.error is None, cached=res.cached,
-                                wall_ms=int(res.wall_s * 1000),
-                                error=res.error or ""))
-
-    def _retry_delay_s(self, attempt: int) -> float:
-        return backoff_delay(RETRY_POLICY, attempt) / 1000.0
+        elif self.cache is not None and res.stats.completed:
+            self.cache.put(specs[idx], res.stats, wall_s=res.wall_s)
 
     def _dump_worker_crash(self, spec, attempt: int, detail: str) -> None:
         if self.crash_dump_dir is None:
@@ -195,23 +173,12 @@ class Farm:
             pass
 
     def _run_inline(self, specs, pending, results) -> None:
-        for idx in pending:
-            spec = specs[idx]
-            attempt = 1
-            while True:
-                self._emit(JobStartEvent(t=self._now_ms(),
-                                         digest=spec.digest(), app=spec.app,
-                                         variant=spec.variant,
-                                         n_cores=spec.resolved_config().n_cores,
-                                         attempt=attempt))
-                res = execute_job(spec)
-                res.attempts = attempt
-                if res.error is None or attempt >= MAX_ATTEMPTS:
-                    break
-                self.n_retries += 1
-                time.sleep(self._retry_delay_s(attempt))
-                attempt += 1
-            self._finalize(spec, res, results, idx)
+        queue = deque((idx, 1, 0.0) for idx in pending)
+        while queue:
+            idx, attempt, ready_at = queue.popleft()
+            time.sleep(max(0.0, ready_at - time.monotonic()))
+            self._settle(specs, idx, attempt, execute_job(specs[idx]),
+                         queue, results)
             self._progress(len(specs), running=0)
 
     def _run_pool(self, specs, pending, results) -> None:
@@ -227,14 +194,8 @@ class Farm:
                     if ready_at > now:
                         break
                     queue.popleft()
-                    spec = specs[idx]
-                    fut = executor.submit(execute_job, spec)
+                    fut = executor.submit(execute_job, specs[idx])
                     inflight[fut] = (idx, attempt)
-                    self._emit(JobStartEvent(
-                        t=self._now_ms(), digest=spec.digest(), app=spec.app,
-                        variant=spec.variant,
-                        n_cores=spec.resolved_config().n_cores,
-                        attempt=attempt))
                 self._progress(len(specs), running=len(inflight))
                 if not inflight:
                     time.sleep(min(0.05, max(0.0, queue[0][2] - now)))
@@ -245,70 +206,36 @@ class Farm:
                 for fut in done:
                     idx, attempt = inflight.pop(fut)
                     exc = fut.exception()
-                    if exc is not None:
+                    if exc is None:
+                        res = fut.result()
+                    else:
                         # worker died (or spec failed to pickle): the pool
                         # is broken; every in-flight job went down with it
                         crashed = True
                         self.n_worker_crashes += 1
-                        self._emit(WorkerCrashEvent(
-                            t=self._now_ms(), n_inflight=len(inflight) + 1,
-                            detail=f"{type(exc).__name__}: {exc}"))
                         self._dump_worker_crash(
                             specs[idx], attempt,
                             f"{type(exc).__name__}: {exc}")
-                        self._requeue_or_fail(specs, idx, attempt,
-                                              f"worker crash: {exc}",
-                                              queue, results)
-                        continue
-                    res = fut.result()
-                    res.attempts = attempt
-                    if res.error is not None and attempt < MAX_ATTEMPTS:
-                        self.n_retries += 1
-                        queue.append((idx, attempt + 1,
-                                      time.monotonic()
-                                      + self._retry_delay_s(attempt)))
-                    else:
-                        self._finalize(specs[idx], res, results, idx)
+                        res = JobResult.for_spec(
+                            specs[idx], error=f"worker crash: {exc}")
+                    self._settle(specs, idx, attempt, res, queue, results)
                 if crashed:
                     # drain the victims — salvage any future that finished
-                    # cleanly before the pool broke, requeue the rest
-                    for fut, (idx, attempt) in list(inflight.items()):
+                    # cleanly before the pool broke, retry the rest
+                    for fut, (idx, attempt) in inflight.items():
                         if fut.done() and fut.exception() is None:
                             res = fut.result()
-                            res.attempts = attempt
-                            if (res.error is not None
-                                    and attempt < MAX_ATTEMPTS):
-                                self.n_retries += 1
-                                queue.append((idx, attempt + 1,
-                                              time.monotonic()
-                                              + self._retry_delay_s(attempt)))
-                            else:
-                                self._finalize(specs[idx], res, results, idx)
                         else:
-                            self._requeue_or_fail(specs, idx, attempt,
-                                                  "worker pool broke",
-                                                  queue, results)
+                            res = JobResult.for_spec(
+                                specs[idx], error="worker pool broke")
+                        self._settle(specs, idx, attempt, res, queue,
+                                     results)
                     inflight.clear()
                     executor.shutdown(wait=False, cancel_futures=True)
                     executor = self._make_executor()
                 self._progress(len(specs), running=len(inflight))
         finally:
             executor.shutdown(wait=False, cancel_futures=True)
-
-    def _requeue_or_fail(self, specs, idx, attempt, detail, queue,
-                         results) -> None:
-        if attempt < MAX_ATTEMPTS:
-            self.n_retries += 1
-            queue.append((idx, attempt + 1,
-                          time.monotonic() + self._retry_delay_s(attempt)))
-        else:
-            spec = specs[idx]
-            res = JobResult(digest=spec.digest(), app=spec.app,
-                            variant=spec.variant,
-                            n_cores=spec.resolved_config().n_cores,
-                            label=spec.display, error=detail,
-                            attempts=attempt)
-            self._finalize(spec, res, results, idx)
 
     def _make_executor(self) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(

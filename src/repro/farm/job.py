@@ -186,6 +186,13 @@ class JobResult:
     error: Optional[str] = None
     traceback: Optional[str] = None
 
+    @classmethod
+    def for_spec(cls, spec: JobSpec, **outcome) -> "JobResult":
+        """The result of ``spec`` with its provenance fields filled in."""
+        return cls(digest=spec.digest(), app=spec.app, variant=spec.variant,
+                   n_cores=spec.resolved_config().n_cores,
+                   label=spec.display, **outcome)
+
     @property
     def ok(self) -> bool:
         """True when the job produced stats (possibly partial) without
@@ -204,8 +211,6 @@ def execute_job(spec: JobSpec) -> JobResult:
     from ..bench.harness import run_app
 
     t0 = time.perf_counter()
-    base = dict(digest=spec.digest(), app=spec.app, variant=spec.variant,
-                n_cores=spec.resolved_config().n_cores, label=spec.display)
     try:
         app = importlib.import_module(spec.app)
         inp = spec.input_obj
@@ -217,11 +222,11 @@ def execute_job(spec: JobSpec) -> JobResult:
                       max_cycles=spec.max_cycles,
                       faults=spec.fault_plan, resilience=spec.resilience,
                       **spec.build_options)
-        return JobResult(stats=run.stats,
-                         wall_s=time.perf_counter() - t0, **base)
+        return JobResult.for_spec(spec, stats=run.stats,
+                                  wall_s=time.perf_counter() - t0)
     except ConfigError:
         raise                     # caller bug, not a transient failure
     except Exception as exc:
-        return JobResult(error=f"{type(exc).__name__}: {exc}",
-                         traceback=traceback.format_exc(),
-                         wall_s=time.perf_counter() - t0, **base)
+        return JobResult.for_spec(spec, error=f"{type(exc).__name__}: {exc}",
+                                  traceback=traceback.format_exc(),
+                                  wall_s=time.perf_counter() - t0)

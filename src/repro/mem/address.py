@@ -76,11 +76,6 @@ class AddressSpace:
         except KeyError:
             raise MemoryError_(f"unknown region {name!r}") from None
 
-    @property
-    def words_allocated(self) -> int:
-        """High-water mark of allocated words."""
-        return self._next
-
     # --- mappings used by conflict detection and the cache model --------
     def line_of(self, addr: int) -> int:
         """Cache-line id of a word address."""

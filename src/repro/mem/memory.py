@@ -214,7 +214,8 @@ class SpecMemory:
     def committed_snapshot(self) -> Dict[int, Any]:
         """Memory contents with all live speculative writes undone.
 
-        Used by the auditor; O(words written speculatively).
+        O(words written speculatively). Not on the audit path: the
+        auditor replays from the simulator's start-of-run snapshot.
         """
         snap = dict(self._values)
         for addr, chain in self._word_writers.items():

@@ -149,10 +149,6 @@ class SpecForOutcome:
     reserve_failures: int  # carried iteration-rounds (lost reservations)
     rounds: List[RoundRecord] = field(default_factory=list)
 
-    @property
-    def n_rounds(self) -> int:
-        return len(self.rounds)
-
 
 def speculative_for(step, n: int, *, policy: Optional[SpecForPolicy] = None,
                     ctx=None,

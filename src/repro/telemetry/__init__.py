@@ -13,7 +13,8 @@ Three layers (see README "Observability"):
 - exporters — JSONL event logs, Chrome/Perfetto ``trace_event`` JSON,
   metrics-JSON snapshots — plus derived analyses (abort cascades,
   conflict hot addresses, per-depth abort ratios) and the ASCII timeline
-  rebuilt as a bus consumer.
+  (:func:`repro.telemetry.timeline.render_timeline`) drawn from recorded
+  events.
 """
 
 from .bus import EventBus, EventRecorder, EventRingBuffer
@@ -21,7 +22,6 @@ from .events import (
     EVENT_SCHEMA,
     EVENT_TYPES,
     AbortEvent,
-    CacheHitEvent,
     CommitEvent,
     ConflictEvent,
     DispatchEvent,
@@ -31,8 +31,6 @@ from .events import (
     FaultInjectedEvent,
     FinishEvent,
     GvtTickEvent,
-    JobDoneEvent,
-    JobStartEvent,
     LivelockThrottleEvent,
     QueuePressureEvent,
     RetryBackoffEvent,
@@ -42,7 +40,6 @@ from .events import (
     SpillEvent,
     SquashEvent,
     WatchdogEvent,
-    WorkerCrashEvent,
     WraparoundEvent,
     ZoomEvent,
     event_from_dict,
@@ -76,7 +73,6 @@ __all__ = [
     "EVENT_TYPES",
     "PROFILE_SCHEMA",
     "AbortEvent",
-    "CacheHitEvent",
     "CommitEvent",
     "ConflictEvent",
     "Counter",
@@ -92,8 +88,6 @@ __all__ = [
     "Gauge",
     "GvtTickEvent",
     "Histogram",
-    "JobDoneEvent",
-    "JobStartEvent",
     "JsonlExporter",
     "LivelockThrottleEvent",
     "MetricsRegistry",
@@ -106,7 +100,6 @@ __all__ = [
     "SquashEvent",
     "ValidationError",
     "WatchdogEvent",
-    "WorkerCrashEvent",
     "WraparoundEvent",
     "ZoomEvent",
     "collect_profile",

@@ -286,64 +286,9 @@ class WatchdogEvent(Event):
 
     KIND: ClassVar[str] = "watchdog_fire"
 
-    limit_kind: str      # "max_cycles" | "wall_clock"
+    limit_kind: str      # "max_cycles" | "max_wall_seconds"
     limit: float
     n_live: int
-
-
-# --- farm events (repro.farm) -----------------------------------------
-# For these, ``t`` is milliseconds since the farm started (wall clock),
-# not a simulated cycle — farm events describe the experiment harness,
-# not the simulated machine.
-
-
-@dataclass
-class JobStartEvent(Event):
-    """The farm submitted one attempt of a job to a worker."""
-
-    KIND: ClassVar[str] = "job_start"
-
-    digest: str
-    app: str
-    variant: str
-    n_cores: int
-    attempt: int
-
-
-@dataclass
-class JobDoneEvent(Event):
-    """A job finished (or exhausted its retries); ``error`` is "" on
-    success."""
-
-    KIND: ClassVar[str] = "job_done"
-
-    digest: str
-    ok: bool
-    cached: bool
-    wall_ms: int
-    error: str
-
-
-@dataclass
-class CacheHitEvent(Event):
-    """A job was satisfied from the result cache without executing."""
-
-    KIND: ClassVar[str] = "cache_hit"
-
-    digest: str
-    app: str
-    variant: str
-    n_cores: int
-
-
-@dataclass
-class WorkerCrashEvent(Event):
-    """A farm worker process died; its in-flight jobs were requeued."""
-
-    KIND: ClassVar[str] = "worker_crash"
-
-    n_inflight: int
-    detail: str
 
 
 # --- speculative-for events (repro.specfor) ---------------------------
@@ -396,8 +341,7 @@ EVENT_TYPES: Dict[str, Type[Event]] = {
                 FaultInjectedEvent, RetryBackoffEvent,
                 LivelockThrottleEvent, SafeModeEnterEvent,
                 SafeModeExitEvent, QueuePressureEvent, WatchdogEvent,
-                JobStartEvent, JobDoneEvent, CacheHitEvent,
-                WorkerCrashEvent, SpecForRoundEvent)
+                SpecForRoundEvent)
 }
 
 #: kind -> required field names (the JSONL schema)

@@ -1,7 +1,8 @@
 """Parallel sweeps must be indistinguishable from serial ones.
 
-Same seed, same specs: ``sweep_cores(..., jobs=4)`` has to produce the
-same RunStats digests *and* the same rendered table text as ``jobs=1``,
+Same seed, same specs: ``sweep_cores(..., farm=Farm(jobs=4))`` has to
+produce the same RunStats digests *and* the same rendered table text as
+the default inline farm,
 for more than one application — the determinism contract behind every
 farm-produced figure.
 """
@@ -11,7 +12,7 @@ import pytest
 from repro.apps import mis, msf
 from repro.bench.harness import sweep_cores
 from repro.bench.report import speedup_table
-from repro.farm import stable_digest
+from repro.farm import Farm, stable_digest
 
 CORES = (1, 4)
 
@@ -28,7 +29,7 @@ def test_parallel_sweep_matches_serial(app, variants, input_kwargs):
     inp = app.make_input(**input_kwargs)
     serial = sweep_cores(app, inp, variants, CORES)
     parallel = sweep_cores(app, app.make_input(**input_kwargs),
-                           variants, CORES, jobs=4)
+                           variants, CORES, farm=Farm(jobs=4))
     assert digests(serial) == digests(parallel)
     # the rendered artifact must be byte-identical, not just "equal stats"
     table_s = speedup_table(serial, baseline_variant=variants[0])

@@ -145,11 +145,17 @@ class TestExecution:
 
     def test_run_bench_reports_cache_stats(self, fake_benches, tmp_path,
                                            monkeypatch):
+        # the same run twice: the first executes, the second is a hit
         (tmp_path / "bench_counts.py").write_text(
-            "import _common\n"
-            "_common._CACHE_STATS['hits'] += 2\n"
-            "_common._CACHE_STATS['misses'] += 1\n")
-        monkeypatch.syspath_prepend(str(tmp_path))
+            "from _common import run_once\n"
+            "from tests.farm import _fakeapp\n"
+            "for _ in range(2):\n"
+            "    run_once(_fakeapp, _fakeapp.make_input(n_tasks=4),\n"
+            "             'fractal', 2)\n")
+        monkeypatch.setenv("REPRO_BENCH_CACHE", "1")
+        monkeypatch.setenv("REPRO_BENCH_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.setattr(importlib.import_module("_common"), "_CACHE",
+                            None)
         rec = fake_benches.run_bench("bench_counts")
         assert rec["error"] is None
-        assert rec["cache"] == {"hits": 2, "misses": 1}
+        assert rec["cache"] == {"hits": 1, "misses": 1}

@@ -1,18 +1,20 @@
-"""Miscellaneous behaviour tests: audit switches, traces, high-level
+"""Miscellaneous behaviour tests: audit switches, timelines, high-level
 misuse, and representation helpers."""
 
 import pytest
 
 from repro import Ordering, Simulator, SystemConfig, forall
 from repro.errors import DomainError, SimulationError
+from repro.telemetry import EventBus, EventRecorder
+from repro.telemetry.timeline import render_timeline
 
 
 def make_sim(**kw):
     kw.setdefault("conflict_mode", "precise")
     enable_audit = kw.pop("enable_audit", True)
-    enable_trace = kw.pop("enable_trace", False)
+    bus = kw.pop("bus", None)
     return Simulator(SystemConfig.with_cores(4, **kw),
-                     enable_audit=enable_audit, enable_trace=enable_trace)
+                     enable_audit=enable_audit, bus=bus)
 
 
 class TestAuditSwitch:
@@ -33,7 +35,9 @@ class TestAuditSwitch:
 
 class TestTraceSwitch:
     def test_trace_records_committed_and_aborted(self):
-        sim = make_sim(enable_trace=True)
+        bus = EventBus()
+        rec = bus.subscribe(EventRecorder(("commit", "abort")))
+        sim = make_sim(bus=bus)
         cell = sim.cell("c", 0)
 
         def t(ctx):
@@ -43,14 +47,17 @@ class TestTraceSwitch:
         for _ in range(12):
             sim.enqueue_root(t)
         stats = sim.run(max_cycles=10_000_000)
-        outcomes = {s.outcome for s in sim.trace.segments}
-        assert "committed" in outcomes
+        glyphs = "".join(line.split("|")[1] for line in
+                         render_timeline(rec, n_cores=4).splitlines()[1:])
+        assert len(rec.of("commit")) == stats.tasks_committed == 12
+        assert "t" in glyphs
         if stats.tasks_aborted:
-            assert "aborted" in outcomes
+            assert "x" in glyphs
 
     def test_trace_disabled_by_default(self):
+        # no subscriber: the bus stays off and no event is ever built
         sim = make_sim()
-        assert sim.trace is None
+        assert not sim.bus
 
 
 class TestHighLevelMisuse:

@@ -1,12 +1,13 @@
-"""Tests for traces, the auditor, and run statistics."""
+"""Tests for timelines, the auditor, and run statistics."""
 
 import pytest
 
 from repro import Simulator, SystemConfig
 from repro.core.audit import audit_serializability
 from repro.core.stats import CycleBreakdown, RunStats
-from repro.core.trace import Trace, render_timeline
 from repro.errors import SerializabilityViolation
+from repro.telemetry.events import AbortEvent, CommitEvent
+from repro.telemetry.timeline import render_timeline
 
 
 class _Committed:
@@ -60,30 +61,35 @@ class TestAuditor:
         sim.audit()
 
 
+def _commit(core, start, end, label):
+    return CommitEvent(end, 0, label, core=core, start=start,
+                       duration=end - start, depth=0)
+
+
 class TestTrace:
     def test_records_segments(self):
-        trace = Trace()
-        trace.record(0, 10, 20, "work", "committed")
-        trace.record(0, 10, 10, "empty", "committed")  # zero-length dropped
-        assert len(trace) == 1
+        events = [_commit(0, 10, 20, "work"),
+                  _commit(0, 10, 10, "empty")]  # zero-length dropped
+        out = render_timeline(events, n_cores=1, width=10)
+        assert out.splitlines()[1] == "Core 0   |" + "w" * 10 + "|"
 
     def test_render_shows_rows_per_core(self):
-        trace = Trace()
-        trace.record(0, 0, 50, "alpha", "committed")
-        trace.record(1, 25, 75, "beta", "aborted")
-        out = render_timeline(trace, n_cores=2, width=40)
+        events = [_commit(0, 0, 50, "alpha"),
+                  AbortEvent(75, 1, "beta", core=1, start=25, executed=50,
+                             reason="write conflict", parked=False,
+                             cascade=-1, hop=-1)]
+        out = render_timeline(events, n_cores=2, width=40)
         lines = out.splitlines()
         assert len(lines) == 3  # header + 2 cores
         assert "a" in lines[1]
         assert "x" in lines[2]  # aborted glyph
 
     def test_render_empty(self):
-        assert "empty" in render_timeline(Trace(), n_cores=2)
+        assert "empty" in render_timeline([], n_cores=2)
 
     def test_glyph_override(self):
-        trace = Trace()
-        trace.record(0, 0, 10, "task", "committed")
-        out = render_timeline(trace, n_cores=1, glyphs={"task": "#"})
+        out = render_timeline([_commit(0, 0, 10, "task")], n_cores=1,
+                              glyphs={"task": "#"})
         assert "#" in out
 
 

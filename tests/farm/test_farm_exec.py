@@ -10,7 +10,6 @@ import pytest
 from repro.errors import FarmError
 from repro.farm import (Farm, JobSpec, ResultCache, select_shard,
                         stable_digest)
-from repro.telemetry import EventBus, EventRecorder
 
 FAKEAPP = "tests.farm._fakeapp"
 
@@ -84,16 +83,6 @@ class TestCacheIntegration:
         assert warm.summary()["cache_hits"] == 3
         assert stats_digests(first) == stats_digests(second)
 
-    def test_cache_hit_emits_event(self, tmp_path):
-        cache = ResultCache(tmp_path, fingerprint="t1")
-        Farm(jobs=1, cache=cache).run(specs_for(counts=(4,)))
-        bus = EventBus()
-        rec = bus.subscribe(EventRecorder())
-        Farm(jobs=1, cache=cache, bus=bus).run(specs_for(counts=(4,)))
-        kinds = [e.kind for e in rec.events]
-        assert "cache_hit" in kinds
-        assert "job_start" not in kinds
-
     def test_timeout_partial_result_not_cached(self, tmp_path):
         cache = ResultCache(tmp_path, fingerprint="t1")
         spec = JobSpec(app=FAKEAPP, variant="fractal", n_cores=1,
@@ -117,15 +106,6 @@ class TestPool:
         assert [r.label for r in pooled] == [r.label for r in inline]
         assert stats_digests(pooled) == stats_digests(inline)
 
-    def test_events_per_job(self):
-        bus = EventBus()
-        rec = bus.subscribe(EventRecorder())
-        Farm(jobs=2, bus=bus).run(specs_for())
-        starts = [e for e in rec.events if e.kind == "job_start"]
-        dones = [e for e in rec.events if e.kind == "job_done"]
-        assert len(starts) == 3 and len(dones) == 3
-        assert all(d.ok for d in dones)
-
     def test_pool_retry(self, tmp_path):
         specs = specs_for(counts=(4, 6))
         specs.append(JobSpec(app=FAKEAPP, variant="fractal", n_cores=2,
@@ -138,19 +118,16 @@ class TestPool:
         assert farm.summary()["retries"] == 1
 
     def test_worker_crash_recovery(self, tmp_path):
-        bus = EventBus()
-        rec = bus.subscribe(EventRecorder())
         specs = specs_for(counts=(4, 6))
         specs.append(JobSpec(app=FAKEAPP, variant="fractal", n_cores=2,
                              input_kwargs={"n_tasks": 4, "crash_times": 1,
                                            "scratch": str(tmp_path / "s")},
                              label="crasher"))
-        farm = Farm(jobs=2, bus=bus)
+        farm = Farm(jobs=2)
         results = farm.run(specs)
         assert [r.label for r in results][:2] == ["fake-4", "fake-6"]
         assert all(r.ok for r in results)
         assert farm.summary()["worker_crashes"] >= 1
-        assert any(e.kind == "worker_crash" for e in rec.events)
 
     def test_crash_exhausts_attempts(self, tmp_path):
         spec = JobSpec(app=FAKEAPP, variant="fractal", n_cores=2,
@@ -172,7 +149,8 @@ class TestSweepCores:
 
         inp = zoomtree.make_input(fanout=2, depth=3)
         serial = sweep_cores(zoomtree, inp, ["fractal"], [1, 2])
-        parallel = sweep_cores(zoomtree, inp, ["fractal"], [1, 2], jobs=2)
+        parallel = sweep_cores(zoomtree, inp, ["fractal"], [1, 2],
+                               farm=Farm(jobs=2))
         assert stats_digests(serial) == stats_digests(parallel)
         assert all(r.cached for r in parallel)  # no live simulator
         with pytest.raises(AttributeError):

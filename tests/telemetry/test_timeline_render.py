@@ -1,14 +1,23 @@
 """Edge-case tests for the ASCII timeline renderer (paper Fig. 1 style).
 
-The trace these tests render is exactly what the telemetry
-:class:`~repro.telemetry.timeline.TraceBuilder` produces from the event
-stream, so the cases cover both the renderer and the builder.
+The renderer draws recorded ``commit``/``abort`` events, so the cases
+cover both which events become segments and how segments are drawn.
 """
 
-from repro.core.trace import Trace, render_timeline
-from repro.telemetry import EventBus
-from repro.telemetry.events import AbortEvent, CommitEvent
-from repro.telemetry.timeline import TraceBuilder
+from repro.telemetry.events import (AbortEvent, CommitEvent, DispatchEvent,
+                                     FinishEvent)
+from repro.telemetry.timeline import render_timeline
+
+
+def commit(core, start, end, label):
+    return CommitEvent(end, 0, label, core=core, start=start,
+                       duration=end - start, depth=0)
+
+
+def abort(core, start, end, label, *, parked=False):
+    return AbortEvent(end, 0, label, core=core, start=start,
+                      executed=end - start, reason="write conflict",
+                      parked=parked, cascade=-1, hop=-1)
 
 
 def _rows(text):
@@ -18,36 +27,28 @@ def _rows(text):
 
 class TestRenderTimeline:
     def test_empty_trace(self):
-        assert render_timeline(Trace(), n_cores=4) == "(empty trace)"
+        assert render_timeline([], n_cores=4) == "(empty trace)"
 
     def test_single_cycle_segment_gets_one_column(self):
         # sub-column segments are clamped to >= 1 glyph instead of vanishing
-        trace = Trace()
-        trace.record(0, 0, 100, "a", "committed")
-        trace.record(0, 100, 101, "b", "committed")
-        out = render_timeline(trace, n_cores=1, width=10)
+        events = [commit(0, 0, 100, "a"), commit(0, 100, 101, "b")]
+        out = render_timeline(events, n_cores=1, width=10)
         row = _rows(out)[0]
         assert row.count("b") == 1
         assert len(row) == 10
 
     def test_lone_single_cycle_segment_fills_width(self):
-        trace = Trace()
-        trace.record(0, 5, 6, "a", "committed")
-        out = render_timeline(trace, n_cores=1, width=10)
+        out = render_timeline([commit(0, 5, 6, "a")], n_cores=1, width=10)
         assert _rows(out)[0] == "a" * 10
 
     def test_zero_length_segments_are_dropped_on_record(self):
-        trace = Trace()
-        trace.record(0, 5, 5, "a", "committed")
-        assert len(trace) == 0
-        assert render_timeline(trace, n_cores=1) == "(empty trace)"
+        events = [commit(0, 5, 5, "a"), abort(0, 7, 7, "b")]
+        assert render_timeline(events, n_cores=1) == "(empty trace)"
 
     def test_window_clipping(self):
-        trace = Trace()
-        trace.record(0, 0, 10, "a", "committed")
-        trace.record(0, 90, 100, "b", "committed")
-        trace.record(0, 45, 55, "c", "committed")
-        out = render_timeline(trace, n_cores=1, width=10, t0=40, t1=60)
+        events = [commit(0, 0, 10, "a"), commit(0, 90, 100, "b"),
+                  commit(0, 45, 55, "c")]
+        out = render_timeline(events, n_cores=1, width=10, t0=40, t1=60)
         row = _rows(out)[0]
         # only the in-window segment renders; the others are clipped away
         assert "c" in row
@@ -55,16 +56,13 @@ class TestRenderTimeline:
         assert "time 40 .. 60" in out.splitlines()[0]
 
     def test_segment_straddling_window_edge_is_clamped(self):
-        trace = Trace()
-        trace.record(0, 0, 100, "a", "committed")
-        out = render_timeline(trace, n_cores=1, width=10, t0=50, t1=60)
+        out = render_timeline([commit(0, 0, 100, "a")], n_cores=1, width=10,
+                              t0=50, t1=60)
         assert _rows(out)[0] == "a" * 10
 
     def test_custom_glyph_map(self):
-        trace = Trace()
-        trace.record(0, 0, 10, "relabel", "committed")
-        trace.record(0, 10, 20, "push", "committed")
-        out = render_timeline(trace, n_cores=1, width=20,
+        events = [commit(0, 0, 10, "relabel"), commit(0, 10, 20, "push")]
+        out = render_timeline(events, n_cores=1, width=20,
                               glyphs={"relabel": "G"})
         row = _rows(out)[0]
         assert "G" in row          # mapped label
@@ -72,46 +70,39 @@ class TestRenderTimeline:
         assert "r" not in row
 
     def test_aborted_marks_x_regardless_of_glyphs(self):
-        trace = Trace()
-        trace.record(0, 0, 10, "task", "aborted")
-        out = render_timeline(trace, n_cores=1, width=10,
-                              glyphs={"task": "T"})
+        out = render_timeline([abort(0, 0, 10, "task")], n_cores=1,
+                              width=10, glyphs={"task": "T"})
         assert _rows(out)[0] == "x" * 10
 
     def test_idle_cores_render_blank_rows(self):
-        trace = Trace()
-        trace.record(0, 0, 10, "a", "committed")
-        out = render_timeline(trace, n_cores=3, width=10)
+        out = render_timeline([commit(0, 0, 10, "a")], n_cores=3, width=10)
         rows = _rows(out)
         assert rows[1] == " " * 10
         assert rows[2] == " " * 10
 
 
 class TestTraceBuilder:
+    """Which recorded events become timeline segments."""
+
     def test_builds_trace_from_commit_and_abort_events(self):
-        trace = Trace()
-        bus = EventBus()
-        bus.subscribe(TraceBuilder(trace))
-        bus.emit(CommitEvent(40, 1, "work", core=0, start=10, duration=30,
-                             depth=1))
-        bus.emit(AbortEvent(55, 2, "work", core=1, start=20, executed=35,
-                            reason="write conflict", parked=False,
-                            cascade=1, hop=0))
-        assert len(trace) == 2
-        seg = trace.segments[0]
-        assert (seg.core, seg.start, seg.end, seg.outcome) == \
-            (0, 10, 40, "committed")
-        seg = trace.segments[1]
-        assert (seg.core, seg.start, seg.end, seg.outcome) == \
-            (1, 20, 55, "aborted")
+        out = render_timeline([commit(0, 10, 40, "work"),
+                               abort(1, 20, 55, "work")],
+                              n_cores=2, width=45)
+        assert out.splitlines()[0].startswith("time 10 .. 55 cycles")
+        rows = _rows(out)
+        assert rows[0] == "w" * 30 + " " * 15
+        assert rows[1] == " " * 10 + "x" * 35
 
     def test_parked_and_coreless_aborts_are_skipped(self):
-        trace = Trace()
-        bus = EventBus()
-        bus.subscribe(TraceBuilder(trace))
-        bus.emit(AbortEvent(55, 2, "work", core=1, start=20, executed=35,
-                            reason="zoom-in park", parked=True,
-                            cascade=-1, hop=0))
-        bus.emit(AbortEvent(60, 3, "work", core=None, start=0, executed=0,
-                            reason="squash", parked=False, cascade=2, hop=1))
-        assert len(trace) == 0
+        events = [abort(1, 20, 55, "work", parked=True),
+                  AbortEvent(60, 3, "work", core=None, start=20, executed=40,
+                             reason="squash", parked=False, cascade=2,
+                             hop=1)]
+        assert render_timeline(events, n_cores=2) == "(empty trace)"
+
+    def test_other_event_kinds_are_ignored(self):
+        events = [DispatchEvent(0, 1, "a", core=0, tile=0, attempt=1),
+                  commit(0, 0, 10, "a"),
+                  FinishEvent(10, 1, core=0, cycles=10)]
+        assert (render_timeline(events, n_cores=1)
+                == render_timeline(events[1:2], n_cores=1))
