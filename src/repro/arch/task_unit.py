@@ -4,19 +4,23 @@ The task queue holds pending (not yet dispatched) task descriptors ordered
 by fractal VT; the commit queue holds the speculative state of finished
 tasks awaiting commit. Together they form a task-level reorder buffer.
 
-The pending queue is a lazy-deletion binary heap: squashes, spills and VT
-rewrites (zooming, tiebreaker compaction) invalidate entries in place via a
-per-enqueue token, and :meth:`rebuild` re-keys everything after a global VT
-rewrite.
+The pending queue is one lazy-deletion binary heap of
+``(key, seq, token, task)``: the lowest key pops first, FIFO ``seq``
+order breaks ties. Squashes, spills and VT rewrites (zooming, tiebreaker
+compaction) invalidate entries in place via a per-enqueue token, and
+:meth:`rebuild` re-keys everything after a global VT rewrite. The heap is
+the only copy of the queue: the scheduler's stripped-key query, asked
+only while a splitter waits on the tile, reads the same entries. Spill
+victim selection and rebuilds walk the heap in storage order, so that
+order is part of what a run produces.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import SimulationError
-from .frontier import StrippedIndex
 
 
 class TaskUnit:
@@ -27,11 +31,6 @@ class TaskUnit:
         self.task_queue_cap = task_queue_cap
         self.commit_queue_cap = commit_queue_cap
         self._heap: List[Tuple[tuple, int, int, object]] = []  # (key, seq, token, task)
-        # Mirror of the live entries keyed on stripped VT prefixes, so the
-        # scheduler's "earliest pending under the stripped transform" query
-        # stops scanning the whole queue. Shares the queue_token discipline:
-        # every enqueue/remove/pop bump invalidates both structures at once.
-        self._stripped_idx = StrippedIndex("queue_token")
         self._seq = 0
         #: exact number of live pending tasks in this queue
         self.pending_count = 0
@@ -42,6 +41,10 @@ class TaskUnit:
         # stats
         self.peak_pending = 0
         self.peak_commit = 0
+        #: profile counters for :meth:`peek_min_stripped`: heap entries
+        #: examined and queries answered
+        self.scan_steps = 0
+        self.queries = 0
 
     # ------------------------------------------------------------------
     # pending (task queue)
@@ -53,7 +56,6 @@ class TaskUnit:
         self._seq += 1
         heapq.heappush(self._heap,
                        (task.order_key, self._seq, task.queue_token, task))
-        self._stripped_idx.push(task)
         self.pending_count += 1
         if self.pending_count > self.peak_pending:
             self.peak_pending = self.pending_count
@@ -69,11 +71,9 @@ class TaskUnit:
         """Dequeue the lowest-VT live pending task, skipping stale entries."""
         heap = self._heap
         while heap:
-            key, seq, token, task = heap[0]
+            key, seq, token, task = heapq.heappop(heap)
             if token != task.queue_token:
-                heapq.heappop(heap)
                 continue
-            heapq.heappop(heap)
             task.queue_token += 1
             self.pending_count -= 1
             return task
@@ -93,24 +93,38 @@ class TaskUnit:
     def peek_min_stripped(self, now_lb: int) -> Optional[tuple]:
         """Lowest live pending key under the stripped transform with
         ``now_lb`` as the dynamic final tiebreaker, or None when empty.
-        Equals ``min(stripped(t.order_key) for t in live_pending())``."""
-        return self._stripped_idx.min_candidate(now_lb)
+        Equals ``min(stripped(t.order_key) for t in live_pending())``.
+
+        Stripped keys of different lengths reorder as ``now_lb`` grows
+        (see :mod:`repro.arch.frontier`), but within one key length the
+        smallest key has the smallest prefix. So one pass keeps the
+        smallest live key per length and splices ``now_lb`` onto each.
+        The scan leaves the heap untouched: its storage order is
+        observable (:meth:`live_pending`).
+        """
+        self.queries += 1
+        heap = self._heap
+        self.scan_steps += len(heap)
+        mins: Dict[int, tuple] = {}
+        for key, seq, token, task in heap:
+            if token == task.queue_token:
+                low = mins.get(len(key))
+                if low is None or key < low:
+                    mins[len(key)] = key
+        return min((key[:-1] + (now_lb,) for key in mins.values()),
+                   default=None)
 
     def live_pending(self) -> List[object]:
-        """All live pending tasks (O(queue); used by spills and rebuilds)."""
-        seen = set()
-        out = []
-        for key, seq, token, task in self._heap:
-            if token == task.queue_token and id(task) not in seen:
-                seen.add(id(task))
-                out.append(task)
-        return out
+        """All live pending tasks in heap storage order (O(queue); used by
+        spills and rebuilds). The token discipline leaves at most one live
+        entry per task."""
+        return [task for key, seq, token, task in self._heap
+                if token == task.queue_token]
 
     def rebuild(self) -> None:
         """Re-key every live entry after a global VT rewrite."""
         tasks = self.live_pending()
         self._heap.clear()
-        self._stripped_idx.clear()
         self.pending_count = 0
         for task in tasks:
             self.enqueue(task)

@@ -741,8 +741,12 @@ class Simulator(AllocAPI):
         self._m_cycles["committed"][core.cid].value += task.duration
         self._task_counter("committed", depth).value += 1
         self._m_task_len.observe(task.duration)
+        # the attempt is final: free what only an abort could still need
+        task.children = None
         if self.enable_audit:
             self.commit_log.append(task)
+        else:
+            task.reads = task.writes = None
         if self._ebus is not None:
             self._ebus.emit(tev.CommitEvent(
                 self.now, task.tid, task.label, core.cid,

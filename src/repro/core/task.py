@@ -6,6 +6,14 @@ reused across re-executions (attempts) after aborts; all speculative state
 (undo log, read/write sets, dependences — installed by
 :meth:`repro.mem.memory.SpecMemory.attach_owner`) is per-attempt.
 
+That state is released when the attempt ends, as hardware frees task- and
+commit-queue entries: at commit or rollback, ``SpecMemory`` drops the undo
+log, the read/write line sets and the Bloom signatures and points
+``deps`` / ``dependents`` at one shared empty set. At commit the simulator
+also drops ``children`` and, unless the run is audited, the ``reads`` /
+``writes`` records the serializability audit replays. So a run holds
+memory for its live tasks, not for every task it ever created.
+
 State machine::
 
     PENDING -> RUNNING -> {FINISHED | FINISH_STALLED -> FINISHED} -> COMMITTED
@@ -22,6 +30,7 @@ from __future__ import annotations
 import enum
 from typing import Any, Callable, List, Optional, Tuple
 
+from ..mem.memory import NO_EDGES
 from ..vt import FractalVT
 from .domain import Domain
 
@@ -118,9 +127,8 @@ class TaskDesc:
         self.commit_seq = -1
         # Dependence edges exist even before the first dispatch (the abort
         # cascade walks children's dependents); SpecMemory.attach_owner
-        # resets them per attempt.
-        self.deps = set()
-        self.dependents = set()
+        # installs fresh sets per attempt.
+        self.deps = self.dependents = NO_EDGES
 
     # ------------------------------------------------------------------
     @property

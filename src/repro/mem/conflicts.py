@@ -59,7 +59,7 @@ class ConflictPolicy:
         raise NotImplementedError
 
     def unregister(self, owner) -> None:
-        """Called at commit or abort."""
+        """Called at commit or abort; releases ``owner``'s signatures."""
         raise NotImplementedError
 
     def note_access(self, owner, line: int, is_write: bool) -> None:
@@ -146,6 +146,9 @@ class BloomConflictModel(ConflictPolicy):
             self._fp_sum -= owner._fp_cached
             if self._fp_sum < 0:
                 self._fp_sum = 0.0
+        # the attempt is over: its signatures go with it
+        owner.sig_read = None
+        owner.sig_write = None
 
     def note_access(self, owner, line: int, is_write: bool) -> None:
         sig = owner.sig_write if is_write else owner.sig_read

@@ -48,6 +48,10 @@ from .address import AddressSpace
 from .conflicts import ConflictPolicy, PreciseConflictModel
 from .undo_log import UndoLog
 
+#: the ``deps`` / ``dependents`` of an owner with no attempt in flight:
+#: one shared empty set, so ended attempts allocate nothing
+NO_EDGES: frozenset = frozenset()
+
 
 class OwnerProtocol:
     """What :class:`SpecMemory` requires of a speculative owner.
@@ -57,6 +61,12 @@ class OwnerProtocol:
     - ``undo`` (:class:`UndoLog`), ``reads`` / ``writes`` (addr→value, for
       the serializability audit), ``read_lines`` / ``write_lines`` (sets),
       ``deps`` / ``dependents`` (owner sets), ``sig_read`` / ``sig_write``.
+
+    They live exactly as long as the attempt. When it ends, at commit or
+    at rollback, ``undo``, ``read_lines``, ``write_lines``, ``sig_read``
+    and ``sig_write`` become None and ``deps`` / ``dependents`` become
+    the shared empty :data:`NO_EDGES`. ``reads`` / ``writes`` survive:
+    the simulator drops them at commit unless the run is audited.
 
     What the owner class must provide:
 
@@ -472,7 +482,8 @@ class SpecMemory:
         self._scrub(owner)
 
     def _scrub(self, owner) -> None:
-        """Remove ``owner`` from the line indices (commit and abort paths).
+        """Remove ``owner`` from the line indices and release its
+        per-attempt state (commit and abort paths).
 
         Strict: an owner whose footprint sets name a line it is not
         actually indexed under means the bookkeeping is corrupted —
@@ -503,8 +514,9 @@ class SpecMemory:
             dep.dependents.discard(owner)
         for dependent in owner.dependents:
             dependent.deps.discard(owner)
-        owner.deps = set()
-        owner.dependents = set()
+        # the attempt is over: release its state (see OwnerProtocol)
+        owner.deps = owner.dependents = NO_EDGES
+        owner.undo = owner.read_lines = owner.write_lines = None
         self.conflicts.unregister(owner)
 
     # ------------------------------------------------------------------

@@ -34,7 +34,7 @@ class UndoLog:
 
     def reversed_entries(self) -> Iterator[Tuple[int, Any]]:
         """(addr, pre-image) pairs, most recent first — rollback order."""
-        return reversed(list(self._entries.items()))
+        return reversed(self._entries.items())
 
     def clear(self) -> None:
         """Drop all entries (commit path)."""

@@ -1,8 +1,8 @@
 """Hot-path profiling: frontier-scan and conflict-probe counters.
 
 The simulator core keeps raw (non-registry) counters on its hot-path
-structures — the GVT frontier and per-queue stripped indexes count heap
-entries examined per minimum query, the speculative memory counts
+structures — the GVT frontier and the task queues count heap entries
+examined per minimum query, the speculative memory counts
 candidate owners examined per conflict check, and the Bloom model counts
 live tasks walked per false-positive sample. They are plain ints bumped
 inline, deliberately **outside** the metrics registry so vanilla runs
@@ -32,9 +32,8 @@ def collect_profile(sim, wall_s: Optional[float] = None) -> Dict:
     queue_scans = 0
     queue_queries = 0
     for tile in sim.tiles:
-        idx = tile.unit._stripped_idx
-        queue_scans += idx.scan_steps
-        queue_queries += idx.queries
+        queue_scans += tile.unit.scan_steps
+        queue_queries += tile.unit.queries
     mem = sim.memory
     accesses = mem.n_loads + mem.n_stores
     gvt_queries = frontier.queries

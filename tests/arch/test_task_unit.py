@@ -9,7 +9,7 @@ from repro.arch.task_unit import TaskUnit
 class _Task:
     def __init__(self, ts, tb=0):
         # keys are flat VT keys — (ts0, tb0, ...) — as the queue's
-        # stripped index (arch/frontier.py) requires
+        # stripped-key query requires
         self.order_key = (ts, tb)
         self.queue_tile = -1
         self.queue_token = 0
