@@ -68,7 +68,6 @@ from .telemetry import (
     MetricsRegistry,
     metrics_snapshot,
     to_perfetto,
-    write_events_jsonl,
     write_metrics_json,
     write_perfetto,
 )
@@ -127,7 +126,6 @@ __all__ = [
     "MetricsRegistry",
     "metrics_snapshot",
     "to_perfetto",
-    "write_events_jsonl",
     "write_metrics_json",
     "write_perfetto",
     "callcc",

@@ -1,7 +1,7 @@
 """Benchmark harness: generic app runners, sweeps, and report tables."""
 
 from .harness import run_app, run_serial, sweep_cores, AppRun
-from .report import speedup_table, breakdown_table, format_table
+from .report import speedup_table, format_table
 
 __all__ = [
     "run_app",
@@ -9,6 +9,5 @@ __all__ = [
     "sweep_cores",
     "AppRun",
     "speedup_table",
-    "breakdown_table",
     "format_table",
 ]

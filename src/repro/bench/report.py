@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence
 
 from .harness import AppRun
 
@@ -40,21 +40,3 @@ def speedup_table(runs: List[AppRun], *, baseline_variant: str,
         rows.append(row)
     return format_table(["cores"] + variants, rows)
 
-
-def breakdown_table(runs: List[AppRun]) -> str:
-    """Core-cycle breakdowns (paper Figs. 14b/15b)."""
-    headers = ["run", "cores", "commit", "abort", "spill", "stall", "empty",
-               "speedup-vs-row1"]
-    base: Optional[AppRun] = None
-    rows = []
-    for r in runs:
-        if base is None:
-            base = r
-        f = r.stats.breakdown.fractions()
-        rows.append([
-            f"{r.app.rsplit('.', 1)[-1]}-{r.variant}", r.n_cores,
-            f"{f['committed']:.1%}", f"{f['aborted']:.1%}",
-            f"{f['spill']:.1%}", f"{f['stall']:.1%}", f"{f['empty']:.1%}",
-            f"{base.makespan / r.makespan:.2f}x",
-        ])
-    return format_table(headers, rows)

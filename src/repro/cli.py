@@ -29,7 +29,8 @@ Commands:
 
 Exit codes (``run``): 0 success; 1 application failure (result check or
 :class:`repro.errors.AppError`, incl. a task exhausting its retries);
-2 simulator internal error or bad fault plan; 3 queue-resource
+2 simulator internal error, bad fault plan, or a bad option value such
+as ``--cores 0`` (every command); 3 queue-resource
 exhaustion (:class:`repro.errors.QueueError`); 4 partial run — the
 resilience watchdog stopped the simulation and partial stats were
 reported.
@@ -58,7 +59,8 @@ _EXIT_CODES = """\
 exit codes:
   0  success
   1  application failure (result check / AppError / retries exhausted)
-  2  simulator internal error, or an invalid --faults plan
+  2  simulator internal error, an invalid --faults plan, or a bad
+     option value (e.g. --cores 0)
   3  queue-resource exhaustion (QueueError) despite degradation
   4  partial run: the resilience watchdog stopped the simulation
 """
@@ -80,6 +82,23 @@ def _load(name: str):
     return importlib.import_module(module_path), variants
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1 (a bad value is a usage error)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a positive integer")
+    return value
+
+
+def _core_list(text: str) -> List[int]:
+    """argparse type: comma-separated positive core counts."""
+    return [_positive_int(c) for c in text.split(",")]
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -93,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("app", help="application name (see `apps`)")
     p_run.add_argument("--variant", default=None,
                        help="execution-model variant (default: best)")
-    p_run.add_argument("--cores", type=int, default=16)
+    p_run.add_argument("--cores", type=_positive_int, default=16)
     p_run.add_argument("--conflicts", choices=("bloom", "precise"),
                        default="bloom")
     p_run.add_argument("--no-hints", action="store_true")
@@ -125,9 +144,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("app")
     p_sweep.add_argument("--variants", default=None,
                          help="comma-separated (default: all)")
-    p_sweep.add_argument("--cores", default="1,4,16",
+    p_sweep.add_argument("--cores", type=_core_list, default="1,4,16",
                          help="comma-separated core counts")
-    p_sweep.add_argument("--jobs", type=int, default=1, metavar="N",
+    p_sweep.add_argument("--jobs", type=_positive_int, default=1,
+                         metavar="N",
                          help="worker processes for the sweep "
                               "(default 1 = in-process)")
     p_sweep.add_argument("--cache", action="store_true",
@@ -149,7 +169,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument("app", help="application name (see `apps`)")
     p_prof.add_argument("--variant", default=None,
                         help="execution-model variant (default: best)")
-    p_prof.add_argument("--cores", type=int, default=16)
+    p_prof.add_argument("--cores", type=_positive_int, default=16)
     p_prof.add_argument("--conflicts", choices=("bloom", "precise"),
                         default="bloom")
     p_prof.add_argument("--seed", type=int, default=0)
@@ -331,7 +351,7 @@ def _cmd_sweep(args) -> int:
     app, all_variants = _load(args.app)
     variants = (args.variants.split(",") if args.variants
                 else list(all_variants))
-    cores = [int(c) for c in args.cores.split(",")]
+    cores = args.cores
     inp = app.make_input()
 
     from .farm import Farm, ResultCache

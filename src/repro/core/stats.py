@@ -101,22 +101,11 @@ class RunStats:
         return self.failure is None
 
     @property
-    def committed_cycles(self) -> int:
-        """Cycles spent on ultimately-committed work."""
-        return self.breakdown.committed
-
-    @property
     def avg_task_length(self) -> float:
         """Mean committed-task length in cycles (paper Table 4)."""
         if not self.tasks_committed:
             return 0.0
         return self.breakdown.committed / self.tasks_committed
-
-    @property
-    def abort_ratio(self) -> float:
-        """Aborted attempts / all attempts."""
-        attempts = self.tasks_committed + self.tasks_aborted
-        return self.tasks_aborted / attempts if attempts else 0.0
 
     def to_dict(self) -> dict:
         """JSON round-trip export (nested :class:`CycleBreakdown` included).
@@ -136,12 +125,6 @@ class RunStats:
         kwargs["breakdown"] = CycleBreakdown.from_dict(d.get("breakdown", {}))
         kwargs["cache"] = dict(d.get("cache", {}))
         return cls(**kwargs)
-
-    def speedup_over(self, baseline: "RunStats") -> float:
-        """Speedup of this run relative to ``baseline`` (same work)."""
-        if self.makespan == 0:
-            return float("inf")
-        return baseline.makespan / self.makespan
 
     def summary(self) -> str:
         """Multi-line human-readable run report."""

@@ -4,7 +4,6 @@
   and com-youtube in color at toy scale).
 - :func:`rmf_wide` — layered DIMACS "rmf" maxflow networks (maxflow).
 - :func:`grid3d` — 3D grids (labyrinth).
-- :func:`random_graph` — Erdos-Renyi-style graphs for tests.
 
 All generators are seeded and return :class:`Graph` (plain CSR-style
 adjacency, independent of the simulator).
@@ -13,6 +12,6 @@ adjacency, independent of the simulator).
 from .graph import Graph
 from .rmat import rmat
 from .rmf import rmf_wide
-from .generators import grid3d, random_graph
+from .generators import grid3d
 
-__all__ = ["Graph", "rmat", "rmf_wide", "grid3d", "random_graph"]
+__all__ = ["Graph", "rmat", "rmf_wide", "grid3d"]

@@ -1,9 +1,6 @@
-"""Miscellaneous deterministic generators: 3D grids and random graphs."""
+"""Miscellaneous deterministic generators: 3D grids."""
 
 from __future__ import annotations
-
-import random
-from typing import Tuple
 
 from ..errors import AppError
 from .graph import Graph
@@ -34,25 +31,3 @@ def grid3d(x: int, y: int, z: int) -> Graph:
                     g.add_edge(u, node(xi, yi, zi + 1))
     return g
 
-
-def random_graph(n: int, m: int, *, seed: int = 1, directed: bool = False,
-                 weighted: bool = False) -> Graph:
-    """A simple G(n, m)-style random graph (test workloads)."""
-    if n < 2:
-        raise AppError("random_graph needs n >= 2")
-    rng = random.Random(seed)
-    g = Graph(n, directed=directed)
-    attempts = 0
-    edges = set()
-    while len(edges) < m and attempts < m * 20:
-        attempts += 1
-        u = rng.randrange(n)
-        v = rng.randrange(n)
-        if u == v:
-            continue
-        key = (u, v) if directed else (min(u, v), max(u, v))
-        if key in edges:
-            continue
-        edges.add(key)
-        g.add_edge(u, v, weight=rng.random() if weighted else None)
-    return g

@@ -15,12 +15,13 @@ per function. A key's hash is six lookups and five XORs; ``k`` shift/mask
 steps then split it into one bit index per bank.
 
 :class:`BloomSignature` is a real bit-accurate signature (one int of
-``m`` bits) used both directly (unit tests, small runs) and as the
-occupancy source for the simulator's sampled false-positive model (see
-:mod:`repro.mem.conflicts`). Inserts and probes go through per-key
-*masks* (one int with all k bits set), so an insert is two int ops and a
-popcount delta instead of k per-bit updates. Rates come from the family's
-popcount → false-positive-rate table.
+``m`` bits), the occupancy source for the simulator's sampled
+false-positive model (see :mod:`repro.mem.conflicts`). Inserts go
+through per-key *masks* (one int with all k bits set), so an insert is
+two int ops and a popcount delta instead of k per-bit updates. The
+conflict model reads the running ``_popcount`` and looks its
+false-positive rate up in the family's popcount → rate table; it never
+probes a signature key by key.
 
 :class:`SignatureBank` holds many signatures as rows, one int each,
 indexed by a row id that callers acquire and release; ``probe_rows``
@@ -31,7 +32,7 @@ simulator does not use it. Everything here is plain Python ints.
 from __future__ import annotations
 
 import random
-from typing import List, Tuple
+from typing import List
 
 from ..errors import MemoryError_
 
@@ -49,8 +50,8 @@ class H3HashFamily:
     """A family of ``k`` H3 hash functions onto ``[0, m)`` (m a power of 2).
 
     In a banked (w-way) Bloom filter each function indexes its own bank of
-    ``m / k`` bits; we expose :meth:`indices` returning one global bit index
-    per bank, matching that layout.
+    ``m / k`` bits; :meth:`mask` sets one bit per bank, matching that
+    layout.
     """
 
     def __init__(self, k: int, m_bits: int, seed: int = 0):
@@ -86,18 +87,22 @@ class H3HashFamily:
             for row in packed_rows[8 * b: 8 * b + 8]:
                 table += [t ^ row for t in table]
             self._packed.append(table)
-        #: false-positive rate of a signature with ``pc`` set bits, by ``pc``
-        #: (see :meth:`BloomSignature.false_positive_rate`)
+        #: false-positive rate of a signature with ``pc`` set bits, by ``pc``:
+        #: the chance a never-inserted key hits all ``k`` banks, taking the
+        #: mean fill ``pc / m`` for every bank (exact in expectation, and
+        #: accurate for H3's near-uniform spreading)
         self.rates: List[float] = [(pc / m_bits) ** k
                                    for pc in range(m_bits + 1)]
-        # key → (indices tuple, mask int); bounded (see _MAX_CACHED_KEYS)
+        # key → mask; bounded (see _MAX_CACHED_KEYS)
         self._key_cache: dict = {}
 
     # ------------------------------------------------------------------
-    def _cache_entry(self, key: int) -> Tuple[Tuple[int, ...], int]:
-        entry = self._key_cache.get(key)
-        if entry is not None:
-            return entry
+    def mask(self, key: int) -> int:
+        """All ``k`` of the key's bits as one ``m_bits``-wide int mask:
+        one bit per bank, at that bank's hash of the key."""
+        mask = self._key_cache.get(key)
+        if mask is not None:
+            return mask
         if len(self._key_cache) >= _MAX_CACHED_KEYS:
             self._key_cache.clear()
         t0, t1, t2, t3, t4, t5 = self._packed
@@ -106,29 +111,12 @@ class H3HashFamily:
              ^ t4[(key >> 32) & 0xFF] ^ t5[(key >> 40) & 0xFF])
         width, bank_mask, bank_bits = (self._width, self._bank_mask,
                                        self.bank_bits)
-        out = []
         mask = 0
         for base in range(0, self.m_bits, bank_bits):
-            idx = base + (h & bank_mask)
+            mask |= 1 << (base + (h & bank_mask))
             h >>= width
-            out.append(idx)
-            mask |= 1 << idx
-        entry = (tuple(out), mask)
-        self._key_cache[key] = entry
-        return entry
-
-    def indices(self, key: int) -> Tuple[int, ...]:
-        """Global bit indices (one per bank) for ``key``.
-
-        Returns an immutable tuple: callers share the memoized value, so a
-        mutable return could be corrupted in place and poison every later
-        probe of the same key (a real bug in the list-returning version).
-        """
-        return self._cache_entry(key)[0]
-
-    def mask(self, key: int) -> int:
-        """All ``k`` of the key's bits as one ``m_bits``-wide int mask."""
-        return self._cache_entry(key)[1]
+        self._key_cache[key] = mask
+        return mask
 
 
 class BloomSignature:
@@ -150,26 +138,6 @@ class BloomSignature:
         self._popcount += (new ^ bits).bit_count()
         self._bits = new
         return True
-
-    def maybe_contains(self, key: int) -> bool:
-        """True when all banks hit. Never a false negative."""
-        mask = self.family.mask(key)
-        return self._bits & mask == mask
-
-    @property
-    def popcount(self) -> int:
-        """Number of set bits across all banks."""
-        return self._popcount
-
-    def false_positive_rate(self) -> float:
-        """Probability a random never-inserted key hits all ``k`` banks.
-
-        With banked filters, each bank is probed once; a bank of ``b`` bits
-        holding ``p_i`` set bits hits with probability ``p_i / b``. We use
-        the mean fill as ``p_i / b`` for every bank, which is exact in
-        expectation and accurate for H3's near-uniform spreading.
-        """
-        return self.family.rates[self._popcount]
 
 
 class SignatureBank:

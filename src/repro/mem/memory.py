@@ -221,19 +221,6 @@ class SpecMemory:
         """Non-speculative load of the current (possibly speculative) value."""
         return self._values.get(addr, self.default)
 
-    def committed_snapshot(self) -> Dict[int, Any]:
-        """Memory contents with all live speculative writes undone.
-
-        O(words written speculatively). Not on the audit path: the
-        auditor replays from the simulator's start-of-run snapshot.
-        """
-        snap = dict(self._values)
-        for addr, chain in self._word_writers.items():
-            if chain:
-                first = chain[0]
-                snap[addr] = first.undo._entries.get(addr, self.default)
-        return snap
-
     # ------------------------------------------------------------------
     # speculative access
     # ------------------------------------------------------------------

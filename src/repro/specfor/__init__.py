@@ -5,27 +5,22 @@ priority-writeMin cells and keep/pack carry-over) as a reusable engine:
 
 - :mod:`reservation <repro.specfor.reservation>` — priority cells over
   versioned memory;
-- :mod:`engine <repro.specfor.engine>` — the standalone round scheduler,
-  its policy/livelock ladder, and the sequential reference loop;
-- :mod:`adapter <repro.specfor.adapter>` — the same protocol hosted as
-  VT-ordered tasks inside a fractal domain.
+- :mod:`adapter <repro.specfor.adapter>` — the round pipeline, its step
+  protocol and policy/livelock ladder, hosted as VT-ordered tasks inside
+  a fractal domain (:class:`DomainSpecFor`).
 
-The :mod:`repro.apps.pbbs` family builds on all three.
+The :mod:`repro.apps.pbbs` family builds on both. The standalone host
+loop of the same protocol and its sequential reference survive only as
+test oracles.
 """
 
-from .adapter import DomainSpecFor
-from .engine import (RoundRecord, SpecForLivelock, SpecForOutcome,
-                     SpecForPolicy, sequential_for, speculative_for)
+from .adapter import DomainSpecFor, SpecForLivelock, SpecForPolicy
 from .reservation import UNRESERVED, ReservationTable
 
 __all__ = [
     "UNRESERVED",
     "DomainSpecFor",
     "ReservationTable",
-    "RoundRecord",
     "SpecForLivelock",
-    "SpecForOutcome",
     "SpecForPolicy",
-    "sequential_for",
-    "speculative_for",
 ]

@@ -7,7 +7,7 @@ the *minimum* priority written, so the lowest-index iteration contending
 for a location always ends up holding it no matter what order the writes
 land in. ``write_min`` is commutative; that order-independence is what
 makes round-based execution equal the sequential loop (deterministic
-reservations, see :mod:`repro.specfor.engine`).
+reservations, see :mod:`repro.specfor.adapter`).
 
 Protocol discipline for steps built on this table:
 

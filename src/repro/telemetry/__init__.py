@@ -11,8 +11,7 @@ Three layers (see README "Observability"):
   the single source of truth :class:`repro.core.stats.RunStats` is rebuilt
   from;
 - exporters — JSONL event logs, Chrome/Perfetto ``trace_event`` JSON,
-  metrics-JSON snapshots — plus derived analyses (abort cascades,
-  conflict hot addresses, per-depth abort ratios) and the ASCII timeline
+  metrics-JSON snapshots — plus the ASCII timeline
   (:func:`repro.telemetry.timeline.render_timeline`) drawn from recorded
   events.
 """
@@ -42,13 +41,10 @@ from .events import (
     WatchdogEvent,
     WraparoundEvent,
     ZoomEvent,
-    event_from_dict,
 )
 from .export import (
     JsonlExporter,
     metrics_snapshot,
-    read_events_jsonl,
-    write_events_jsonl,
     write_metrics_json,
 )
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
@@ -103,15 +99,12 @@ __all__ = [
     "WraparoundEvent",
     "ZoomEvent",
     "collect_profile",
-    "event_from_dict",
     "fold_into_registry",
     "format_profile",
     "metrics_snapshot",
-    "read_events_jsonl",
     "to_perfetto",
     "validate_event_dict",
     "validate_jsonl",
-    "write_events_jsonl",
     "write_metrics_json",
     "write_perfetto",
 ]

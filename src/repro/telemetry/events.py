@@ -350,11 +350,3 @@ EVENT_SCHEMA: Dict[str, Tuple[str, ...]] = {
     for kind, cls in EVENT_TYPES.items()
 }
 
-
-def event_from_dict(d: dict) -> Event:
-    """Rebuild a typed event from its ``to_dict`` form (JSONL import)."""
-    try:
-        cls = EVENT_TYPES[d["kind"]]
-    except KeyError:
-        raise ValueError(f"unknown event kind {d.get('kind')!r}")
-    return cls(**{name: d[name] for name in EVENT_SCHEMA[d["kind"]]})

@@ -11,32 +11,10 @@ single file answers both "what happened" and "how much".
 from __future__ import annotations
 
 import json
-from typing import IO, Iterable, List
+from typing import IO
 
-from .events import Event, event_from_dict
+from .events import Event
 from .metrics import MetricsRegistry
-
-
-def write_events_jsonl(events: Iterable[Event], path) -> int:
-    """Write events as JSON Lines; returns the number of lines written."""
-    n = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for event in events:
-            fh.write(json.dumps(event.to_dict(), separators=(",", ":")))
-            fh.write("\n")
-            n += 1
-    return n
-
-
-def read_events_jsonl(path) -> List[Event]:
-    """Load a JSONL event log back into typed events."""
-    out: List[Event] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(event_from_dict(json.loads(line)))
-    return out
 
 
 class JsonlExporter:

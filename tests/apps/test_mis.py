@@ -4,7 +4,6 @@ import pytest
 
 from repro.apps import mis
 from repro.errors import AppError
-from repro.graphs import random_graph
 
 
 @pytest.mark.parametrize("variant", ["flat", "fractal", "swarm"])

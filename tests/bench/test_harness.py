@@ -4,7 +4,7 @@ import pytest
 
 from repro.apps import mis
 from repro.bench.harness import AppRun, run_app, run_serial, sweep_cores
-from repro.bench.report import breakdown_table, format_table, speedup_table
+from repro.bench.report import format_table, speedup_table
 from repro.config import SystemConfig
 
 
@@ -54,8 +54,3 @@ class TestReport:
         out = speedup_table(runs, baseline_variant="flat", baseline_cores=1)
         assert "1.00x" in out
         assert "fractal" in out and "flat" in out
-
-    def test_breakdown_table(self, tiny_graph):
-        runs = sweep_cores(mis, tiny_graph, ["flat"], [4])
-        out = breakdown_table(runs)
-        assert "commit" in out and "%" in out

@@ -107,15 +107,6 @@ class TestStats:
         stats.breakdown.committed = 400
         assert stats.avg_task_length == 100.0
 
-    def test_speedup_over(self):
-        a = RunStats(makespan=1000)
-        b = RunStats(makespan=100)
-        assert b.speedup_over(a) == 10.0
-
-    def test_abort_ratio(self):
-        stats = RunStats(tasks_committed=3, tasks_aborted=1)
-        assert stats.abort_ratio == 0.25
-
     def test_summary_mentions_key_numbers(self):
         sim = Simulator(SystemConfig.with_cores(4))
         cell = sim.cell("c", 0)

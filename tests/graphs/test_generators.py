@@ -1,10 +1,35 @@
 """Tests for graph containers and generators."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import AppError
-from repro.graphs import Graph, grid3d, random_graph, rmat, rmf_wide
+from repro.graphs import Graph, grid3d, rmat, rmf_wide
+
+
+def random_graph(n: int, m: int, *, seed: int = 1, directed: bool = False,
+                 weighted: bool = False) -> Graph:
+    """A simple G(n, m)-style random graph (test workloads)."""
+    if n < 2:
+        raise AppError("random_graph needs n >= 2")
+    rng = random.Random(seed)
+    g = Graph(n, directed=directed)
+    attempts = 0
+    edges = set()
+    while len(edges) < m and attempts < m * 20:
+        attempts += 1
+        u = rng.randrange(n)
+        v = rng.randrange(n)
+        if u == v:
+            continue
+        key = (u, v) if directed else (min(u, v), max(u, v))
+        if key in edges:
+            continue
+        edges.add(key)
+        g.add_edge(u, v, weight=rng.random() if weighted else None)
+    return g
 
 
 class TestGraph:

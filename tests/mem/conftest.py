@@ -47,6 +47,16 @@ def attach_fake(mem, key, executing=False):
     return o
 
 
+def committed_snapshot(mem):
+    """Memory contents with all live speculative writes undone: each
+    written word takes its first chained writer's undo-log preimage."""
+    snap = dict(mem._values)
+    for addr, chain in mem._word_writers.items():
+        if chain:
+            snap[addr] = chain[0].undo._entries.get(addr, mem.default)
+    return snap
+
+
 class FakeCtx:
     """Minimal ctx for the typed data wrappers."""
 

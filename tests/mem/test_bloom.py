@@ -6,6 +6,9 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import MemoryError_
 from repro.mem import BloomSignature, H3HashFamily
 
+from .bloom_oracle import (false_positive_rate, indices, maybe_contains,
+                           popcount)
+
 
 def make_sig(bits=2048, ways=8, seed=0):
     return BloomSignature(H3HashFamily(k=ways, m_bits=bits, seed=seed))
@@ -14,7 +17,7 @@ def make_sig(bits=2048, ways=8, seed=0):
 class TestH3Family:
     def test_indices_one_per_bank(self):
         fam = H3HashFamily(k=8, m_bits=2048, seed=1)
-        idx = fam.indices(12345)
+        idx = indices(fam, 12345)
         assert len(idx) == 8
         for bank, i in enumerate(idx):
             assert bank * 256 <= i < (bank + 1) * 256
@@ -22,12 +25,12 @@ class TestH3Family:
     def test_deterministic(self):
         a = H3HashFamily(k=4, m_bits=1024, seed=7)
         b = H3HashFamily(k=4, m_bits=1024, seed=7)
-        assert a.indices(999) == b.indices(999)
+        assert indices(a, 999) == indices(b, 999)
 
     def test_seed_changes_hashes(self):
         a = H3HashFamily(k=4, m_bits=1024, seed=7)
         b = H3HashFamily(k=4, m_bits=1024, seed=8)
-        assert any(a.indices(k) != b.indices(k) for k in range(32))
+        assert any(indices(a, k) != indices(b, k) for k in range(32))
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(MemoryError_):
@@ -37,9 +40,9 @@ class TestH3Family:
         """H3 is XOR-linear: h(a ^ b) == h(a) ^ h(b) per bank offset."""
         fam = H3HashFamily(k=2, m_bits=512, seed=3)
         a, b = 0b1010, 0b0110
-        ha = [i % 256 for i in fam.indices(a)]
-        hb = [i % 256 for i in fam.indices(b)]
-        hx = [i % 256 for i in fam.indices(a ^ b)]
+        ha = [i % 256 for i in indices(fam, a)]
+        hb = [i % 256 for i in indices(fam, b)]
+        hx = [i % 256 for i in indices(fam, a ^ b)]
         assert hx == [x ^ y for x, y in zip(ha, hb)]
 
 
@@ -49,7 +52,7 @@ class TestBloomSignature:
         keys = list(range(0, 500, 7))
         for k in keys:
             sig.insert(k)
-        assert all(sig.maybe_contains(k) for k in keys)
+        assert all(maybe_contains(sig, k) for k in keys)
 
     @given(st.sets(st.integers(min_value=0, max_value=2**40), max_size=64),
            st.integers(min_value=0, max_value=2**40))
@@ -59,19 +62,19 @@ class TestBloomSignature:
         for k in keys:
             sig.insert(k)
         for k in keys:
-            assert sig.maybe_contains(k)
+            assert maybe_contains(sig, k)
 
     def test_empty_matches_nothing(self):
         sig = make_sig()
-        assert not sig.maybe_contains(42)
-        assert sig.false_positive_rate() == 0.0
+        assert not maybe_contains(sig, 42)
+        assert false_positive_rate(sig) == 0.0
 
     def test_fill_and_fp_rate_grow(self):
         sig = make_sig(bits=512, ways=4)
         prev = 0.0
         for k in range(100):
             sig.insert(k * 31 + 7)
-            rate = sig.false_positive_rate()
+            rate = false_positive_rate(sig)
             assert rate >= prev
             prev = rate
         assert 0.0 < prev <= 1.0
@@ -82,21 +85,21 @@ class TestBloomSignature:
         sig = make_sig(bits=2048, ways=8)
         for k in range(0, 20000, 3):
             sig.insert(k)
-        assert sig.false_positive_rate() > 0.5
+        assert false_positive_rate(sig) > 0.5
 
     def test_small_sets_have_tiny_fp(self):
         """Fine-grain Fractal tasks (a few lines) barely touch the filter."""
         sig = make_sig(bits=2048, ways=8)
         for k in range(8):
             sig.insert(k)
-        assert sig.false_positive_rate() < 1e-10
+        assert false_positive_rate(sig) < 1e-10
 
     def test_false_positive_exists_at_saturation(self):
         sig = make_sig(bits=64, ways=2)
         for k in range(200):
             sig.insert(k)
         # With 64 bits and 200 keys, an unseen key almost surely hits.
-        assert sig.maybe_contains(10**9)
+        assert maybe_contains(sig, 10**9)
 
 
 class TestBatchedOps:
@@ -112,7 +115,7 @@ class TestBatchedOps:
         for k in reversed(keys):
             b.insert(k)
         assert b._bits == a._bits
-        assert b.popcount == a.popcount == bin(a._bits).count("1")
+        assert popcount(b) == popcount(a) == bin(a._bits).count("1")
         fam = a.family
         union = 0
         for k in keys:
@@ -128,7 +131,7 @@ class TestBatchedOps:
             sig.insert(k)
             bank.insert(row, k)
         for p in range(0, 200, 7):
-            assert bool(bank.probe_rows(p, [row])[0]) == sig.maybe_contains(p)
+            assert bool(bank.probe_rows(p, [row])[0]) == maybe_contains(sig, p)
 
 
 class TestSignatureBank:
@@ -141,7 +144,7 @@ class TestSignatureBank:
         for k in range(0, 90, 3):
             assert bank.insert(row, k) == sig.insert(k)
         for p in range(0, 150, 5):
-            assert bool(bank.probe_rows(p, [row])[0]) == sig.maybe_contains(p)
+            assert bool(bank.probe_rows(p, [row])[0]) == maybe_contains(sig, p)
 
     def test_probe_rows_matches_per_row_probe(self):
         from repro.mem import SignatureBank
@@ -155,7 +158,7 @@ class TestSignatureBank:
                 sig.insert(k)
         for key in range(0, 70, 3):
             got = bank.probe_rows(key, rows)
-            assert [bool(x) for x in got] == [sig.maybe_contains(key)
+            assert [bool(x) for x in got] == [maybe_contains(sig, key)
                                               for sig in sigs]
 
     def test_release_clears_row_for_reuse(self):
@@ -228,7 +231,7 @@ class TestHashOracle:
         assert any(key >= 1 << 48 for key in keys)
         for key in keys:
             want = h3_by_definition(fam, key)
-            assert fam.indices(key) == want, hex(key)
+            assert indices(fam, key) == want, hex(key)
             mask = 0
             for idx in want:
                 mask |= 1 << idx
@@ -243,4 +246,4 @@ class TestHashOracle:
         sig = BloomSignature(fam)
         for key in range(0, 400, 3):
             sig.insert(key)
-            assert sig.false_positive_rate() == (sig.popcount / m) ** k
+            assert false_positive_rate(sig) == (popcount(sig) / m) ** k

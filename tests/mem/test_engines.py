@@ -19,6 +19,7 @@ from repro.errors import MemoryError_, SimulationError
 from repro.mem.bloom import H3HashFamily
 from repro.mem import bloom as bloom_mod
 
+from .bloom_oracle import indices
 from .conftest import attach_fake, make_mem
 
 
@@ -85,27 +86,28 @@ class TestVictimOrder:
 class TestH3Memo:
     def test_indices_returns_immutable_tuple(self):
         fam = H3HashFamily(k=8, m_bits=2048, seed=3)
-        idx = fam.indices(1234)
+        idx = indices(fam, 1234)
         assert isinstance(idx, tuple)
         with pytest.raises(TypeError):
             idx[0] = 0  # the old list return could be corrupted in place
 
     def test_mutated_return_cannot_poison_probes(self):
         fam = H3HashFamily(k=8, m_bits=2048, seed=3)
-        first = list(fam.indices(77))
+        first = list(indices(fam, 77))
         # even a caller copying-and-mutating shares nothing with the memo
-        got = fam.indices(77)
-        assert list(got) == first
-        assert fam.indices(77) is got  # memoized
+        first[0] = -1
+        assert indices(fam, 77)[0] != -1
+        # the memo holds the mask, an immutable int
+        assert fam._key_cache[77] == fam.mask(77)
 
     def test_key_memo_is_bounded(self, monkeypatch):
         monkeypatch.setattr(bloom_mod, "_MAX_CACHED_KEYS", 8)
         fam = H3HashFamily(k=4, m_bits=512, seed=0)
-        expect = {k: fam.indices(k) for k in range(20)}
+        expect = {k: fam.mask(k) for k in range(20)}
         assert len(fam._key_cache) <= 8
         # resets never change answers
         for k, v in expect.items():
-            assert fam.indices(k) == v
+            assert fam.mask(k) == v
         assert len(fam._key_cache) <= 8
 
 

@@ -7,6 +7,8 @@ from repro.errors import MemoryError_, SimulationError
 from repro.mem import AddressSpace, SpecMemory
 from repro.mem.conflicts import PreciseConflictModel
 
+from .conftest import committed_snapshot
+
 
 class TestBasicVersioning:
     def test_store_then_load_same_owner(self, mem, owner_factory):
@@ -157,7 +159,7 @@ class TestCommitOrderInvariants:
         mem.poke(100, "committed")
         t = owner_factory(1)
         mem.store(t, 100, "spec")
-        snap = mem.committed_snapshot()
+        snap = committed_snapshot(mem)
         assert snap[100] == "committed"
         assert mem.peek(100) == "spec"
 

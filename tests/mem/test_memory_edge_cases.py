@@ -5,6 +5,8 @@ import pytest
 from repro.errors import SimulationError
 from repro.mem.undo_log import UndoLog
 
+from .conftest import committed_snapshot
+
 
 class TestUndoLog:
     def test_first_preimage_wins(self):
@@ -50,11 +52,11 @@ class TestWriterChains:
         t1, t2 = owner_factory(1), owner_factory(2)
         mem.store(t1, 100, "a")
         mem.store(t2, 100, "b")
-        assert mem.committed_snapshot()[100] == "base"
+        assert committed_snapshot(mem)[100] == "base"
         mem.commit(t1)
-        assert mem.committed_snapshot()[100] == "a"
+        assert committed_snapshot(mem)[100] == "a"
         mem.commit(t2)
-        assert mem.committed_snapshot()[100] == "b"
+        assert committed_snapshot(mem)[100] == "b"
 
     def test_interleaved_addresses_rollback(self, mem, owner_factory):
         for a in (0, 8, 16):

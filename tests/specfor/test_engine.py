@@ -1,12 +1,12 @@
-"""Unit tests for the standalone speculative_for engine and its policy."""
+"""Unit tests for the standalone speculative_for oracle and the policy."""
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.faults.resilience import ResiliencePolicy
-from repro.specfor import (UNRESERVED, SpecForLivelock, SpecForPolicy,
-                           sequential_for, speculative_for)
-from repro.specfor.engine import STAGE_FULL, STAGE_HALVED, STAGE_SERIAL
+from repro.specfor import UNRESERVED, SpecForLivelock, SpecForPolicy
+from repro.specfor.adapter import STAGE_FULL, STAGE_HALVED, STAGE_SERIAL
+
+from .engine_oracle import sequential_for, speculative_for
 
 
 class PureTable:
@@ -97,20 +97,6 @@ class TestPolicy:
             SpecForPolicy(serialize_after=100, max_tries=10)
         with pytest.raises(ConfigError):
             SpecForPolicy(granularity=0)
-
-    def test_from_resilience_maps_the_window(self):
-        res = ResiliencePolicy.from_dict(
-            {"livelock_window": 10, "max_attempts": 3})
-        pol = SpecForPolicy.from_resilience(res, granularity=4)
-        assert pol.granularity == 4
-        assert pol.throttle_after == 5
-        assert pol.serialize_after == 10
-        assert pol.max_tries == 30
-
-    def test_roundtrip_dict(self):
-        pol = SpecForPolicy(granularity=2, throttle_after=1,
-                            serialize_after=2, max_tries=3)
-        assert SpecForPolicy(**pol.to_dict()) == pol
 
 
 class TestSpeculativeFor:

@@ -1,16 +1,21 @@
 """Property tests: deterministic reservations equal the sequential loop.
 
 Hypothesis generates random conflict graphs (each iteration claims a
-random cavity of cells) and random round policies; the round-based engine
-must always produce the same final state as running the loop
+random cavity of cells) and random round policies; the round-based
+oracle loop must always produce the same final state as running the loop
 sequentially in index order, finish every iteration exactly once, and
-never drop or duplicate an index across keep/pack carry-overs.
+never drop or duplicate an index across keep/pack carry-overs. The
+production :class:`~repro.specfor.DomainSpecFor` must reach that same
+final state on the simulator.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.specfor import SpecForPolicy, sequential_for, speculative_for
+from repro import Simulator, SystemConfig
+from repro.specfor import DomainSpecFor, SpecForPolicy
 
+from .engine_oracle import sequential_for, speculative_for
+from .test_adapter import ClaimStep
 from .test_engine import CavityStep, greedy_reference
 
 _N_CELLS = 8
@@ -93,3 +98,25 @@ def test_keep_pack_never_drops_or_duplicates(cavities, policy):
         carried_prev = r.carried
     assert sorted(finished) == list(range(n))
     assert carried_prev == ()
+
+
+@settings(max_examples=60, deadline=None)
+@given(cavities=_cavities, granularity=st.integers(min_value=1, max_value=10),
+       cores=st.sampled_from([1, 4, 8]))
+def test_domain_specfor_equals_sequential_loop(cavities, granularity, cores):
+    """The production engine, on the simulator, over random conflict
+    graphs: the same final state as the sequential oracle and greedy."""
+    n = len(cavities)
+    sim = Simulator(SystemConfig.with_cores(cores))
+    step = ClaimStep(sim, cavities, _N_CELLS)
+    DomainSpecFor(sim, "t", step, n,
+                  policy=SpecForPolicy(granularity=granularity)
+                  ).enqueue_driver(sim)
+    sim.run()
+    sim.audit()
+
+    seq = CavityStep(cavities, _N_CELLS)
+    sequential_for(seq, n)
+    got = (step.success.snapshot()[:n], step.owner.snapshot())
+    assert got == (seq.success, seq.owner)
+    assert got == greedy_reference(cavities, _N_CELLS)

@@ -1,4 +1,4 @@
-"""Exporter tests: JSONL round-trip, Perfetto structure, metrics JSON,
+"""Exporter tests: streaming JSONL, Perfetto structure, metrics JSON,
 schema validation."""
 
 import json
@@ -10,13 +10,10 @@ from repro.telemetry import (
     JsonlExporter,
     MetricsRegistry,
     ValidationError,
-    event_from_dict,
     metrics_snapshot,
-    read_events_jsonl,
     to_perfetto,
     validate_event_dict,
     validate_jsonl,
-    write_events_jsonl,
     write_metrics_json,
     write_perfetto,
 )
@@ -43,12 +40,6 @@ EVENTS = [
 
 
 class TestJsonl:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        assert write_events_jsonl(EVENTS, path) == len(EVENTS)
-        back = read_events_jsonl(path)
-        assert back == EVENTS
-
     def test_streaming_exporter_matches_batch(self, tmp_path):
         path = tmp_path / "s.jsonl"
         bus = EventBus()
@@ -57,15 +48,15 @@ class TestJsonl:
             for e in EVENTS:
                 bus.emit(e)
         assert exp.n_events == len(EVENTS)
-        assert read_events_jsonl(path) == EVENTS
-
-    def test_event_from_dict_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown event kind"):
-            event_from_dict({"kind": "nope", "t": 0})
+        lines = path.read_text().splitlines()
+        assert [json.loads(line) for line in lines] == \
+            [e.to_dict() for e in EVENTS]
 
     def test_validate_jsonl_accepts_export(self, tmp_path):
         path = tmp_path / "ok.jsonl"
-        write_events_jsonl(EVENTS, path)
+        with JsonlExporter(path) as exp:
+            for e in EVENTS:
+                exp(e)
         assert validate_jsonl(path) == len(EVENTS)
 
     def test_validate_rejects_bad_lines(self, tmp_path):

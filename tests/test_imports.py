@@ -1,4 +1,5 @@
-"""Every module in the ``repro`` package imports cleanly.
+"""Every module in the ``repro`` package imports cleanly, and every
+package's ``__all__`` names something that exists.
 
 Walks the package tree, so a module-level import of a deleted or renamed
 module fails here even when no other test happens to import the module
@@ -31,6 +32,20 @@ def test_walk_finds_the_package_tree():
 @pytest.mark.parametrize("name", MODULES)
 def test_module_imports(name):
     importlib.import_module(name)
+
+
+def test_every_package_export_resolves():
+    """Each name in each package's ``__all__`` is an attribute of it, so
+    a deletion cannot leave a stale export behind."""
+    missing = []
+    for info in pkgutil.walk_packages(repro.__path__, prefix="repro."):
+        if not info.ispkg:
+            continue
+        pkg = importlib.import_module(info.name)
+        missing += [f"{info.name}.{n}" for n in getattr(pkg, "__all__", ())
+                    if not hasattr(pkg, n)]
+    missing += [f"repro.{n}" for n in repro.__all__ if not hasattr(repro, n)]
+    assert not missing
 
 
 def test_bloom_simulation_does_not_load_numpy():
