@@ -9,8 +9,8 @@ serial oracle can drive any of them generically:
   :class:`repro.SerialExecutor`), enqueue the root tasks, and return a
   ``handles`` dict for post-run inspection.
 - ``check(handles, inp)`` — verify the result (raises
-  :class:`repro.errors.AppError` on a wrong answer), usually against a
-  plain-Python or networkx oracle.
+  :class:`repro.errors.AppError` on a wrong answer) against a
+  plain-Python oracle.
 - ``root_ordering(variant)`` (optional) — the root-domain ordering the
   variant needs (e.g. swarm-fg variants need an ordered root).
 

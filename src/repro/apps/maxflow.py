@@ -26,6 +26,7 @@ distance), preserving the push-relabel invariants.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import AppError
@@ -257,24 +258,40 @@ def _spread_pairs(cap0):
 
 
 def reference_maxflow(inp: MaxflowInput) -> int:
-    """networkx oracle for the flow value."""
-    import networkx as nx
-
-    gx = nx.DiGraph()
-    gx.add_nodes_from(range(inp.n))
-    for k in range(0, inp.m, 2):
-        u, v, c = inp.eu[k], inp.ev[k], inp.cap0[k]
-        if gx.has_edge(u, v):
-            gx[u][v]["capacity"] += c
-        else:
-            gx.add_edge(u, v, capacity=c)
-    value, _ = nx.maximum_flow(gx, inp.source, inp.sink)
-    return value
+    """Oracle flow value by Edmonds–Karp: augment along shortest residual
+    paths over the input's paired edges, where ``e ^ 1`` is ``e``'s
+    reverse."""
+    s, t = inp.source, inp.sink
+    if s == t:
+        raise AppError("source and sink are the same node")
+    cap = list(inp.cap0)
+    value = 0
+    while True:
+        via = {s: -1}  # node -> residual edge that first reached it
+        frontier = deque([s])
+        while frontier and t not in via:
+            u = frontier.popleft()
+            for v, e in inp.adj[u]:
+                if cap[e] > 0 and v not in via:
+                    via[v] = e
+                    frontier.append(v)
+        if t not in via:
+            return value
+        path = []
+        v = t
+        while v != s:
+            path.append(via[v])
+            v = inp.eu[via[v]]
+        push = min(cap[e] for e in path)
+        for e in path:
+            cap[e] -= push
+            cap[e ^ 1] += push
+        value += push
 
 
 def check(handles: Dict, inp: MaxflowInput) -> int:
-    """Flow value at the sink must match the networkx oracle; capacities
-    must be conserved per edge pair."""
+    """Flow value at the sink must match the Edmonds–Karp oracle;
+    capacities must be conserved per edge pair."""
     flow = handles["excess"].peek(inp.sink * 8)
     want = reference_maxflow(inp)
     if flow != want:

@@ -26,6 +26,7 @@ from typing import Dict, List, Tuple
 
 from ..errors import AppError
 from ..graphs import Graph, rmat
+from ..graphs.reference import component_count, msf_weight
 from ..vt import Ordering
 from .common import VARIANTS_ALL, join_increment, require_variant
 
@@ -139,21 +140,17 @@ def root_ordering(variant: str) -> Ordering:
 
 
 def check(handles: Dict, g: Graph) -> float:
-    """Forest weight must match networkx's MSF weight; returns the weight."""
-    import networkx as nx
-
+    """Forest weight must match Kruskal's MSF weight; returns the weight."""
     edges = handles["edges"]
     flags = handles["in_msf"].snapshot()
     chosen = [edges[i] for i in range(len(edges)) if flags[i]]
     weight = sum(w for _, _, w in chosen)
 
-    gx = g.to_networkx()
-    want = sum(d["weight"] for _, _, d in
-               nx.minimum_spanning_edges(gx, data=True))
+    want = msf_weight(g)
     if abs(weight - want) > 1e-9:
         raise AppError(f"MSF weight {weight} != oracle {want}")
     # chosen edges must form a forest covering every component
-    n_components = nx.number_connected_components(gx)
+    n_components = component_count(g.n, g.edges())
     if len(chosen) != g.n - n_components:
         raise AppError(
             f"forest has {len(chosen)} edges, expected {g.n - n_components}")

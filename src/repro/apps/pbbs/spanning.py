@@ -21,6 +21,7 @@ from typing import Dict, List, Tuple
 
 from ...errors import AppError
 from ...graphs import Graph, rmat
+from ...graphs.reference import component_count, spanning_forest
 from ...specfor import DomainSpecFor, ReservationTable, SpecForPolicy
 from ...vt import Ordering
 from ..common import join_increment, require_variant
@@ -39,22 +40,13 @@ def edge_list(g: Graph) -> List[Tuple[int, int]]:
 
 
 def reference_flags(g: Graph) -> List[int]:
-    """Sequential greedy union-find in edge order (plain Python)."""
-    parent = list(range(g.n))
-
-    def find(v):
-        while parent[v] != v:
-            v = parent[v]
-        return v
-
-    flags = []
-    for u, v in edge_list(g):
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            flags.append(0)
-        else:
-            parent[max(ru, rv)] = min(ru, rv)
-            flags.append(1)
+    """Sequential greedy union-find in edge order: 1 for each edge that
+    joins two components."""
+    edges = edge_list(g)
+    flags = [0] * len(edges)
+    indexed = ((u, v, i) for i, (u, v) in enumerate(edges))
+    for _, _, i in spanning_forest(g.n, indexed):
+        flags[i] = 1
     return flags
 
 
@@ -201,9 +193,7 @@ def result_arrays(handles: Dict) -> Dict[str, list]:
 
 def check(handles: Dict, g: Graph) -> int:
     """Flags must equal the sequential greedy reference *and* form a
-    spanning forest per networkx; returns the forest size."""
-    import networkx as nx
-
+    spanning forest of the graph; returns the forest size."""
     flags = handles["in_forest"].snapshot()
     want = reference_flags(g)
     if flags != want:
@@ -213,15 +203,11 @@ def check(handles: Dict, g: Graph) -> int:
             f"indices {diff[:10]} ({len(diff)} total)")
     edges = handles["edges"]
     chosen = [edges[i] for i in range(len(edges)) if flags[i]]
-    gx = g.to_networkx()
-    n_components = nx.number_connected_components(gx)
+    n_components = component_count(g.n, g.edges())
     if len(chosen) != g.n - n_components:
         raise AppError(
             f"forest has {len(chosen)} edges, expected "
             f"{g.n - n_components}")
-    fx = nx.Graph()
-    fx.add_nodes_from(range(g.n))
-    fx.add_edges_from(chosen)
-    if nx.number_connected_components(fx) != n_components:
+    if component_count(g.n, chosen) != n_components:
         raise AppError("chosen edges do not span the graph's components")
     return len(chosen)

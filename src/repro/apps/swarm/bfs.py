@@ -12,6 +12,7 @@ from typing import Dict
 
 from ...errors import AppError
 from ...graphs import Graph, rmat
+from ...graphs.reference import bfs_levels
 from ...vt import Ordering
 from ..common import require_variant
 
@@ -45,11 +46,9 @@ def root_ordering(variant: str) -> Ordering:
 
 
 def check(handles: Dict, g: Graph) -> int:
-    """Distances must equal networkx's BFS levels; returns reached count."""
-    import networkx as nx
-
-    source = handles["source"]
-    want = nx.single_source_shortest_path_length(g.to_networkx(), source)
+    """Distances must equal the reference BFS levels; returns reached
+    count."""
+    want = bfs_levels(g, handles["source"])
     reached = 0
     for v in range(g.n):
         got = handles["dist"].peek(v * 8)

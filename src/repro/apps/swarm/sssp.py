@@ -15,6 +15,7 @@ from typing import Dict
 
 from ...errors import AppError
 from ...graphs import Graph, rmat
+from ...graphs.reference import dijkstra_lengths
 from ...vt import Ordering
 from ..common import require_variant
 
@@ -56,11 +57,9 @@ def root_ordering(variant: str) -> Ordering:
 
 
 def check(handles: Dict, g: Graph) -> int:
-    """Distances must match networkx Dijkstra; returns reached count."""
-    import networkx as nx
-
-    source = handles["source"]
-    want = nx.single_source_dijkstra_path_length(g.to_networkx(), source)
+    """Distances must match the reference Dijkstra; returns reached
+    count."""
+    want = dijkstra_lengths(g, handles["source"])
     reached = 0
     for v in range(g.n):
         got = handles["dist"].peek(v * 8)

@@ -6,7 +6,9 @@
 - :func:`grid3d` — 3D grids (labyrinth).
 
 All generators are seeded and return :class:`Graph` (plain CSR-style
-adjacency, independent of the simulator).
+adjacency, independent of the simulator). :mod:`.reference` holds the
+sequential oracles (BFS, Dijkstra, Kruskal, component count) that the
+graph apps' result checks compare against.
 """
 
 from .graph import Graph

@@ -1,7 +1,9 @@
 """A minimal directed/undirected graph container.
 
 Kept deliberately independent of the simulator: applications copy the
-adjacency they need into speculative memory at build time.
+adjacency they need into speculative memory at build time. The result
+checks read it through the plain-Python oracles in :mod:`.reference`;
+networkx is only the tests' cross-check of those oracles.
 """
 
 from __future__ import annotations
@@ -73,16 +75,6 @@ class Graph:
                     out.append(v)
             self.adj[u] = out
         return self
-
-    def to_networkx(self):
-        """Export for oracle checks (networkx is a test-time dependency)."""
-        import networkx as nx
-
-        g = nx.DiGraph() if self.directed else nx.Graph()
-        g.add_nodes_from(range(self.n))
-        for u, v in self.edges():
-            g.add_edge(u, v, weight=self.weight(u, v), capacity=self.weight(u, v))
-        return g
 
     def __repr__(self) -> str:
         kind = "digraph" if self.directed else "graph"

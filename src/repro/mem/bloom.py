@@ -42,8 +42,10 @@ _KEY_BYTES = _KEY_BITS // 8
 #: distinct keys memoized per family before the memo resets. Workloads
 #: probe the same cache lines millions of times, so the memo is the fast
 #: path; the bound keeps a long-lived family (shared across runs) from
-#: growing without limit.
-_MAX_CACHED_KEYS = 1 << 16
+#: growing without limit. 4096 keys hold every working set the benchmark
+#: apps probe (labyrinth's ~1,300 lines is the largest) while capping the
+#: memo near 1.5 MB at 2048-bit masks.
+_MAX_CACHED_KEYS = 1 << 12
 
 
 class H3HashFamily:

@@ -110,6 +110,23 @@ class TestH3Memo:
             assert fam.mask(k) == v
         assert len(fam._key_cache) <= 8
 
+    def test_default_bound_over_a_larger_working_set(self):
+        """5,000 distinct lines (zoomtree-sized) at the Table 2 geometry
+        overflow the 4,096-key memo, which still gives every key the mask
+        a fresh family computes (probing in reverse, so its resets fall on
+        other keys)."""
+        assert bloom_mod._MAX_CACHED_KEYS == 4096
+        lines = [(k * 2654435761) & 0xFFFFFFFF for k in range(5000)]
+        fresh = H3HashFamily(k=8, m_bits=2048, seed=3)
+        want = [fresh.mask(line) for line in reversed(lines)][::-1]
+        fam = H3HashFamily(k=8, m_bits=2048, seed=3)
+        for _ in range(2):
+            got = []
+            for line in lines:
+                got.append(fam.mask(line))
+                assert len(fam._key_cache) <= 4096
+            assert got == want
+
 
 # ---------------------------------------------------------------------------
 # satellite 3: poke() line-granular rejection + poke_fresh slot birth

@@ -3,7 +3,8 @@ package's ``__all__`` names something that exists.
 
 Walks the package tree, so a module-level import of a deleted or renamed
 module fails here even when no other test happens to import the module
-that holds it. A bloom-mode simulation must not load numpy at all.
+that holds it. A bloom-mode simulation must not load numpy at all, and
+a checked graph-app run must not need networkx.
 """
 
 import importlib
@@ -48,11 +49,23 @@ def test_every_package_export_resolves():
     assert not missing
 
 
+def run_fresh(script):
+    """Run ``script`` in a fresh interpreter that imports this ``repro``;
+    fails the test on a non-zero exit."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_bloom_simulation_does_not_load_numpy():
     """The simulator, its memory layer and the Bloom signatures are plain
     Python: importing numpy would cost every run its start-up time and
     memory. Runs in a fresh interpreter, since this one may have numpy."""
-    script = textwrap.dedent("""
+    run_fresh(textwrap.dedent("""
         import sys
         import repro
         from repro.apps import mis
@@ -63,11 +76,26 @@ def test_bloom_simulation_does_not_load_numpy():
                       n_cores=4, config=cfg)
         assert run.stats.tasks_committed > 0
         assert "numpy" not in sys.modules, "numpy was imported"
-    """)
-    src = os.path.dirname(os.path.dirname(repro.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    """))
+
+
+@pytest.mark.parametrize("module,inp,variant", [
+    ("repro.apps.maxflow", "b=2, layers=3", "fractal"),
+    ("repro.apps.msf", "scale=4, edge_factor=3", "fractal"),
+    ("repro.apps.pbbs.spanning", "scale=4, edge_factor=3", "specfor"),
+    ("repro.apps.swarm.bfs", "scale=4, edge_factor=3", "swarm"),
+    ("repro.apps.swarm.sssp", "scale=4, edge_factor=3", "swarm"),
+])
+def test_graph_app_check_needs_no_networkx(module, inp, variant):
+    """networkx is a test-only cross-check: every graph app's result check
+    runs on its plain-Python oracle in an interpreter that cannot import
+    networkx."""
+    run_fresh(textwrap.dedent(f"""
+        import importlib, sys
+        sys.modules["networkx"] = None  # any import of it now fails
+        from repro.bench.harness import run_app
+        app = importlib.import_module("{module}")
+        run = run_app(app, app.make_input({inp}), variant="{variant}",
+                      n_cores=4, check=True)
+        assert run.stats.tasks_committed > 0
+    """))
