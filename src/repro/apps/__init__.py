@@ -23,8 +23,8 @@ Variants reproduce the paper's comparisons:
 plus per-app feature switches (``use_sw_queue`` for STAMP's TM mode,
 ``use_hints`` at the config level) used by the Fig. 17 feature ladder.
 
-Modules are imported lazily so that e.g. ``repro.apps.mis`` works without
-paying for scipy-backed apps.
+Modules are imported lazily, so e.g. ``repro.apps.mis`` does not load
+every other app.
 """
 
 import importlib

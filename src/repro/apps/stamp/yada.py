@@ -4,15 +4,17 @@ The real yada repeatedly fixes "bad" (skinny) triangles by collecting the
 *cavity* around each one, deleting it, and re-triangulating — cavities
 that overlap must be fixed atomically, which is the speculation workload.
 
-Per DESIGN.md, geometry is substituted by a conflict-equivalent kernel:
-the initial mesh comes from ``scipy.spatial.Delaunay`` over random points
-(its triangle-adjacency graph and a min-angle badness test are real); the
-*retriangulation* is abstracted — a cavity (a bad triangle plus its alive
-neighbours) is killed and replaced by the same number of fresh triangles
-from a pool, wired into the cavity's frontier, with deterministic
-hash-derived badness that decays with generation (guaranteeing
-termination). Speculation behaviour depends on cavity overlap and pool
-contention, both of which this kernel preserves.
+Per DESIGN.md, geometry is substituted by a conflict-equivalent kernel.
+The initial mesh is a Delaunay triangulation of random points, read from
+the committed table :mod:`.yada_mesh` the way STAMP's yada reads its mesh
+from input files (the table is Qhull's output, which the tests regenerate
+with scipy). Its triangle-adjacency graph and a min-angle badness test
+are real. The *retriangulation* is abstracted — a cavity (a bad triangle
+plus its alive neighbours) is killed and replaced by the same number of
+fresh triangles from a pool, wired into the cavity's frontier, with
+deterministic hash-derived badness that decays with generation
+(guaranteeing termination). Speculation behaviour depends on cavity
+overlap and pool contention, both of which this kernel preserves.
 
 TM mode consumes the bad-triangle worklist through a software queue
 (STAMP's actual design; the Fig. 17 "+HWQueues" step is what makes yada
@@ -58,19 +60,21 @@ def _min_angle(p0, p1, p2) -> float:
 
 
 def make_input(n_points: int = 48, seed: int = 13) -> YadaInput:
-    from scipy.spatial import Delaunay
-    import numpy as np
+    # input data: loaded when an input is built, as STAMP reads its mesh file
+    from .yada_mesh import MESHES
 
-    rng = np.random.default_rng(seed)
-    pts = rng.random((n_points, 2))
-    tri = Delaunay(pts)
-    simplices = tri.simplices
+    mesh = MESHES.get((n_points, seed))
+    if mesh is None:
+        raise AppError(
+            f"no committed yada mesh for n_points={n_points}, seed={seed}; "
+            f"print one with `python tests/apps/yada_mesh_oracle.py "
+            f"{n_points} {seed}` and add it to repro/apps/stamp/yada_mesh.py")
+    pts, simplices, tri_neighbors = mesh
     n = len(simplices)
-    neighbors = [tuple(int(x) for x in row if x >= 0)
-                 for row in tri.neighbors]
+    neighbors = [tuple(x for x in row if x >= 0) for row in tri_neighbors]
     bad = []
     for t in range(n):
-        p = [tuple(pts[i]) for i in simplices[t]]
+        p = [pts[i] for i in simplices[t]]
         if _min_angle(*p) < _BAD_ANGLE_DEG:
             bad.append(t)
     pool_capacity = n + 64 * max(len(bad), 1)

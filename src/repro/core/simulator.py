@@ -198,6 +198,7 @@ class Simulator(AllocAPI):
         self._last_commit_key: Optional[tuple] = None
 
         self.enable_audit = enable_audit
+        self.memory.record_values = enable_audit
         self.commit_log: List[TaskDesc] = []
         self._initial_snapshot: Optional[Dict[int, Any]] = None
         if crash_dump_dir is not None:
@@ -745,8 +746,6 @@ class Simulator(AllocAPI):
         task.children = None
         if self.enable_audit:
             self.commit_log.append(task)
-        else:
-            task.reads = task.writes = None
         if self._ebus is not None:
             self._ebus.emit(tev.CommitEvent(
                 self.now, task.tid, task.label, core.cid,
@@ -961,6 +960,12 @@ class Simulator(AllocAPI):
         return [t for t in self._live
                 if not (t.state is TaskState.SPILLED
                         and getattr(t.spill_buffer, "is_zoom", False))]
+
+    def _any_active_live(self) -> bool:
+        """Whether :meth:`_active_live` is non-empty, without building it."""
+        return any(not (t.state is TaskState.SPILLED
+                        and getattr(t.spill_buffer, "is_zoom", False))
+                   for t in self._live)
 
     def _extract_pending(self, task: TaskDesc) -> None:
         """Pull a non-speculative task out of wherever it waits (zoom-in)."""

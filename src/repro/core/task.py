@@ -10,9 +10,9 @@ That state is released when the attempt ends, as hardware frees task- and
 commit-queue entries: at commit or rollback, ``SpecMemory`` drops the undo
 log, the read/write line sets and the Bloom signatures and points
 ``deps`` / ``dependents`` at one shared empty set. At commit the simulator
-also drops ``children`` and, unless the run is audited, the ``reads`` /
-``writes`` records the serializability audit replays. So a run holds
-memory for its live tasks, not for every task it ever created.
+also drops ``children``. The ``reads`` / ``writes`` value records exist
+only in audited runs, for the serializability audit to replay. So a run
+holds memory for its live tasks, not for every task it ever created.
 
 State machine::
 

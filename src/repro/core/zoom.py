@@ -102,8 +102,16 @@ class ZoomController:
         # Auto zoom-out: the zoomed-in region drained with outer work
         # parked (possibly several empty frames if spilled tasks were
         # squashed meanwhile).
-        while self.frames and self._min_active_key() is None:
+        while self.frames and not self._any_active():
             self.zoom_out()
+
+    def _any_active(self) -> bool:
+        """Whether any live task is active (not zoom-parked): the pass's
+        minimum when it is already scanned, else a scan that stops at the
+        first active task."""
+        if self._min_key is _UNSCANNED:
+            return self.sim._any_active_live()
+        return self._min_key is not None
 
     def _min_active_key(self) -> Optional[tuple]:
         """Lowest order key over the active (not zoom-parked) live tasks,

@@ -65,8 +65,11 @@ class OwnerProtocol:
     They live exactly as long as the attempt. When it ends, at commit or
     at rollback, ``undo``, ``read_lines``, ``write_lines``, ``sig_read``
     and ``sig_write`` become None and ``deps`` / ``dependents`` become
-    the shared empty :data:`NO_EDGES`. ``reads`` / ``writes`` survive:
-    the simulator drops them at commit unless the run is audited.
+    the shared empty :data:`NO_EDGES`. ``reads`` / ``writes`` survive,
+    since the audit replays them after the run. They are dicts only while
+    :attr:`SpecMemory.record_values` is set; otherwise they are None and
+    no access records a value (a simulator that does not audit clears
+    the flag).
 
     What the owner class must provide:
 
@@ -127,6 +130,11 @@ class SpecMemory:
         #: initialization pokes (fresh SpecDict slots) into the audit's
         #: initial snapshot.
         self.on_poke: Optional[Callable[[int, Any], None]] = None
+        #: record each owner's first-read / last-written value per
+        #: address in ``reads`` / ``writes``. Only the serializability
+        #: audit reads them, so the simulator clears this when it does
+        #: not audit.
+        self.record_values = True
         #: telemetry (installed by the simulator): a falsy bus disables
         #: conflict events; ``clock`` supplies the current cycle.
         self.bus = None
@@ -152,8 +160,11 @@ class SpecMemory:
     def attach_owner(self, owner) -> None:
         """Initialize per-attempt speculative state on ``owner``."""
         owner.undo = UndoLog()
-        owner.reads = {}
-        owner.writes = {}
+        if self.record_values:
+            owner.reads = {}
+            owner.writes = {}
+        else:
+            owner.reads = owner.writes = None
         owner.read_lines = set()
         owner.write_lines = set()
         owner.deps = set()
@@ -271,8 +282,10 @@ class SpecMemory:
                 owner.deps.add(writer)
                 writer.dependents.add(owner)
 
-        if addr not in owner.reads and addr not in owner.writes:
-            owner.reads[addr] = value
+        reads = owner.reads
+        if (reads is not None and addr not in reads
+                and addr not in owner.writes):
+            reads[addr] = value
         if line not in owner.read_lines:
             owner.read_lines.add(line)
             readers = self._line_readers.get(line)
@@ -339,7 +352,9 @@ class SpecMemory:
             wchain.append(owner)
 
         self._values[addr] = value
-        owner.writes[addr] = value
+        writes = owner.writes
+        if writes is not None:
+            writes[addr] = value
         if line not in owner.write_lines:
             # first line touch as a writer: join the chain (an owner in
             # the chain is always its tail here — eager aborts cleared any

@@ -70,6 +70,13 @@ def test_committed_task_releases_its_state():
         assert not task.deps and not task.dependents
 
 
+def test_only_an_audited_run_records_values():
+    assert not Simulator(SystemConfig.with_cores(1),
+                         enable_audit=False).memory.record_values
+    assert Simulator(SystemConfig.with_cores(1),
+                     enable_audit=True).memory.record_values
+
+
 def test_audited_run_keeps_read_write_records():
     sim, roots = _run(enable_audit=True)
     for task in roots:

@@ -49,6 +49,24 @@ def test_parked_requests_share_one_scan():
     assert sim.scans == 2  # one per tick, not one per request
 
 
+def test_drain_check_reuses_the_scanned_minimum():
+    """With a frame open, each tick ends by asking whether any task is
+    still active: the scan a request already made answers it, and with no
+    request it stops at the first active task instead of listing them."""
+    blocker = _Task(FractalVT.root(U, 0, 5), TaskState.RUNNING)
+    requester = _Task(FractalVT.root(U, 0, 10).child_sub(U, 0, 20))
+    sim = _CountingSim([blocker, requester])
+    sim._any_active_live = lambda: True
+    ctl = ZoomController(sim)
+    ctl.frames.append(zoom_mod.ZoomFrame([], FractalVT.root(U, 0, 1).base))
+    ctl.park(requester, "in", 32)
+    ctl.process()
+    assert sim.scans == 1 and ctl.frames   # one scan, no zoom-out
+    ctl.drop_request(requester)
+    ctl.process()
+    assert sim.scans == 1 and ctl.frames   # no request: no full scan
+
+
 class _RescanPerRequest(ZoomController):
     """The old behaviour: a fresh live-set scan for every check."""
 

@@ -33,9 +33,19 @@ class TestZoomIn:
 
     def test_sibling_work_spilled_and_resumed(self):
         """Tasks of the base domain are parked during a zoom-in and run
-        after the zoom-out (paper Fig. 13: D and E)."""
+        after the zoom-out (paper Fig. 13: D and E). Nothing requests the
+        zoom-outs: each fires when the deep chain's last task commits
+        with the frame open, and the tick finds no active task left."""
         sim = deep_sim(vt_bits=64)
         ran = sim.array("ran", 8 * 8)
+        drained = []
+        zoom_out = sim.zoom.zoom_out
+
+        def counting_zoom_out():
+            drained.append(not sim._active_live())
+            zoom_out()
+
+        sim.zoom.zoom_out = counting_zoom_out
 
         def sibling(ctx, i):
             ran.set(ctx, i * 8, 1)
@@ -53,6 +63,8 @@ class TestZoomIn:
         sim.audit()
         assert all(ran.peek(i * 8) == 1 for i in range(6))
         assert stats.zoom_ins > 0
+        assert stats.zoom_outs == stats.zoom_ins == len(drained)
+        assert all(drained)
 
     def test_ordered_base_timestamp_restored(self):
         """Zooming out of an ordered base domain restores timestamps from

@@ -185,3 +185,15 @@ class TestAuditRecords:
         mem.store(t, 100, "mine")
         mem.load(t, 100)
         assert 100 not in t.reads
+
+    def test_no_records_when_values_are_not_recorded(self, mem,
+                                                      owner_factory):
+        mem.record_values = False
+        mem.poke(100, "first")
+        t = owner_factory(1)
+        assert mem.load(t, 100) == "first"
+        mem.store(t, 100, "mine")
+        assert t.reads is None and t.writes is None
+        mem.commit(t)
+        assert mem.peek(100) == "mine"
+        mem.assert_quiescent()

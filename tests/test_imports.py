@@ -4,7 +4,7 @@ package's ``__all__`` names something that exists.
 Walks the package tree, so a module-level import of a deleted or renamed
 module fails here even when no other test happens to import the module
 that holds it. A bloom-mode simulation must not load numpy at all, and
-a checked graph-app run must not need networkx.
+checked graph-app and STAMP runs must not need networkx, numpy or scipy.
 """
 
 import importlib
@@ -17,6 +17,7 @@ import textwrap
 import pytest
 
 import repro
+from repro.apps import stamp
 
 #: ``__main__`` modules run their CLI on import, so they are left out
 MODULES = sorted(info.name for info in
@@ -97,5 +98,21 @@ def test_graph_app_check_needs_no_networkx(module, inp, variant):
         app = importlib.import_module("{module}")
         run = run_app(app, app.make_input({inp}), variant="{variant}",
                       n_cores=4, check=True)
+        assert run.stats.tasks_committed > 0
+    """))
+
+
+@pytest.mark.parametrize("name", stamp.__all__)
+def test_stamp_check_needs_no_numpy_or_scipy(name):
+    """numpy and scipy are test-only: yada reads its Delaunay mesh from a
+    committed table, so every STAMP app builds its default input, runs and
+    passes its result check in an interpreter that cannot import either."""
+    run_fresh(textwrap.dedent(f"""
+        import sys
+        sys.modules["numpy"] = sys.modules["scipy"] = None
+        from repro.apps.stamp import {name} as app
+        from repro.bench.harness import run_app
+        run = run_app(app, app.make_input(), variant="fractal", n_cores=4,
+                      check=True)
         assert run.stats.tasks_committed > 0
     """))
