@@ -7,7 +7,7 @@ footprints): smaller filters must hurt flat progressively while leaving
 fractal nearly untouched.
 """
 
-from _common import core_counts, emit, once, run_once
+from _common import core_counts, emit, run_once, shape_checks_at
 from repro.apps import maxflow
 from repro.bench.report import format_table
 from repro.config import SystemConfig
@@ -39,14 +39,11 @@ def sweep(n_cores):
     return results
 
 
-def bench_ablation_conflict(benchmark):
-    n = max(core_counts(quick=True))
-    results = once(benchmark, lambda: sweep(n))
-    # tiny filters must cost flat more false positives than fractal
-    flat_fp = results[("flat", 256)].stats.false_positive_conflicts
-    frac_fp = results[("fractal", 256)].stats.false_positive_conflicts
-    assert flat_fp >= frac_fp
-
-
 if __name__ == "__main__":
-    sweep(max(core_counts()))
+    n = max(core_counts())
+    results = sweep(n)
+    if shape_checks_at(n):
+        # tiny filters must cost flat more false positives than fractal
+        flat_fp = results[("flat", 256)].stats.false_positive_conflicts
+        frac_fp = results[("fractal", 256)].stats.false_positive_conflicts
+        assert flat_fp >= frac_fp

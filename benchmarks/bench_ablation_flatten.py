@@ -8,7 +8,7 @@ under a tight VT budget and shows the flattening policy removing the
 zooming cost.
 """
 
-from _common import core_counts, emit, once, run_once
+from _common import core_counts, emit, run_once, shape_checks_at
 from repro.apps import zoomtree
 from repro.bench.report import format_table
 from repro.config import SystemConfig
@@ -35,13 +35,10 @@ def sweep(n_cores):
     return results
 
 
-def bench_ablation_flatten(benchmark):
-    n = max(core_counts(quick=True))
-    results = once(benchmark, lambda: sweep(n))
-    assert results["nested"].stats.zoom_ins > 0
-    assert results["flattened"].stats.zoom_ins == 0
-    assert results["flattened"].makespan <= results["nested"].makespan
-
-
 if __name__ == "__main__":
-    sweep(max(core_counts()))
+    n = max(core_counts())
+    results = sweep(n)
+    if shape_checks_at(n):
+        assert results["nested"].stats.zoom_ins > 0
+        assert results["flattened"].stats.zoom_ins == 0
+        assert results["flattened"].makespan <= results["nested"].makespan

@@ -6,7 +6,7 @@ grow, and makespan inflates; a very short interval approaches continuous
 commit. The paper's 200-cycle choice sits on the flat part of this curve.
 """
 
-from _common import core_counts, emit, once
+from _common import core_counts, emit, shape_checks_at
 from repro.apps import silo
 from repro.bench.harness import run_app
 from repro.bench.report import format_table
@@ -32,12 +32,9 @@ def sweep(n_cores):
     return results
 
 
-def bench_ablation_gvt(benchmark):
-    n = max(core_counts(quick=True))
-    results = once(benchmark, lambda: sweep(n))
-    # a pathologically long interval must not beat the paper setting
-    assert results[4000].makespan >= results[200].makespan
-
-
 if __name__ == "__main__":
-    sweep(max(core_counts()))
+    n = max(core_counts())
+    results = sweep(n)
+    if shape_checks_at(n):
+        # a pathologically long interval must not beat the paper setting
+        assert results[4000].makespan >= results[200].makespan

@@ -6,7 +6,7 @@ model) and likely-conflicting tasks queue behind each other instead of
 speculating against each other.
 """
 
-from _common import core_counts, emit, once, run_once
+from _common import core_counts, emit, run_once, shape_checks_at
 from repro.apps import genome, kmeans, mis
 from repro.bench.report import format_table
 
@@ -32,11 +32,9 @@ def sweep(n_cores):
     return results
 
 
-def bench_ablation_hints(benchmark):
-    n = max(core_counts(quick=True))
-    results = once(benchmark, lambda: sweep(n))
-    assert all(on.stats.tasks_committed > 0 for _, on in results.values())
-
-
 if __name__ == "__main__":
-    sweep(max(core_counts()))
+    n = max(core_counts())
+    results = sweep(n)
+    if shape_checks_at(n):
+        assert all(on.stats.tasks_committed > 0
+                   for _, on in results.values())

@@ -6,7 +6,7 @@ shrinking the task queue forces coalescer/splitter spills. Both must show
 up in the cycle breakdown, and capacity should buy performance back.
 """
 
-from _common import core_counts, emit, once, run_once
+from _common import core_counts, emit, shape_checks_at
 from repro.apps import mis
 from repro.bench.harness import run_app
 from repro.bench.report import format_table
@@ -37,13 +37,10 @@ def sweep(n_cores):
     return results
 
 
-def bench_ablation_queues(benchmark):
-    n = max(core_counts(quick=True))
-    results = once(benchmark, lambda: sweep(n))
-    # constrained queues must spill more tasks than the paper config
-    assert (results["tiny"].stats.tasks_spilled
-            >= results["paper"].stats.tasks_spilled)
-
-
 if __name__ == "__main__":
-    sweep(max(core_counts()))
+    n = max(core_counts())
+    results = sweep(n)
+    if shape_checks_at(n):
+        # constrained queues must spill more tasks than the paper config
+        assert (results["tiny"].stats.tasks_spilled
+                >= results["paper"].stats.tasks_spilled)

@@ -7,7 +7,7 @@ timelines (ASCII) and checks that the flat version's longest committed
 task is over 4x the fractal version's.
 """
 
-from _common import emit, once
+from _common import emit
 from repro.apps import maxflow
 from repro.bench.harness import run_app
 from repro.telemetry import EventBus, EventRecorder
@@ -40,21 +40,10 @@ def render(traced, variant):
                                       "global_relabel": "G", "init": "i"}))
 
 
-def bench_fig01_timelines(benchmark):
-    def job():
-        flat = run_traced("flat")
-        fractal = run_traced("fractal")
-        emit("fig01_timelines",
-             render(flat, "flat") + "\n\n" + render(fractal, "fractal"))
-        return flat, fractal
-
-    flat, fractal = once(benchmark, job)
-    # the flat version must contain much longer tasks (global relabels)
-    assert longest_task(flat) > 4 * longest_task(fractal)
-
-
 if __name__ == "__main__":
     flat = run_traced("flat")
     fractal = run_traced("fractal")
     emit("fig01_timelines",
          render(flat, "flat") + "\n\n" + render(fractal, "fractal"))
+    # the flat version must contain much longer tasks (global relabels)
+    assert longest_task(flat) > 4 * longest_task(fractal)

@@ -5,7 +5,7 @@ at 256 cores (over 1-core flat). Expected shape here: flat saturates
 early; fractal keeps scaling and clearly wins at the largest core count.
 """
 
-from _common import core_counts, emit, once, run_once
+from _common import core_counts, emit, run_once, shape_checks_at
 from repro.apps import maxflow
 from repro.bench.report import format_table
 
@@ -28,20 +28,12 @@ def sweep(cores):
     return runs
 
 
-def bench_fig03_maxflow_fractal(benchmark):
-    inp = _input()
-    run = once(benchmark, lambda: run_once(maxflow, inp, "fractal", 16))
-    assert run.stats.tasks_committed > 0
-
-
-def bench_fig03_sweep(benchmark):
-    cores = core_counts(quick=True)
-    runs = once(benchmark, lambda: sweep(cores))
-    top = max(cores)
-    assert (runs[("fractal", top)].makespan
-            < runs[("flat", top)].makespan), \
-        "fractal must beat flat at the largest core count (Fig. 3)"
-
-
 if __name__ == "__main__":
-    sweep(core_counts())
+    cores = core_counts()
+    runs = sweep(cores)
+    top = max(cores)
+    if shape_checks_at(top):
+        assert runs[("fractal", top)].stats.tasks_committed > 0
+        assert (runs[("fractal", top)].makespan
+                < runs[("flat", top)].makespan), \
+            "fractal must beat flat at the largest core count (Fig. 3)"

@@ -5,7 +5,7 @@ silo-flat only 9.7x. Expected shape: fractal and swarm close together,
 both far above flat at the largest core count.
 """
 
-from _common import core_counts, emit, once, run_once
+from _common import core_counts, emit, run_once, shape_checks_at
 from repro.apps import silo
 from repro.bench.report import format_table
 
@@ -28,21 +28,15 @@ def sweep(cores):
     return runs
 
 
-def bench_fig04_silo_fractal(benchmark):
-    inp = _input()
-    run = once(benchmark, lambda: run_once(silo, inp, "fractal", 16))
-    assert run.stats.tasks_committed > 0
-
-
-def bench_fig04_sweep(benchmark):
-    cores = core_counts(quick=True)
-    runs = once(benchmark, lambda: sweep(cores))
-    top = max(cores)
-    assert runs[("fractal", top)].makespan < runs[("flat", top)].makespan
-    # silo-swarm approaches fractal (paper: within 4.5%; loose at toy scale)
-    assert (runs[("swarm", top)].makespan
-            < 2.0 * runs[("fractal", top)].makespan)
-
-
 if __name__ == "__main__":
-    sweep(core_counts())
+    cores = core_counts()
+    runs = sweep(cores)
+    top = max(cores)
+    if shape_checks_at(top):
+        assert runs[("fractal", top)].stats.tasks_committed > 0
+        assert (runs[("fractal", top)].makespan
+                < runs[("flat", top)].makespan)
+        # silo-swarm approaches fractal (paper: within 4.5%; loose at toy
+        # scale)
+        assert (runs[("swarm", top)].makespan
+                < 2.0 * runs[("fractal", top)].makespan)

@@ -5,7 +5,7 @@ over-serialization), mis-flat 98x. Expected shape: all three scale;
 fractal on top, swarm penalized by its fixed order, flat lowest.
 """
 
-from _common import core_counts, emit, once, run_once
+from _common import core_counts, emit, run_once, shape_checks_at
 from repro.apps import mis
 from repro.bench.report import format_table
 
@@ -29,20 +29,13 @@ def sweep(cores):
     return runs
 
 
-def bench_fig06_mis_fractal(benchmark):
-    inp = _input()
-    run = once(benchmark, lambda: run_once(mis, inp, "fractal", 16))
-    assert run.stats.tasks_committed > 0
-
-
-def bench_fig06_sweep(benchmark):
-    cores = core_counts(quick=True)
-    runs = once(benchmark, lambda: sweep(cores))
-    top = max(cores)
-    # swarm's extra order constraints cause more aborted work than fractal
-    assert (runs[("swarm", top)].stats.tasks_aborted
-            >= runs[("fractal", top)].stats.tasks_aborted * 0.5)
-
-
 if __name__ == "__main__":
-    sweep(core_counts())
+    cores = core_counts()
+    runs = sweep(cores)
+    top = max(cores)
+    if shape_checks_at(top):
+        assert runs[("fractal", top)].stats.tasks_committed > 0
+        # swarm's extra order constraints cause more aborted work than
+        # fractal
+        assert (runs[("swarm", top)].stats.tasks_aborted
+                >= runs[("fractal", top)].stats.tasks_aborted * 0.5)

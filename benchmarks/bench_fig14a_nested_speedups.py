@@ -12,7 +12,7 @@ and |fractal(bloom) - fractal(precise)| small while flat(precise) >=
 flat(bloom).
 """
 
-from _common import core_counts, emit, once, run_once
+from _common import core_counts, emit, run_once, shape_checks_at
 from repro.apps import bayes, labyrinth, maxflow
 from repro.bench.report import format_table
 
@@ -24,10 +24,10 @@ APPS = [
 ]
 
 
-def sweep(cores, apps=APPS, tag=""):
+def sweep(cores):
     rows = []
     results = {}
-    for name, app, params, (flat_v, frac_v) in apps:
+    for name, app, params, (flat_v, frac_v) in APPS:
         inp = app.make_input(**params)
         base = None
         for v in (flat_v, frac_v):
@@ -45,35 +45,20 @@ def sweep(cores, apps=APPS, tag=""):
                 f"{base / results[(name, frac_v, 'bloom', n)].makespan:.2f}x",
                 f"{base / results[(name, frac_v, 'precise', n)].makespan:.2f}x",
             ])
-    emit(f"fig14a_nested_speedups{tag}",
+    emit("fig14a_nested_speedups",
          format_table(["app", "cores", "flat/bloom", "flat/precise",
                        "fractal/bloom", "fractal/precise"], rows))
     return results
 
 
-def bench_fig14a_maxflow(benchmark):
-    cores = core_counts(quick=True)
-    results = once(benchmark, lambda: sweep(cores, apps=APPS[:1], tag="_maxflow"))
-    top = max(cores)
-    assert (results[("maxflow", "fractal", "bloom", top)].makespan
-            < results[("maxflow", "flat", "bloom", top)].makespan)
-
-
-def bench_fig14a_labyrinth(benchmark):
-    cores = core_counts(quick=True)
-    results = once(benchmark, lambda: sweep(cores, apps=APPS[1:2], tag="_labyrinth"))
-    top = max(cores)
-    assert (results[("labyrinth", "fractal", "bloom", top)].makespan
-            < results[("labyrinth", "hwq", "bloom", top)].makespan)
-
-
-def bench_fig14a_bayes(benchmark):
-    cores = core_counts(quick=True)
-    results = once(benchmark, lambda: sweep(cores, apps=APPS[2:], tag="_bayes"))
-    top = max(cores)
-    assert (results[("bayes", "fractal", "bloom", top)].makespan
-            < results[("bayes", "hwq", "bloom", top)].makespan)
-
-
 if __name__ == "__main__":
-    sweep(core_counts())
+    cores = core_counts()
+    results = sweep(cores)
+    top = max(cores)
+    if shape_checks_at(top):
+        assert (results[("maxflow", "fractal", "bloom", top)].makespan
+                < results[("maxflow", "flat", "bloom", top)].makespan)
+        assert (results[("labyrinth", "fractal", "bloom", top)].makespan
+                < results[("labyrinth", "hwq", "bloom", top)].makespan)
+        assert (results[("bayes", "fractal", "bloom", top)].makespan
+                < results[("bayes", "hwq", "bloom", top)].makespan)

@@ -6,7 +6,7 @@ Paper: flat versions are dominated by aborted work and stalls/emptiness;
 fractal versions spend most cycles on committed work (aborts 7-24%).
 """
 
-from _common import core_counts, emit, once, run_once
+from _common import core_counts, emit, run_once, shape_checks_at
 from repro.apps import bayes, labyrinth, maxflow
 from repro.bench.report import format_table
 
@@ -18,10 +18,10 @@ APPS = [
 ]
 
 
-def breakdowns(top, apps=APPS):
+def breakdowns(top):
     rows = []
     results = {}
-    for name, app, params, variants in apps:
+    for name, app, params, variants in APPS:
         inp = app.make_input(**params)
         for v in variants:
             for mode in ("bloom", "precise"):
@@ -41,15 +41,14 @@ def breakdowns(top, apps=APPS):
     return results
 
 
-def bench_fig14b_breakdowns(benchmark):
-    top = max(core_counts(quick=True))
-    results = once(benchmark, lambda: breakdowns(top))
-    for name, _, _, (flat_v, frac_v) in APPS:
-        flat = results[(name, flat_v, "bloom")].stats.breakdown.fractions()
-        frac = results[(name, frac_v, "bloom")].stats.breakdown.fractions()
-        # fractal's committed share must beat flat's (Fig. 14b shape)
-        assert frac["committed"] > flat["committed"], name
-
-
 if __name__ == "__main__":
-    breakdowns(max(core_counts()))
+    top = max(core_counts())
+    results = breakdowns(top)
+    if shape_checks_at(top):
+        for name, _, _, (flat_v, frac_v) in APPS:
+            flat = results[(name, flat_v,
+                            "bloom")].stats.breakdown.fractions()
+            frac = results[(name, frac_v,
+                            "bloom")].stats.breakdown.fractions()
+            # fractal's committed share must beat flat's (Fig. 14b shape)
+            assert frac["committed"] > flat["committed"], name

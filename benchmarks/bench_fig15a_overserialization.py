@@ -7,7 +7,7 @@ core count, fractal <= swarm-fg <= flat in makespan per app (loosely for
 color/mis whose gaps are small).
 """
 
-from _common import core_counts, emit, once, run_once
+from _common import core_counts, emit, run_once, shape_checks_at
 from repro.apps import color, mis, msf
 from repro.bench.report import format_table
 
@@ -19,10 +19,10 @@ APPS = [
 VARIANTS = ("flat", "swarm", "fractal")
 
 
-def sweep(cores, apps=APPS, tag=""):
+def sweep(cores):
     results = {}
     rows = []
-    for name, app, params in apps:
+    for name, app, params in APPS:
         inp = app.make_input(**params)
         base = None
         for v in VARIANTS:
@@ -35,32 +35,18 @@ def sweep(cores, apps=APPS, tag=""):
             rows.append([name, f"{n}c"]
                         + [f"{base / results[(name, v, n)].makespan:.2f}x"
                            for v in VARIANTS])
-    emit(f"fig15a_overserialization{tag}",
+    emit("fig15a_overserialization",
          format_table(["app", "cores"] + list(VARIANTS), rows))
     return results
 
 
-def bench_fig15a_mis(benchmark):
-    cores = core_counts(quick=True)
-    results = once(benchmark, lambda: sweep(cores, apps=APPS[:1], tag="_mis"))
-    top = max(cores)
-    assert results[("mis", "fractal", top)].stats.tasks_committed > 0
-
-
-def bench_fig15a_color(benchmark):
-    cores = core_counts(quick=True)
-    once(benchmark, lambda: sweep(cores, apps=APPS[1:2], tag="_color"))
-
-
-def bench_fig15a_msf(benchmark):
-    cores = core_counts(quick=True)
-    results = once(benchmark, lambda: sweep(cores, apps=APPS[2:], tag="_msf"))
-    top = max(cores)
-    # swarm-fg's static conflict-resolution priority causes more aborted
-    # work than fractal's dynamic tiebreakers (paper Sec. 6.2)
-    assert (results[("msf", "fractal", top)].makespan
-            <= results[("msf", "swarm", top)].makespan * 1.5)
-
-
 if __name__ == "__main__":
-    sweep(core_counts())
+    cores = core_counts()
+    results = sweep(cores)
+    top = max(cores)
+    if shape_checks_at(top):
+        assert results[("mis", "fractal", top)].stats.tasks_committed > 0
+        # swarm-fg's static conflict-resolution priority causes more
+        # aborted work than fractal's dynamic tiebreakers (paper Sec. 6.2)
+        assert (results[("msf", "fractal", top)].makespan
+                <= results[("msf", "swarm", top)].makespan * 1.5)

@@ -6,7 +6,7 @@ swarm-fg aborts more than fractal (static conflict priority); fractal
 spends the most cycles on committed work.
 """
 
-from _common import core_counts, emit, once, run_once
+from _common import core_counts, emit, run_once, shape_checks_at
 from repro.apps import color, mis, msf
 from repro.bench.report import format_table
 
@@ -18,10 +18,10 @@ APPS = [
 VARIANTS = ("flat", "swarm", "fractal")
 
 
-def breakdowns(top, apps=APPS):
+def breakdowns(top):
     rows = []
     results = {}
-    for name, app, params in apps:
+    for name, app, params in APPS:
         inp = app.make_input(**params)
         for v in VARIANTS:
             run = run_once(app, inp, v, top)
@@ -39,11 +39,8 @@ def breakdowns(top, apps=APPS):
     return results
 
 
-def bench_fig15b_breakdowns(benchmark):
-    top = max(core_counts(quick=True))
-    results = once(benchmark, lambda: breakdowns(top))
-    assert results[("mis", "fractal")].stats.tasks_committed > 0
-
-
 if __name__ == "__main__":
-    breakdowns(max(core_counts()))
+    top = max(core_counts())
+    results = breakdowns(top)
+    if shape_checks_at(top):
+        assert results[("mis", "fractal")].stats.tasks_committed > 0

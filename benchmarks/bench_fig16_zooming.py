@@ -8,7 +8,7 @@ paper's 39 M-task tree is beyond a Python-resident simulation; the
 normalized shape is what is compared).
 """
 
-from _common import core_counts, emit, once, run_once
+from _common import core_counts, emit, run_once, shape_checks_at
 from repro.apps import zoomtree
 from repro.bench.report import format_table
 from repro.config import SystemConfig
@@ -28,10 +28,10 @@ def run_tree(fanout, max_depth, n_cores):
     return run_once(zoomtree, inp, "fractal", n_cores, config=cfg)
 
 
-def sweep(n_cores, fanouts=FANOUTS):
+def sweep(n_cores):
     rows = []
     results = {}
-    for fanout in fanouts:
+    for fanout in FANOUTS:
         baseline = run_tree(fanout, TREE_DEPTH, n_cores)
         results[(fanout, TREE_DEPTH)] = baseline
         row = [f"F={fanout}"]
@@ -47,22 +47,15 @@ def sweep(n_cores, fanouts=FANOUTS):
     return results
 
 
-def bench_fig16_zooming_1core(benchmark):
-    results = once(benchmark, lambda: sweep(1, fanouts=(2, 4)))
+if __name__ == "__main__":
+    results = sweep(1)
     for fanout in (2, 4):
         # performance is monotone in supported depth (Fig. 16a)
         spans = [results[(fanout, d)].makespan for d in DEPTHS]
         assert spans[0] >= spans[-1]
         assert results[(fanout, 2)].stats.zoom_ins > 0
         assert results[(fanout, TREE_DEPTH)].stats.zoom_ins == 0
-
-
-def bench_fig16_zooming_parallel(benchmark):
-    n = max(core_counts(quick=True))
-    results = once(benchmark, lambda: sweep(n, fanouts=(4,)))
-    assert results[(4, TREE_DEPTH)].stats.tasks_committed > 0
-
-
-if __name__ == "__main__":
-    sweep(1)
-    sweep(max(core_counts()))
+    n = max(core_counts())
+    results = sweep(n)
+    if shape_checks_at(n):
+        assert results[(4, TREE_DEPTH)].stats.tasks_committed > 0

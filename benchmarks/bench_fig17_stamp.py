@@ -15,7 +15,7 @@ Ladder rungs here:
 
 import math
 
-from _common import core_counts, emit, once, run_once
+from _common import core_counts, emit, run_once, shape_checks_at
 from repro.apps import (
     bayes, genome, intruder, kmeans, labyrinth, ssca2, vacation, yada)
 from repro.bench.report import format_table
@@ -38,10 +38,11 @@ LADDER = [
 ]
 
 
-def sweep(cores, apps=APPS, tag=""):
+def sweep(cores):
     results = {}
     rows = []
-    for name, app, params in apps:
+    top = max(cores)
+    for name, app, params in APPS:
         inp = app.make_input(**params)
         base = None
         for rung, variant, hints in LADDER:
@@ -50,56 +51,33 @@ def sweep(cores, apps=APPS, tag=""):
                 results[(name, rung, n)] = run
                 if base is None:
                     base = run.makespan
-        top = max(cores)
         rows.append([name]
                     + [f"{base / results[(name, rung, top)].makespan:.2f}x"
                        for rung, _, _ in LADDER])
-    top = max(cores)
-    speedups = [results[(name, "Fractal", top)]
-                for name, _, _ in apps]
-    if speedups:
-        base_spans = {name: results[(name, "TM", min(cores))].makespan
-                      for name, _, _ in apps}
-        gmean = math.exp(sum(
-            math.log(base_spans[name]
-                     / results[(name, "Fractal", top)].makespan)
-            for name, _, _ in apps) / len(apps))
-        rows.append(["gmean(Fractal)", "", "", "", f"{gmean:.2f}x"])
-    emit(f"fig17_stamp_{top}c{tag}",
+    base_spans = {name: results[(name, "TM", min(cores))].makespan
+                  for name, _, _ in APPS}
+    gmean = math.exp(sum(
+        math.log(base_spans[name]
+                 / results[(name, "Fractal", top)].makespan)
+        for name, _, _ in APPS) / len(APPS))
+    rows.append(["gmean(Fractal)", "", "", "", f"{gmean:.2f}x"])
+    emit(f"fig17_stamp_{top}c",
          format_table(["app"] + [r for r, _, _ in LADDER], rows))
     return results
 
 
-def bench_fig17_queue_bound_apps(benchmark):
-    """HW task queues rescue the software-queue-bound apps."""
-    cores = core_counts(quick=True)
-    apps = [a for a in APPS if a[0] in ("ssca2", "intruder", "yada")]
-    results = once(benchmark, lambda: sweep(cores, apps, tag="_queuebound"))
-    top = max(cores)
-    for name in ("ssca2", "intruder", "yada"):
-        assert (results[(name, "+HWQueues", top)].makespan
-                < results[(name, "TM", top)].makespan), name
-
-
-def bench_fig17_nesting_apps(benchmark):
-    """Fractal nesting rescues labyrinth and bayes."""
-    cores = core_counts(quick=True)
-    apps = [a for a in APPS if a[0] in ("labyrinth", "bayes")]
-    results = once(benchmark, lambda: sweep(cores, apps, tag="_nesting"))
-    top = max(cores)
-    for name in ("labyrinth", "bayes"):
-        assert (results[(name, "Fractal", top)].makespan
-                < results[(name, "+Hints", top)].makespan), name
-
-
-def bench_fig17_remaining_apps(benchmark):
-    cores = core_counts(quick=True)
-    apps = [a for a in APPS if a[0] in ("vacation", "kmeans", "genome")]
-    results = once(benchmark, lambda: sweep(cores, apps, tag="_remaining"))
-    top = max(cores)
-    for name in ("vacation", "kmeans", "genome"):
-        assert results[(name, "Fractal", top)].stats.tasks_committed > 0
-
-
 if __name__ == "__main__":
-    sweep(core_counts())
+    cores = core_counts()
+    results = sweep(cores)
+    top = max(cores)
+    if shape_checks_at(top):
+        # HW task queues rescue the software-queue-bound apps
+        for name in ("ssca2", "intruder", "yada"):
+            assert (results[(name, "+HWQueues", top)].makespan
+                    < results[(name, "TM", top)].makespan), name
+        # fractal nesting rescues labyrinth and bayes
+        for name in ("labyrinth", "bayes"):
+            assert (results[(name, "Fractal", top)].makespan
+                    < results[(name, "+Hints", top)].makespan), name
+        for name in ("vacation", "kmeans", "genome"):
+            assert results[(name, "Fractal", top)].stats.tasks_committed > 0

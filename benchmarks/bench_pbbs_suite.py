@@ -13,7 +13,7 @@ Two paper-style tables:
   reservation losers between rounds.
 """
 
-from _common import core_counts, emit, once, run_once
+from _common import core_counts, emit, run_once, shape_checks_at
 from repro.apps.pbbs import contract, refine, spanning
 from repro.bench.report import format_table
 
@@ -27,10 +27,10 @@ VARIANTS = ("flat", "swarm", "fractal", "specfor")
 GRANULARITIES = (2, 8, 32)
 
 
-def sweep_variants(cores, suite=SUITE, tag=""):
+def sweep_variants(cores):
     rows = []
     results = {}
-    for name, app, params in suite:
+    for name, app, params in SUITE:
         inp = app.make_input(**params)
         base = None
         for variant in VARIANTS:
@@ -42,16 +42,15 @@ def sweep_variants(cores, suite=SUITE, tag=""):
                     base = run.makespan
                 row.append(f"{base / run.makespan:.2f}x")
             rows.append(row)
-    emit(f"pbbs_variants{tag}",
+    emit("pbbs_variants",
          format_table(["app", "variant"] + [f"{n}c" for n in cores], rows))
     return results
 
 
-def sweep_granularity(cores, suite=SUITE, tag=""):
+def sweep_granularity(cores):
     rows = []
     results = {}
-    top = max(cores)
-    for name, app, params in suite:
+    for name, app, params in SUITE:
         inp = app.make_input(**params)
         for g in GRANULARITIES:
             row = [name, str(g)]
@@ -60,32 +59,21 @@ def sweep_granularity(cores, suite=SUITE, tag=""):
                 results[(name, g, n)] = run
                 row.append(str(run.makespan))
             rows.append(row)
-    emit(f"pbbs_granularity{tag}",
+    emit("pbbs_granularity",
          format_table(["app", "granularity"] + [f"{n}c" for n in cores],
                       rows))
     return results
 
 
-def bench_pbbs_variants(benchmark):
-    cores = core_counts(quick=True)
-    results = once(benchmark, lambda: sweep_variants(cores))
-    top = max(cores)
-    for name, _, _ in SUITE:
-        for variant in VARIANTS:
-            assert results[(name, variant, top)].stats.completed, \
-                (name, variant)
-
-
-def bench_pbbs_granularity(benchmark):
-    cores = core_counts(quick=True)
-    results = once(benchmark, lambda: sweep_granularity(cores))
-    top = max(cores)
-    for name, _, _ in SUITE:
-        for g in GRANULARITIES:
-            assert results[(name, g, top)].stats.completed, (name, g)
-
-
 if __name__ == "__main__":
     cores = core_counts()
-    sweep_variants(cores)
-    sweep_granularity(cores)
+    # variant names and granularities never collide as keys
+    results = {**sweep_variants(cores), **sweep_granularity(cores)}
+    top = max(cores)
+    if shape_checks_at(top):
+        for name, _, _ in SUITE:
+            for variant in VARIANTS:
+                assert results[(name, variant, top)].stats.completed, \
+                    (name, variant)
+            for g in GRANULARITIES:
+                assert results[(name, g, top)].stats.completed, (name, g)

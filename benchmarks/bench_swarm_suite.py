@@ -6,7 +6,7 @@ This bench runs all five on 1..N cores and checks that each speeds up
 without any Fractal features (single-level ordered domains only).
 """
 
-from _common import core_counts, emit, once, run_once
+from _common import core_counts, emit, run_once, shape_checks_at
 from repro.apps import astar, bfs, des, nocsim, sssp
 from repro.bench.report import format_table
 
@@ -19,10 +19,10 @@ SUITE = [
 ]
 
 
-def sweep(cores, suite=SUITE, tag=""):
+def sweep(cores):
     rows = []
     results = {}
-    for name, app, params in suite:
+    for name, app, params in SUITE:
         inp = app.make_input(**params)
         base = None
         row = [name]
@@ -33,27 +33,18 @@ def sweep(cores, suite=SUITE, tag=""):
                 base = run.makespan
             row.append(f"{base / run.makespan:.2f}x")
         rows.append(row)
-    emit(f"swarm_suite_scaling{tag}",
+    emit("swarm_suite_scaling",
          format_table(["app"] + [f"{n}c" for n in cores], rows))
     return results
 
 
-def bench_swarm_suite_graph_kernels(benchmark):
-    cores = core_counts(quick=True)
-    results = once(benchmark, lambda: sweep(cores, SUITE[:3], tag="_graph"))
-    top = max(cores)
-    for name in ("bfs", "sssp"):
-        assert (results[(name, top)].makespan
-                < results[(name, 1)].makespan), name
-
-
-def bench_swarm_suite_simulators(benchmark):
-    cores = core_counts(quick=True)
-    results = once(benchmark, lambda: sweep(cores, SUITE[3:], tag="_sims"))
-    top = max(cores)
-    for name in ("des", "nocsim"):
-        assert results[(name, top)].stats.tasks_committed > 0
-
-
 if __name__ == "__main__":
-    sweep(core_counts())
+    cores = core_counts()
+    results = sweep(cores)
+    top = max(cores)
+    if shape_checks_at(top):
+        for name in ("bfs", "sssp"):
+            assert (results[(name, top)].makespan
+                    < results[(name, 1)].makespan), name
+        for name in ("des", "nocsim"):
+            assert results[(name, top)].stats.tasks_committed > 0

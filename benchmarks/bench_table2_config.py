@@ -4,12 +4,12 @@ Prints the modeled 256-core configuration alongside the paper's values and
 asserts the architectural parameters match Table 2 exactly.
 """
 
-from _common import emit, once
+from _common import emit
 from repro.config import SystemConfig
 
 
-def bench_table2_config(benchmark):
-    cfg = once(benchmark, SystemConfig.paper_256core)
+if __name__ == "__main__":
+    cfg = SystemConfig.paper_256core()
     emit("table2_config", cfg.describe())
     assert cfg.n_cores == 256
     assert cfg.n_tiles == 64 and cfg.cores_per_tile == 4
@@ -23,7 +23,3 @@ def bench_table2_config(benchmark):
     assert cfg.latency.l1_hit == 2 and cfg.latency.l2_hit == 7
     assert cfg.latency.l3_hit == 9 and cfg.latency.mem_latency == 120
     assert cfg.mesh_dim == 8
-
-
-if __name__ == "__main__":
-    emit("table2_config", SystemConfig.paper_256core().describe())

@@ -9,7 +9,7 @@ app, avg(fractal task) << avg(flat task), and 1-core fractal within a
 small factor of 1-core flat.
 """
 
-from _common import emit, once, run_once
+from _common import emit, run_once
 from repro.apps import bayes, color, labyrinth, maxflow, mis, msf, silo
 from repro.bench.harness import run_serial
 from repro.bench.report import format_table
@@ -51,8 +51,8 @@ def table():
     return results
 
 
-def bench_table4_task_lengths(benchmark):
-    results = once(benchmark, table)
+if __name__ == "__main__":
+    results = table()
     for name, (_serial, flat, frac) in results.items():
         if name == "msf":
             # The paper's 113 -> 49 cycle shrink needs deep union-find
@@ -64,7 +64,3 @@ def bench_table4_task_lengths(benchmark):
         # fractal decomposes work into (much) smaller tasks
         assert (frac.stats.avg_task_length
                 <= flat.stats.avg_task_length), name
-
-
-if __name__ == "__main__":
-    table()

@@ -2,6 +2,10 @@
 """Assemble the measured-results section of EXPERIMENTS.md from
 benchmarks/results/ (run after the bench suite).
 
+Only the block between the ``<!-- RESULTS -->`` and ``<!-- /RESULTS -->``
+markers is regenerated; hand-written text above and below them is kept
+byte for byte.
+
 Benches that pass ``runs=`` to :func:`_common.emit` persist a structured
 ``{stem}.json`` (one ``RunStats.to_dict()`` per run) next to the text
 table; those sections are rebuilt here from the data via
@@ -16,6 +20,7 @@ import sys
 HERE = pathlib.Path(__file__).resolve().parent
 RESULTS = HERE / "results"
 EXPERIMENTS = HERE.parent / "EXPERIMENTS.md"
+BEGIN, END = "<!-- RESULTS -->", "<!-- /RESULTS -->"
 
 sys.path.insert(0, str(HERE.parent / "src"))
 
@@ -119,15 +124,6 @@ SECTIONS = {
 }
 
 
-def _matching(stem, suffix=".txt"):
-    """The result file for ``stem``, or its per-subset tagged variants
-    (the quick pytest benches emit e.g. fig17_stamp_16c_nesting.txt)."""
-    exact = RESULTS / f"{stem}{suffix}"
-    if exact.exists():
-        return [exact]
-    return sorted(RESULTS.glob(f"{stem}_*{suffix}"))
-
-
 def _render_runs_json(path):
     """Rebuild a breakdown table from a structured {stem}.json export.
 
@@ -153,26 +149,28 @@ def _render_runs_json(path):
 
 def main():
     text = EXPERIMENTS.read_text()
-    marker = "<!-- RESULTS -->"
-    head = text.split(marker)[0] + marker + "\n"
-    parts = [head]
+    head, begin, rest = text.partition(BEGIN)
+    _, end, tail = rest.partition(END)
+    if not (begin and end):
+        raise SystemExit(f"{EXPERIMENTS}: no {BEGIN} ... {END} block")
+    parts = [head, BEGIN, "\n"]
     found = 0
     for stem, (title, context) in SECTIONS.items():
-        paths = _matching(stem)
-        json_paths = _matching(stem, suffix=".json")
+        table = RESULTS / f"{stem}.txt"
+        runs_json = RESULTS / f"{stem}.json"
         parts.append(f"\n### {title}\n\n{context}\n")
-        if paths:
+        if table.exists():
             found += 1
-            body = "\n\n".join(p.read_text().rstrip() for p in paths)
-            parts.append("\n```\n" + body + "\n```\n")
-            if json_paths:
-                body = "\n\n".join(_render_runs_json(p) for p in json_paths)
+            parts.append("\n```\n" + table.read_text().rstrip() + "\n```\n")
+            if runs_json.exists():
+                body = _render_runs_json(runs_json)
                 parts.append(
                     "\nRegenerated from the structured metrics-JSON export "
                     "(`RunStats.from_dict`, no text scraping):\n"
                     "\n```\n" + body + "\n```\n")
         else:
             parts.append("\n*(not yet generated — run the bench suite)*\n")
+    parts += ["\n", END, tail]
     EXPERIMENTS.write_text("".join(parts))
     print(f"wrote {EXPERIMENTS} with {found} of {len(SECTIONS)} sections")
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Regenerate every table and figure (full sweeps) outside pytest.
+"""Regenerate every table and figure and assert every shape check.
 
 Usage:
     python benchmarks/run_all.py                     # serial, cached
@@ -8,10 +8,14 @@ Usage:
     python benchmarks/run_all.py --skip fig17_stamp --cores 1,4,16
     python benchmarks/run_all.py --shard 1/3         # CI matrix slice
 
-Results land in benchmarks/results/; a machine-readable run summary
-(per-bench wall time, cache hit/miss counts, result makespans) is written
-to BENCH_summary.json at the repo root. Each run overwrites it, so it is
-not tracked; ``--summary-out`` writes it elsewhere.
+Each bench module runs its sweep and then asserts its figure's shape
+checks; a failed check fails that bench. The checks that read the top
+core count run only when it is at least 16 (``--cores 1,4`` prints one
+line saying they were skipped). Results land in benchmarks/results/; a
+machine-readable run summary (per-bench wall time, cache hit/miss
+counts, result makespans) is written to BENCH_summary.json at the repo
+root. Each run overwrites it, so it is not tracked; ``--summary-out``
+writes it elsewhere.
 
 Each bench module runs in its own process (``--jobs N`` runs N of them
 concurrently); every simulation inside goes through the
@@ -35,6 +39,8 @@ import time
 import traceback
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
+
+from repro.cli import _core_list, _positive_int  # noqa: E402
 
 HERE = pathlib.Path(__file__).resolve().parent
 REPO_ROOT = HERE.parent
@@ -88,7 +94,8 @@ def resolve_selection(only=None, skip=None, benches=None):
 
 
 def run_bench(name):
-    """Execute one bench module's full sweep; never raises.
+    """Execute one bench module's sweep and shape checks; never raises
+    (a failed check is recorded as the bench's error).
 
     Runs in a worker process under ``--jobs N`` (or inline for 1).
     Stdout is captured so parallel benches don't interleave; the parent
@@ -103,9 +110,8 @@ def run_bench(name):
     t0 = time.perf_counter()
     error = None
     try:
-        # resolve to the source file and execute that: run_module would go
-        # through sys.meta_path loaders (pytest's assertion-rewrite hook
-        # claims bench_*.py and cannot feed runpy)
+        # resolve to the source file and execute that, bypassing any
+        # sys.meta_path import hooks (pytest's assertion rewriter)
         spec = importlib.util.find_spec(name)
         if spec is None or not spec.origin:
             raise ModuleNotFoundError(f"no bench module {name!r}")
@@ -169,7 +175,8 @@ def _parse_args(argv):
     parser = argparse.ArgumentParser(
         description="Run every bench module (or a selection) and emit "
                     "BENCH_summary.json.")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
+    parser.add_argument("--jobs", type=_positive_int, default=1,
+                        metavar="N",
                         help="bench modules to run concurrently "
                              "(default 1 = serial)")
     parser.add_argument("--only", action="append", metavar="NAME[,NAME]",
@@ -180,7 +187,8 @@ def _parse_args(argv):
     parser.add_argument("--shard", metavar="K/N", default=None,
                         help="run only deterministic shard K of N "
                              "(1-based; for CI matrix fan-out)")
-    parser.add_argument("--cores", metavar="LIST", default=None,
+    parser.add_argument("--cores", type=_core_list, metavar="LIST",
+                        default=None,
                         help="override the core sweep for every bench "
                              "(sets REPRO_BENCH_CORES)")
     parser.add_argument("--no-cache", action="store_true",
@@ -225,7 +233,7 @@ def main(argv=None):
 
     # environment for this process and every worker (fork inherits it)
     if args.cores:
-        os.environ["REPRO_BENCH_CORES"] = args.cores
+        os.environ["REPRO_BENCH_CORES"] = ",".join(map(str, args.cores))
     os.environ["REPRO_BENCH_CACHE"] = "0" if args.no_cache else "1"
     if args.cache_dir:
         os.environ["REPRO_BENCH_CACHE_DIR"] = args.cache_dir
@@ -237,7 +245,7 @@ def main(argv=None):
 
     t0 = time.perf_counter()
     records = []
-    if args.jobs <= 1:
+    if args.jobs == 1:
         for name in benches:
             print(f"\n########## {name} ##########", flush=True)
             rec = run_bench(name)

@@ -95,6 +95,19 @@ class TestSelection:
             fake_benches.main(["--list", "--shard", bad])
         assert "--shard" in str(exc.value)
 
+    @pytest.mark.parametrize("flag,value", [("--cores", "0"),
+                                            ("--cores", "1,x"),
+                                            ("--cores", ",4"),
+                                            ("--jobs", "0")])
+    def test_bad_cores_or_jobs_is_a_usage_error(self, fake_benches, capsys,
+                                                flag, value):
+        # Regression: these used to start every bench, each failing with
+        # a traceback (--cores) or silently running serially (--jobs 0).
+        with pytest.raises(SystemExit) as exc:
+            fake_benches.main(["--list", flag, value])
+        assert exc.value.code == 2
+        assert f"error: argument {flag}" in capsys.readouterr().err
+
 
 class TestExecution:
     def test_success_run_and_summary(self, fake_benches, tmp_path, capsys):
