@@ -10,7 +10,7 @@ count run only when it is at least :data:`SHAPE_CHECK_MIN_CORES` (see
 
 Set ``REPRO_BENCH_CORES=1,4,16,64,256`` to override the core-count sweep.
 
-Every :func:`run_once` is a :class:`repro.farm.Farm` job, so its run
+Every :func:`run_once` is a :class:`repro.farm.farm.Farm` job, so its run
 carries stats only (no live simulator; a bench that needs one calls
 ``run_app`` itself). When ``REPRO_BENCH_CACHE`` is set to a truthy value
 (``run_all.py`` does this by default), the farm content-addresses every
@@ -27,7 +27,9 @@ from typing import Iterable, List, Optional
 
 from repro.bench.harness import AppRun
 from repro.config import SystemConfig
-from repro.farm import Farm, JobSpec, ResultCache
+from repro.farm.cache import ResultCache
+from repro.farm.farm import Farm
+from repro.farm.job import JobSpec
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
 

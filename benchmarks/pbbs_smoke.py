@@ -32,7 +32,8 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.apps.pbbs import contract, refine, spanning        # noqa: E402
 from repro.bench.harness import run_app, run_serial, sweep_cores  # noqa: E402
-from repro.farm import Farm, stable_digest                    # noqa: E402
+from repro.farm.farm import Farm                             # noqa: E402
+from repro.farm.job import stable_digest                     # noqa: E402
 
 BASELINE = pathlib.Path(__file__).resolve().parent / "pbbs_baseline.json"
 

@@ -171,6 +171,16 @@ def write_summary(path, records, *, jobs, total_wall_s, cores):
     return doc
 
 
+def _sweep_cores(text):
+    """argparse type for ``--cores``: a core list that includes 1, since
+    every sweep normalises its speedups to the 1-core run."""
+    cores = _core_list(text)
+    if 1 not in cores:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} must include 1 (speedups are relative to 1 core)")
+    return cores
+
+
 def _parse_args(argv):
     parser = argparse.ArgumentParser(
         description="Run every bench module (or a selection) and emit "
@@ -187,10 +197,10 @@ def _parse_args(argv):
     parser.add_argument("--shard", metavar="K/N", default=None,
                         help="run only deterministic shard K of N "
                              "(1-based; for CI matrix fan-out)")
-    parser.add_argument("--cores", type=_core_list, metavar="LIST",
+    parser.add_argument("--cores", type=_sweep_cores, metavar="LIST",
                         default=None,
-                        help="override the core sweep for every bench "
-                             "(sets REPRO_BENCH_CORES)")
+                        help="override the core sweep for every bench; "
+                             "must include 1 (sets REPRO_BENCH_CORES)")
     parser.add_argument("--no-cache", action="store_true",
                         help="bypass the repro.farm result cache")
     parser.add_argument("--clear-cache", action="store_true",
@@ -212,7 +222,7 @@ def main(argv=None):
     benches = resolve_selection(args.only, args.skip)
     if args.shard:
         from repro.errors import ConfigError
-        from repro.farm import parse_shard, select_shard
+        from repro.farm.shard import parse_shard, select_shard
         try:
             k, n = parse_shard(args.shard)
         except ConfigError as exc:
@@ -238,7 +248,7 @@ def main(argv=None):
     if args.cache_dir:
         os.environ["REPRO_BENCH_CACHE_DIR"] = args.cache_dir
     if args.clear_cache and not args.no_cache:
-        from repro.farm import ResultCache
+        from repro.farm.cache import ResultCache
         cache_root = args.cache_dir or (RESULTS_DIR / ".cache")
         n = ResultCache(cache_root).clear()
         print(f"cleared {n} cached results", flush=True)

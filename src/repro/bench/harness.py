@@ -114,14 +114,15 @@ def sweep_cores(app, inp, variants: Iterable[str], core_counts: Iterable[int],
     """Run every (variant, core count) pair on ``farm``; returns all runs.
 
     Each run uses the default config for its core count. ``farm`` (a
-    :class:`repro.farm.Farm`, default ``Farm()``: inline, no cache) sets
+    :class:`repro.farm.farm.Farm`, default ``Farm()``: inline, no cache) sets
     the worker count and result cache. Runs come back in sweep order with
     stats identical to :func:`run_app`'s, but carry no live
     simulator/handles (``AppRun.cached`` semantics). Job failures raise
     :class:`repro.errors.FarmError` after the whole sweep has been
     attempted.
     """
-    from ..farm import Farm, JobSpec
+    from ..farm.farm import Farm
+    from ..farm.job import JobSpec
     specs = [JobSpec(app=app.__name__, variant=variant, n_cores=n,
                      input_obj=inp, check=check,
                      build_options=dict(build_options))

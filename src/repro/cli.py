@@ -17,7 +17,7 @@ Commands:
 - ``apps`` — list available applications and their variants.
 - ``config`` — print the paper's Table 2 system configuration.
 - ``sweep <app>`` — scaling sweep over core counts with a speedup table
-  and an ASCII chart, run as :class:`repro.farm.Farm` jobs (exit 2 when
+  and an ASCII chart, run as :class:`repro.farm.farm.Farm` jobs (exit 2 when
   a job fails). ``--jobs N`` fans the sweep out over a worker pool;
   ``--cache`` reuses / populates the content-addressed result cache so
   repeated sweeps only execute jobs whose digest is missing or stale
@@ -354,7 +354,8 @@ def _cmd_sweep(args) -> int:
     cores = args.cores
     inp = app.make_input()
 
-    from .farm import Farm, ResultCache
+    from .farm.cache import ResultCache
+    from .farm.farm import Farm
     cache = ResultCache(args.cache_dir) if args.cache else None
     farm = Farm(jobs=args.jobs, cache=cache, timeout_s=args.timeout,
                 progress=sys.stderr.isatty())

@@ -13,7 +13,6 @@ upgrades and are safe to commit or ship between machines.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import pathlib
@@ -22,7 +21,7 @@ import time
 from typing import Optional, Union
 
 from ..core.stats import RunStats
-from .job import JobSpec
+from .job import JobSpec, sha256
 
 #: cache entry wire format; bump on incompatible layout changes
 CACHE_SCHEMA = "repro.farm-result/1"
@@ -47,11 +46,11 @@ def code_fingerprint(root: Union[str, pathlib.Path, None] = None) -> str:
     got = _FINGERPRINT_CACHE.get(key)
     if got is not None:
         return got
-    h = hashlib.sha256()
+    h = sha256()
     for p in sorted(root.rglob("*.py")):
         h.update(str(p.relative_to(root)).encode())
         h.update(b"\0")
-        h.update(hashlib.sha256(p.read_bytes()).digest())
+        h.update(sha256(p.read_bytes()).digest())
     _FINGERPRINT_CACHE[key] = out = h.hexdigest()
     return out
 

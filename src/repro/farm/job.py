@@ -20,7 +20,6 @@ opaque falls back to a pickle digest. It never depends on ``id()``,
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import importlib
 import json
 import math
@@ -34,6 +33,17 @@ from ..config import SystemConfig
 from ..core.stats import RunStats
 from ..errors import ConfigError
 
+# The interpreter's built-in SHA-256, as random.py does it: importing
+# hashlib would also load _hashlib, which maps OpenSSL's libcrypto into
+# every process that only digests a run. Same function, same digests.
+try:
+    from _sha2 import sha256            # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256      # Python 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
+
 #: canonical-form version; bump to invalidate every existing digest
 JOB_SCHEMA = "repro.farm-job/1"
 
@@ -43,7 +53,7 @@ _MAX_DEPTH = 32
 def _pickle_digest(obj: Any) -> Dict[str, str]:
     """Last-resort content key for objects with no structural form."""
     payload = pickle.dumps(obj, protocol=4)
-    return {"__pickle_sha256__": hashlib.sha256(payload).hexdigest()}
+    return {"__pickle_sha256__": sha256(payload).hexdigest()}
 
 
 def canonical(obj: Any, _depth: int = 0) -> Any:
@@ -99,7 +109,7 @@ def canonical_json(obj: Any) -> str:
 
 def stable_digest(obj: Any) -> str:
     """SHA-256 hex digest of the canonical JSON of ``obj``."""
-    return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
+    return sha256(canonical_json(obj).encode()).hexdigest()
 
 
 @dataclass

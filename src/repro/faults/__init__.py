@@ -17,7 +17,7 @@ Two halves (see README "Robustness"):
 On any failure (:class:`repro.errors.SimulationError`, exhausted retries,
 watchdog fire) the simulator writes a *crash bundle* — telemetry event
 ring buffer, per-tile queue states, GVT, offending task VTs — via
-:mod:`repro.faults.crashdump`; a :class:`repro.farm.Farm` given a
+:mod:`repro.faults.crashdump`; a :class:`repro.farm.farm.Farm` given a
 ``crash_dump_dir`` writes one per dead worker process (job digest and
 attempt) in the same schema.
 """

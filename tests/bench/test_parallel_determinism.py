@@ -12,7 +12,8 @@ import pytest
 from repro.apps import mis, msf
 from repro.bench.harness import sweep_cores
 from repro.bench.report import speedup_table
-from repro.farm import Farm, stable_digest
+from repro.farm.farm import Farm
+from repro.farm.job import stable_digest
 
 CORES = (1, 4)
 

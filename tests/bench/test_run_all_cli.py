@@ -98,11 +98,15 @@ class TestSelection:
     @pytest.mark.parametrize("flag,value", [("--cores", "0"),
                                             ("--cores", "1,x"),
                                             ("--cores", ",4"),
+                                            ("--cores", "16"),
+                                            ("--cores", "4,16"),
                                             ("--jobs", "0")])
     def test_bad_cores_or_jobs_is_a_usage_error(self, fake_benches, capsys,
                                                 flag, value):
         # Regression: these used to start every bench, each failing with
-        # a traceback (--cores) or silently running serially (--jobs 0).
+        # a traceback (--cores; without 1 a KeyError, since the sweeps
+        # normalise to the 1-core run) or silently running serially
+        # (--jobs 0).
         with pytest.raises(SystemExit) as exc:
             fake_benches.main(["--list", flag, value])
         assert exc.value.code == 2

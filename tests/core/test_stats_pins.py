@@ -21,7 +21,7 @@ from repro import SystemConfig
 from repro.apps import mis, zoomtree
 from repro.bench.harness import run_app
 from repro.faults.plan import load_fault_file
-from repro.farm import stable_digest
+from repro.farm.job import stable_digest
 
 from .test_commit_queue_pressure import _build as _build_cq_pressure
 

@@ -68,7 +68,7 @@ def test_pickle_roundtrip_is_lossless(stats):
 @settings(max_examples=100, deadline=None)
 @given(stats_objects)
 def test_digest_stable_across_roundtrip(stats):
-    from repro.farm import stable_digest
+    from repro.farm.job import stable_digest
     rebuilt = RunStats.from_dict(json.loads(json.dumps(stats.to_dict())))
     assert stable_digest(rebuilt.to_dict()) == stable_digest(stats.to_dict())
 

@@ -3,7 +3,8 @@
 import json
 
 from repro.core.stats import CycleBreakdown, RunStats
-from repro.farm import CACHE_SCHEMA, JobSpec, ResultCache, code_fingerprint
+from repro.farm.cache import CACHE_SCHEMA, ResultCache, code_fingerprint
+from repro.farm.job import JobSpec
 
 
 def make_spec(n_cores=4):

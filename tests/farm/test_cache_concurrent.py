@@ -11,7 +11,9 @@
 import json
 import threading
 
-from repro.farm import Farm, JobSpec, ResultCache
+from repro.farm.cache import ResultCache
+from repro.farm.farm import Farm
+from repro.farm.job import JobSpec
 
 FAKEAPP = "tests.farm._fakeapp"
 

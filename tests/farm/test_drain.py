@@ -3,7 +3,8 @@ attempt when ``crash_dump_dir`` is set, none otherwise."""
 
 import json
 
-from repro.farm import Farm, JobSpec
+from repro.farm.farm import Farm
+from repro.farm.job import JobSpec
 from repro.faults import validate_crash_bundle
 
 FAKEAPP = "tests.farm._fakeapp"

@@ -8,8 +8,10 @@ repo root on ``sys.path`` and fork inherits it).
 import pytest
 
 from repro.errors import FarmError
-from repro.farm import (Farm, JobSpec, ResultCache, select_shard,
-                        stable_digest)
+from repro.farm.cache import ResultCache
+from repro.farm.farm import Farm
+from repro.farm.job import JobSpec, stable_digest
+from repro.farm.shard import select_shard
 
 FAKEAPP = "tests.farm._fakeapp"
 

@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from repro.farm import Farm, JobSpec
+from repro.farm.farm import Farm
+from repro.farm.job import JobSpec
 from repro.faults import ResiliencePolicy
 
 FAKEAPP = "tests.farm._fakeapp"

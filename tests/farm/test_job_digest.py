@@ -7,7 +7,7 @@ import pytest
 
 from repro.apps import zoomtree
 from repro.config import SystemConfig
-from repro.farm import JobSpec, canonical, canonical_json, stable_digest
+from repro.farm.job import JobSpec, canonical, canonical_json, stable_digest
 
 
 def spec(**overrides):

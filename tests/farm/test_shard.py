@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.farm import (deterministic_shards, parse_shard, select_shard,
-                        shard_index, stable_digest)
+from repro.farm.job import stable_digest
+from repro.farm.shard import (deterministic_shards, parse_shard,
+                              select_shard, shard_index)
 
 
 class TestShardIndex:

@@ -8,8 +8,9 @@ rejection and the structured ``{"field", "error"}`` entry it reports.
 import pytest
 
 from repro.errors import ConfigError
-from repro.farm import (JobSpec, SpecValidationError, validate_fault_sections,
-                        validate_jobspec)
+from repro.farm.job import JobSpec
+from repro.farm.validate import (SpecValidationError, validate_fault_sections,
+                                 validate_jobspec)
 
 
 def err_fields(exc: SpecValidationError):

@@ -17,7 +17,7 @@ from repro import SystemConfig
 from repro.apps import maxflow, mis, silo
 from repro.apps.stamp import intruder
 from repro.bench.harness import run_app
-from repro.farm import stable_digest
+from repro.farm.job import stable_digest
 
 from .inflight_oracle import ChainWalkMemory
 

@@ -3,11 +3,14 @@ package's ``__all__`` names something that exists.
 
 Walks the package tree, so a module-level import of a deleted or renamed
 module fails here even when no other test happens to import the module
-that holds it. A bloom-mode simulation must not load numpy at all, and
-checked graph-app and STAMP runs must not need networkx, numpy or scipy.
+that holds it. A bloom-mode simulation must not load numpy at all,
+checked graph-app and STAMP runs must not need networkx, numpy or scipy,
+and a run plus its digest must load neither the farm nor OpenSSL.
 """
 
+import hashlib
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -17,7 +20,9 @@ import textwrap
 import pytest
 
 import repro
-from repro.apps import stamp
+from repro.apps import maxflow, stamp
+from repro.bench.harness import run_app
+from repro.farm.job import canonical_json, stable_digest
 
 #: ``__main__`` modules run their CLI on import, so they are left out
 MODULES = sorted(info.name for info in
@@ -52,7 +57,7 @@ def test_every_package_export_resolves():
 
 def run_fresh(script):
     """Run ``script`` in a fresh interpreter that imports this ``repro``;
-    fails the test on a non-zero exit."""
+    fails the test on a non-zero exit, else returns its stdout."""
     src = os.path.dirname(os.path.dirname(repro.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -60,6 +65,7 @@ def run_fresh(script):
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def test_bloom_simulation_does_not_load_numpy():
@@ -116,3 +122,50 @@ def test_stamp_check_needs_no_numpy_or_scipy(name):
                       check=True)
         assert run.stats.tasks_committed > 0
     """))
+
+
+def test_run_and_digest_load_neither_farm_nor_openssl():
+    """One checked run plus its ``RunStats`` digest is what every bench
+    child, farm worker and benchmark repetition does: it must not pay for
+    the farm's scheduler, cache, validation or sharding, for
+    ``multiprocessing``, or for OpenSSL (``hashlib`` loads ``_hashlib``)."""
+    run_fresh(textwrap.dedent("""
+        import sys
+        from repro.apps import maxflow
+        from repro.bench.harness import run_app
+        from repro.farm.job import stable_digest
+        run = run_app(maxflow, maxflow.make_input(b=2, layers=3), check=True)
+        assert len(stable_digest(run.stats.to_dict())) == 64
+        loaded = [m for m in ("_hashlib", "multiprocessing",
+                              "concurrent.futures", "repro.farm.farm",
+                              "repro.farm.cache", "repro.farm.validate",
+                              "repro.farm.shard") if m in sys.modules]
+        assert not loaded, f"loaded: {loaded}"
+    """))
+
+
+def test_digest_without_builtin_sha256_falls_back_to_hashlib():
+    """With neither ``_sha2`` (3.12+) nor ``_sha256`` (3.10, 3.11)
+    importable, ``stable_digest`` uses ``hashlib`` and yields the same
+    digests, so each Python version's import branch agrees with the
+    others."""
+    doc = {"app": "maxflow", "cores": [1, 4, 16], "ratio": 0.5,
+           "tags": {"b", "a"}}
+    stats = run_app(maxflow, maxflow.make_input(b=2, layers=3),
+                    check=True).stats.to_dict()
+    out = run_fresh(textwrap.dedent(f"""
+        import hashlib, json, sys
+        sys.modules["_sha256"] = sys.modules["_sha2"] = None
+        from repro.apps import maxflow
+        from repro.bench.harness import run_app
+        from repro.farm import job
+        assert job.sha256 is hashlib.sha256
+        stats = run_app(maxflow, maxflow.make_input(b=2, layers=3),
+                        check=True).stats.to_dict()
+        print(json.dumps([job.stable_digest({doc!r}),
+                          job.stable_digest(stats)]))
+    """))
+    for obj, got in zip((doc, stats), json.loads(out)):
+        assert got == stable_digest(obj)
+        assert got == hashlib.sha256(
+            canonical_json(obj).encode()).hexdigest()
