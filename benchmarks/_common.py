@@ -8,7 +8,10 @@ failed check fails the bench. Checks that read the sweep's largest core
 count run only when it is at least :data:`SHAPE_CHECK_MIN_CORES` (see
 :func:`shape_checks_at`).
 
-Set ``REPRO_BENCH_CORES=1,4,16,64,256`` to override the core-count sweep.
+Set ``REPRO_BENCH_CORES=1,4,16,64,256`` to override the core-count sweep;
+the list must include 1, since every sweep normalises to the 1-core run
+(a list without it exits 2 before any run, as ``run_all.py --cores``
+does).
 
 Every :func:`run_once` is a :class:`repro.farm.farm.Farm` job, so its run
 carries stats only (no live simulator; a bench that needs one calls
@@ -20,12 +23,15 @@ run and serves repeats from ``benchmarks/results/.cache``
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import pathlib
+import sys
 from typing import Iterable, List, Optional
 
 from repro.bench.harness import AppRun
+from repro.cli import _core_list
 from repro.config import SystemConfig
 from repro.farm.cache import ResultCache
 from repro.farm.farm import Farm
@@ -56,11 +62,29 @@ def _result_cache():
     return _CACHE
 
 
+def sweep_cores(text: str) -> List[int]:
+    """argparse type for a core sweep such as ``1,4,16``: positive counts
+    that include 1, since every sweep normalises its speedups to the
+    1-core run."""
+    cores = _core_list(text)
+    if 1 not in cores:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} must include 1 (speedups are relative to 1 core)")
+    return cores
+
+
 def core_counts() -> List[int]:
+    """The sweep's core counts: ``REPRO_BENCH_CORES`` or the default. A
+    bad list is a usage error (exit 2), as for ``run_all.py --cores``."""
     env = os.environ.get("REPRO_BENCH_CORES")
-    if env:
-        return [int(x) for x in env.split(",")]
-    return list(DEFAULT_CORES)
+    if not env:
+        return list(DEFAULT_CORES)
+    try:
+        return sweep_cores(env)
+    except argparse.ArgumentTypeError as exc:
+        prog = pathlib.Path(sys.argv[0]).name
+        print(f"{prog}: error: REPRO_BENCH_CORES: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def shape_checks_at(top: int) -> bool:

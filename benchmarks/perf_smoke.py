@@ -6,9 +6,10 @@ Two checks, both against ``benchmarks/perf_baseline.json``:
 1. (default) Run each baseline workload under ``repro profile`` and
    assert (a) makespan and event count match the pinned values exactly —
    the runs are seeded, so any drift is a determinism bug — and (b) the
-   frontier-scan / conflict-probe counters stay below their ceilings,
-   which sit ~1.2x above the values the indexed hot path produces. A
-   reintroduced linear scan blows through them immediately.
+   frontier-scan / conflict-probe counters and the GVT frontier's peak
+   size stay below their ceilings, which sit ~1.2x above the values the
+   indexed, compacted hot path produces. A reintroduced linear scan, or
+   a frontier that keeps its dead entries, blows through them.
 
 2. (``--timed SUMMARY``) Read a ``BENCH_summary.json`` from a *cold*
    (``--no-cache``) sweep of the CI bench subset and fail when its wall
@@ -50,6 +51,7 @@ def observed_counters(profile):
     return {
         "gvt_queries": profile["gvt"]["queries"],
         "gvt_scan_steps": profile["gvt"]["scan_steps"],
+        "gvt_peak_entries": profile["gvt"]["peak_entries"],
         "queue_scan_steps": profile["queues"]["scan_steps"],
         "mem_probe_steps": profile["memory"]["probe_steps"],
         "conflict_probe_steps": profile["conflict_model"]["probe_steps"],

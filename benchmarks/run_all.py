@@ -40,7 +40,8 @@ import traceback
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
-from repro.cli import _core_list, _positive_int  # noqa: E402
+from _common import sweep_cores  # noqa: E402
+from repro.cli import _positive_int  # noqa: E402
 
 HERE = pathlib.Path(__file__).resolve().parent
 REPO_ROOT = HERE.parent
@@ -171,16 +172,6 @@ def write_summary(path, records, *, jobs, total_wall_s, cores):
     return doc
 
 
-def _sweep_cores(text):
-    """argparse type for ``--cores``: a core list that includes 1, since
-    every sweep normalises its speedups to the 1-core run."""
-    cores = _core_list(text)
-    if 1 not in cores:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} must include 1 (speedups are relative to 1 core)")
-    return cores
-
-
 def _parse_args(argv):
     parser = argparse.ArgumentParser(
         description="Run every bench module (or a selection) and emit "
@@ -197,7 +188,7 @@ def _parse_args(argv):
     parser.add_argument("--shard", metavar="K/N", default=None,
                         help="run only deterministic shard K of N "
                              "(1-based; for CI matrix fan-out)")
-    parser.add_argument("--cores", type=_sweep_cores, metavar="LIST",
+    parser.add_argument("--cores", type=sweep_cores, metavar="LIST",
                         default=None,
                         help="override the core sweep for every bench; "
                              "must include 1 (sets REPRO_BENCH_CORES)")

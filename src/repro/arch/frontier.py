@@ -26,7 +26,9 @@ would produce, at O(depths) per query.
 Entry invalidation is by token: each entry snapshots the owner task's
 token attribute at push time and is dead once the token moved on. Pushes
 always bump the token first, so at most one entry per task is ever
-valid.
+valid. A dead entry leaves its heap only when it surfaces at the top, so
+an owner that keeps the heaps small (the GVT frontier) calls
+:meth:`StrippedIndex.compact` to drop the dead entries in one pass.
 """
 
 from __future__ import annotations
@@ -95,6 +97,22 @@ class StrippedIndex:
     def clear(self) -> None:
         """Drop every entry (global VT rewrite: caller re-pushes)."""
         self._heaps.clear()
+
+    def compact(self) -> None:
+        """Drop every dead entry and re-heapify what is left.
+
+        Correct at any moment, since an entry's validity is its token
+        alone: the minimum :meth:`min_candidate` returns is unchanged, and
+        only the heaps' storage order moves.
+        """
+        token_of = self._token_of
+        for heap in self._heaps.values():
+            heap[:] = [e for e in heap if e[2] == token_of(e[3])]
+            heapq.heapify(heap)
+
+    def __len__(self) -> int:
+        """Entries held, dead ones included."""
+        return sum(map(len, self._heaps.values()))
 
     def __repr__(self) -> str:
         sizes = {d: len(h) for d, h in self._heaps.items()}

@@ -38,9 +38,16 @@ class GvtFrontier:
     :meth:`rebuild`. :meth:`min_key` returns exactly the minimum a
     linear scan over the live set would find (the test suite checks it
     against one on every tick).
+
+    A dead entry leaves a heap only when it surfaces at the top, so
+    without help the heaps would keep every discarded task (and its key
+    tuples) alive until then. The simulator calls :meth:`trim` once per
+    GVT tick, which compacts the heaps whenever dead entries could
+    outnumber live ones: run memory follows the live tasks.
     """
 
-    __slots__ = ("_dyn", "_run", "_seq", "scan_steps", "queries")
+    __slots__ = ("_dyn", "_run", "_seq", "scan_steps", "queries",
+                 "peak_entries")
 
     def __init__(self):
         self._dyn = StrippedIndex("_gvt_token")
@@ -49,6 +56,8 @@ class GvtFrontier:
         #: profile counters (run-heap entries examined / min queries)
         self.scan_steps = 0
         self.queries = 0
+        #: most entries (dead ones included) seen by :meth:`trim`
+        self.peak_entries = 0
 
     def add_dyn(self, task) -> None:
         """Track a task that bounds the GVT by its stripped key."""
@@ -84,6 +93,35 @@ class GvtFrontier:
         if dyn is not None and (best is None or dyn < best):
             best = dyn
         return best
+
+    def __len__(self) -> int:
+        """Entries held, dead ones included."""
+        return len(self._run) + len(self._dyn)
+
+    def trim(self, n_live: int) -> None:
+        """Compact when the heaps hold more than ``2 * n_live + 64``
+        entries. Each live task has at most one valid entry, so at least
+        half are dead when this fires, and the pass costs amortized O(1)
+        per push."""
+        n = len(self)
+        if n > self.peak_entries:
+            self.peak_entries = n
+        if n > 2 * n_live + 64:
+            self.compact()
+
+    def compact(self) -> None:
+        """Drop every dead entry and re-heapify what is left.
+
+        Filtering by token is correct at any moment, unlike
+        :meth:`rebuild`, which would misclassify a task whose body is
+        executing (its run entry is pushed only once the body returns).
+        :meth:`min_key` returns a key, not an entry, so the heaps' new
+        storage order changes nothing it reports.
+        """
+        run = self._run
+        run[:] = [e for e in run if e[2] == e[3]._gvt_token]
+        heapq.heapify(run)
+        self._dyn.compact()
 
     def rebuild(self, live) -> None:
         """Re-key everything after a global VT rewrite (zoom/compaction)."""

@@ -661,6 +661,7 @@ class Simulator(AllocAPI):
                                len(self._finished), self._commit_seq)
         if self._resil is not None:
             self._resilience_tick()
+        self._frontier.trim(len(self._live))
         gvt = self._compute_gvt()
         if self._finished:
             self._finished.sort(key=_order_key)

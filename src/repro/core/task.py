@@ -126,8 +126,8 @@ class TaskDesc:
         self.emits = None
         self.commit_seq = -1
         # Dependence edges exist even before the first dispatch (the abort
-        # cascade walks children's dependents); SpecMemory.attach_owner
-        # installs fresh sets per attempt.
+        # cascade walks children's dependents); SpecMemory gives each
+        # attempt its own set at the attempt's first edge.
         self.deps = self.dependents = NO_EDGES
 
     # ------------------------------------------------------------------

@@ -48,8 +48,10 @@ from .address import AddressSpace
 from .conflicts import ConflictPolicy, PreciseConflictModel
 from .undo_log import UndoLog
 
-#: the ``deps`` / ``dependents`` of an owner with no attempt in flight:
-#: one shared empty set, so ended attempts allocate nothing
+#: one shared empty set: an attempt's ``read_lines`` / ``write_lines`` /
+#: ``deps`` / ``dependents`` start as it and become a set of their own at
+#: their first insert, and an ended attempt's ``deps`` / ``dependents``
+#: return to it, so attempts that touch little allocate little
 NO_EDGES: frozenset = frozenset()
 
 
@@ -61,6 +63,11 @@ class OwnerProtocol:
     - ``undo`` (:class:`UndoLog`), ``reads`` / ``writes`` (addr→value, for
       the serializability audit), ``read_lines`` / ``write_lines`` (sets),
       ``deps`` / ``dependents`` (owner sets), ``sig_read`` / ``sig_write``.
+
+    The four sets start as the shared empty :data:`NO_EDGES`; the first
+    insert into each gives it a set of its own. Most attempts die at
+    their first store, so most never allocate one. Readers treat
+    :data:`NO_EDGES` as any empty set; only :class:`SpecMemory` inserts.
 
     They live exactly as long as the attempt. When it ends, at commit or
     at rollback, ``undo``, ``read_lines``, ``write_lines``, ``sig_read``
@@ -165,10 +172,8 @@ class SpecMemory:
             owner.writes = {}
         else:
             owner.reads = owner.writes = None
-        owner.read_lines = set()
-        owner.write_lines = set()
-        owner.deps = set()
-        owner.dependents = set()
+        owner.read_lines = owner.write_lines = NO_EDGES
+        owner.deps = owner.dependents = NO_EDGES
         self._in_flight[owner] = None
         self.conflicts.register(owner)
 
@@ -278,16 +283,28 @@ class SpecMemory:
             writer = wchain[-1]
             # deps/dependents are always updated as a pair, so membership
             # in one implies the other — skip both set adds on re-reads
-            if writer is not owner and writer not in owner.deps:
-                owner.deps.add(writer)
-                writer.dependents.add(owner)
+            deps = owner.deps
+            if writer is not owner and writer not in deps:
+                if deps is NO_EDGES:
+                    owner.deps = {writer}
+                else:
+                    deps.add(writer)
+                dependents = writer.dependents
+                if dependents is NO_EDGES:
+                    writer.dependents = {owner}
+                else:
+                    dependents.add(owner)
 
         reads = owner.reads
         if (reads is not None and addr not in reads
                 and addr not in owner.writes):
             reads[addr] = value
-        if line not in owner.read_lines:
-            owner.read_lines.add(line)
+        read_lines = owner.read_lines
+        if line not in read_lines:
+            if read_lines is NO_EDGES:
+                owner.read_lines = {line}
+            else:
+                read_lines.add(line)
             readers = self._line_readers.get(line)
             if readers is None:
                 self._line_readers[line] = {owner: None}
@@ -345,8 +362,16 @@ class SpecMemory:
             # the earlier writer's abort cascades here and undo chains stay
             # suffix-restorable.
             prev_writer = wchain[-1]
-            owner.deps.add(prev_writer)
-            prev_writer.dependents.add(owner)
+            deps = owner.deps
+            if deps is NO_EDGES:
+                owner.deps = {prev_writer}
+            else:
+                deps.add(prev_writer)
+            dependents = prev_writer.dependents
+            if dependents is NO_EDGES:
+                prev_writer.dependents = {owner}
+            else:
+                dependents.add(owner)
         owner.undo.record(addr, self._values.get(addr, self.default))
         if not wchain or wchain[-1] is not owner:
             wchain.append(owner)
@@ -355,11 +380,15 @@ class SpecMemory:
         writes = owner.writes
         if writes is not None:
             writes[addr] = value
-        if line not in owner.write_lines:
+        write_lines = owner.write_lines
+        if line not in write_lines:
             # first line touch as a writer: join the chain (an owner in
             # the chain is always its tail here — eager aborts cleared any
             # later writers before this store proceeded)
-            owner.write_lines.add(line)
+            if write_lines is NO_EDGES:
+                owner.write_lines = {line}
+            else:
+                write_lines.add(line)
             lchain = self._line_writers.get(line)
             if lchain is None:
                 self._line_writers[line] = [owner]

@@ -2,13 +2,14 @@
 
 The simulator core keeps raw (non-registry) counters on its hot-path
 structures — the GVT frontier and the task queues count heap entries
-examined per minimum query, the speculative memory counts
-candidate owners examined per conflict check, and the Bloom model counts
-live tasks walked per false-positive sample. They are plain ints bumped
-inline, deliberately **outside** the metrics registry so vanilla runs
-export byte-identical metrics to older versions (the same discipline as
-the resilience counters); ``repro profile`` gathers them after a run,
-folds them into the registry, and renders the report below.
+examined per minimum query (the frontier also records its peak size),
+the speculative memory counts candidate owners examined per conflict
+check, and the Bloom model counts live tasks walked per false-positive
+sample. They are plain ints bumped inline, deliberately **outside** the
+metrics registry so vanilla runs export byte-identical metrics to older
+versions (the same discipline as the resilience counters); ``repro
+profile`` gathers them after a run, folds them into the registry, and
+renders the report below.
 
 The counters double as the regression surface for CI's perf-smoke job:
 scan/probe work per event is a deterministic property of the run, so a
@@ -49,6 +50,8 @@ def collect_profile(sim, wall_s: Optional[float] = None) -> Dict:
             "queries": gvt_queries,
             "scan_steps": gvt_scans,
             "mean_scan_len": gvt_scans / gvt_queries if gvt_queries else 0.0,
+            # most heap entries, dead ones included, seen at a tick
+            "peak_entries": frontier.peak_entries,
         },
         "queues": {
             "queries": queue_queries,
@@ -109,6 +112,8 @@ def format_profile(profile: Dict) -> str:
         f"  GVT frontier     {g['queries']:>12,} queries   "
         f"{g['scan_steps']:>12,} heap entries examined   "
         f"(mean {g['mean_scan_len']:.2f}/query)",
+        f"  frontier size    {g['peak_entries']:>12,} peak heap entries "
+        f"(dead ones included)",
         f"  queue indexes    {q['queries']:>12,} queries   "
         f"{q['scan_steps']:>12,} heap entries examined   "
         f"(mean {q['mean_scan_len']:.2f}/query)",

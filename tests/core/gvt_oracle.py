@@ -37,8 +37,16 @@ def gvt_linear(sim, now_lb):
     return best
 
 
+def frontier_entries(frontier):
+    """Entries the GVT frontier's heaps hold, dead ones included."""
+    return len(frontier._run) + sum(
+        len(heap) for heap in frontier._dyn._heaps.values())
+
+
 class CheckedSimulator(Simulator):
-    """A simulator that checks every GVT query against :func:`gvt_linear`."""
+    """A simulator that checks every GVT query against :func:`gvt_linear`,
+    and that the frontier's heaps hold at most ``2 * live + 64`` entries:
+    dead entries must not pin discarded tasks for long."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -50,5 +58,9 @@ class CheckedSimulator(Simulator):
         assert best == ref, (
             f"GVT frontier diverged at cycle {self.now}: "
             f"indexed={best!r} linear={ref!r}")
+        entries = frontier_entries(self._frontier)
+        assert entries <= 2 * len(self._live) + 64, (
+            f"GVT frontier holds {entries} entries for {len(self._live)} "
+            f"live tasks at cycle {self.now}")
         self.gvt_checks += 1
         return best

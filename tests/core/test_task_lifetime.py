@@ -2,14 +2,16 @@
 commit-queue entries are released at commit).
 
 Run memory must scale with the live tasks, not with every task a run
-ever created: after a run, no committed descriptor stays reachable from
-the simulator, and each one has given up its undo log, footprint sets,
-Bloom signatures and (unaudited) read/write records.
+ever created: during a run, the descriptors still reachable stay within a
+bound tied to the live set; after it, no committed descriptor stays
+reachable from the simulator, and each one has given up its undo log,
+footprint sets, Bloom signatures and (unaudited) read/write records.
 """
 
 import gc
 
 from repro import Ordering, Simulator, SystemConfig
+from repro.apps import mis
 from repro.core.task import TaskDesc, TaskState
 
 N_ROOTS = 40
@@ -56,6 +58,37 @@ def test_committed_tasks_are_not_kept_alive():
     # the simulator is still referenced: whatever it holds stays reachable
     assert sim.stats.tasks_committed > 2000
     assert _live_taskdescs() - baseline <= 4
+
+
+class _TickCountingSimulator(Simulator):
+    """Counts the reachable descriptors after every GVT tick."""
+
+    def __init__(self, *args, baseline, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.baseline = baseline
+        self.samples = []  # (cycle, live tasks, reachable descriptors)
+
+    def _on_tick(self):
+        super()._on_tick()
+        self.samples.append((self.now, len(self._live),
+                             _live_taskdescs() - self.baseline))
+
+
+def test_reachable_tasks_follow_the_live_set_during_a_run():
+    # mis aborts many attempts, each leaving dead GVT-frontier entries
+    # behind; those entries must not keep discarded descriptors alive
+    baseline = _live_taskdescs()
+    sim = _TickCountingSimulator(
+        SystemConfig.with_cores(64),
+        root_ordering=mis.root_ordering("fractal"), enable_audit=False,
+        baseline=baseline)
+    inp = mis.make_input(scale=8, edge_factor=5)
+    handles = mis.build(sim, inp, variant="fractal")
+    stats = sim.run()
+    mis.check(handles, inp)
+    assert stats.tasks_aborted > 0 and len(sim.samples) > 10
+    over = [s for s in sim.samples if s[2] > 2 * s[1] + 64]
+    assert not over, f"(cycle, live, reachable) over the bound: {over}"
 
 
 def test_committed_task_releases_its_state():

@@ -6,6 +6,7 @@ import pytest
 from repro.errors import MemoryError_, SimulationError
 from repro.mem import AddressSpace, SpecMemory
 from repro.mem.conflicts import PreciseConflictModel
+from repro.mem.memory import NO_EDGES
 
 from .conftest import committed_snapshot
 
@@ -197,3 +198,49 @@ class TestAuditRecords:
         mem.commit(t)
         assert mem.peek(100) == "mine"
         mem.assert_quiescent()
+
+
+class TestLazyFootprintSets:
+    """An attempt's footprint and edge sets start as the shared empty
+    NO_EDGES and get a set of their own only at their first insert."""
+
+    def test_fresh_attempt_allocates_no_set(self, mem, owner_factory):
+        t = owner_factory(1)
+        for s in (t.read_lines, t.write_lines, t.deps, t.dependents):
+            assert s is NO_EDGES
+
+    def test_store_only_attempt_allocates_only_its_write_set(
+            self, mem, owner_factory):
+        t = owner_factory(1)
+        mem.store(t, 100, "v")
+        mem.store(t, 101, "w")
+        assert t.write_lines == {mem.space.line_of(100)}
+        assert t.write_lines is not NO_EDGES
+        assert t.read_lines is NO_EDGES
+        assert t.deps is NO_EDGES and t.dependents is NO_EDGES
+        mem.commit(t)
+        mem.assert_quiescent()
+
+    def test_forwarded_load_gives_both_sides_real_edge_sets(
+            self, mem, owner_factory):
+        early, late = owner_factory(1), owner_factory(2)
+        mem.store(early, 100, "spec")
+        assert mem.load(late, 100) == "spec"
+        assert late.deps == {early} and late.deps is not NO_EDGES
+        assert early.dependents == {late}
+        assert early.dependents is not NO_EDGES
+        assert late.read_lines == {mem.space.line_of(100)}
+        # the reader's own edges out and the writer's edges in stay shared
+        assert late.dependents is NO_EDGES and early.deps is NO_EDGES
+        mem.commit(early)
+        assert late.deps == set() and early.deps is NO_EDGES
+        mem.commit(late)
+        mem.assert_quiescent()
+
+    def test_write_after_write_gives_both_sides_real_edge_sets(
+            self, mem, owner_factory):
+        early, late = owner_factory(1), owner_factory(2)
+        mem.store(early, 100, 1)
+        mem.store(late, 100, 2)
+        assert late.deps == {early} and early.dependents == {late}
+        assert late.read_lines is NO_EDGES

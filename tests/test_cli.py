@@ -83,7 +83,11 @@ class TestSubcommands:
                      "--json", str(path)]) == 0
         doc = json.loads(path.read_text())
         assert doc["schema"] == "repro.hot-path-profile/4"
-        assert "profile json" in capsys.readouterr().out
+        peak = doc["gvt"]["peak_entries"]
+        assert peak > 0
+        out = capsys.readouterr().out
+        assert "profile json" in out
+        assert f"{peak:,} peak heap entries" in out
 
     def test_profile_without_app_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
