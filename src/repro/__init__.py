@@ -22,67 +22,37 @@ Quickstart::
     stats = sim.run()
     assert counter.peek() == 32
 
+Every name below loads its module on first use (PEP 562), so
+``import repro.config`` or ``from repro import Simulator`` loads only
+what that needs; fault injection, the serial executor, the audit and
+the exporters stay unloaded until a caller touches them.
+
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every reproduced table and figure.
 """
 
-from .config import LatencyModel, SystemConfig
-from .errors import (
-    AppError,
-    ConfigError,
-    DomainError,
-    FractalError,
-    QueueError,
-    SerializabilityViolation,
-    SimulationError,
-    TaskExecutionError,
-    TimestampError,
-    VTBudgetExceeded,
-    VTError,
-)
-from .vt import DomainVT, FractalVT, Ordering, TiebreakerAllocator
-from .mem import (
-    AddressSpace,
-    BloomSignature,
-    SpecArray,
-    SpecCell,
-    SpecDict,
-    SpecMemory,
-    SpecQueue,
-)
-from .core import (
-    Domain,
-    RunStats,
-    SerialExecutor,
-    Simulator,
-    TaskAborted,
-    TaskContext,
-    TaskDesc,
-    TaskState,
-    audit_serializability,
-)
-from .telemetry import (
-    EventBus,
-    EventRecorder,
-    JsonlExporter,
-    MetricsRegistry,
-    metrics_snapshot,
-    to_perfetto,
-    write_metrics_json,
-    write_perfetto,
-)
-from .core.highlevel import (
-    callcc,
-    enqueue_all,
-    enqueue_all_ordered,
-    forall,
-    forall_ordered,
-    forall_reduce,
-    forall_reduce_ordered,
-    parallel,
-    parallel_reduce,
-    task,
-)
+from ._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".config": ("LatencyModel", "SystemConfig"),
+    ".errors": ("AppError", "ConfigError", "DomainError", "FractalError",
+                "QueueError", "SerializabilityViolation", "SimulationError",
+                "TaskExecutionError", "TimestampError", "VTBudgetExceeded",
+                "VTError"),
+    ".vt": ("DomainVT", "FractalVT", "Ordering", "TiebreakerAllocator"),
+    ".mem": ("AddressSpace", "BloomSignature", "SpecArray", "SpecCell",
+             "SpecDict", "SpecMemory", "SpecQueue"),
+    ".core": ("Domain", "RunStats", "SerialExecutor", "Simulator",
+              "TaskAborted", "TaskContext", "TaskDesc", "TaskState",
+              "audit_serializability"),
+    ".telemetry": ("EventBus", "EventRecorder", "JsonlExporter",
+                   "MetricsRegistry", "metrics_snapshot", "to_perfetto",
+                   "write_metrics_json", "write_perfetto"),
+    ".core.highlevel": ("callcc", "enqueue_all", "enqueue_all_ordered",
+                        "forall", "forall_ordered", "forall_reduce",
+                        "forall_reduce_ordered", "parallel",
+                        "parallel_reduce", "task"),
+})
 
 __version__ = "1.0.0"
 

@@ -27,7 +27,7 @@ Modules are imported lazily, so e.g. ``repro.apps.mis`` does not load
 every other app.
 """
 
-import importlib
+from .._lazy import lazy_exports
 
 _APPS = ("color", "maxflow", "mis", "msf", "silo", "zoomtree")
 _STAMP = ("bayes", "genome", "intruder", "kmeans", "labyrinth", "ssca2",
@@ -36,12 +36,5 @@ _SWARM = ("astar", "bfs", "des", "nocsim", "sssp")
 
 __all__ = list(_APPS) + list(_STAMP) + list(_SWARM)
 
-
-def __getattr__(name):
-    if name in _APPS:
-        return importlib.import_module(f".{name}", __name__)
-    if name in _STAMP:
-        return importlib.import_module(f".stamp.{name}", __name__)
-    if name in _SWARM:
-        return importlib.import_module(f".swarm.{name}", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __dir__ = lazy_exports(
+    globals(), {".stamp": _STAMP, ".swarm": _SWARM}, submodules=_APPS)

@@ -17,13 +17,11 @@ recomputes that reference in plain Python and compares exactly, on top of
 an independent structural oracle.
 """
 
+from ..._lazy import lazy_exports
+
 VARIANTS_PBBS = ("flat", "swarm", "fractal", "specfor")
 
 __all__ = ["VARIANTS_PBBS", "contract", "refine", "spanning"]
 
-
-def __getattr__(name):
-    if name in ("contract", "refine", "spanning"):
-        import importlib
-        return importlib.import_module(f".{name}", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __dir__ = lazy_exports(
+    globals(), {}, submodules=("contract", "refine", "spanning"))

@@ -13,10 +13,13 @@ All eight STAMP applications, each exposing the Fig. 17 feature ladder:
   (labyrinth, bayes); elsewhere fractal == hints (no nesting opportunity),
   matching Fig. 17's converging curves.
 
-Each module follows the :mod:`repro.apps` convention.
+Each module follows the :mod:`repro.apps` convention, and loads on
+first use, so one app does not load the other seven.
 """
 
-from . import bayes, genome, intruder, kmeans, labyrinth, ssca2, vacation, yada
+from ..._lazy import lazy_exports
 
 __all__ = ["bayes", "genome", "intruder", "kmeans", "labyrinth", "ssca2",
            "vacation", "yada"]
+
+__getattr__, __dir__ = lazy_exports(globals(), {}, submodules=__all__)

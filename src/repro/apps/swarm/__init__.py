@@ -7,8 +7,12 @@ fine-grain tasks and scale well to 256 cores." — reproducing that claim
 requires the benchmarks themselves: each is a timestamp-ordered fine-grain
 task program (variant ``"swarm"``), checked against a serial oracle, and
 `benchmarks/bench_swarm_suite.py` verifies they scale without any nesting.
+
+Each module loads on first use.
 """
 
-from . import astar, bfs, des, nocsim, sssp
+from ..._lazy import lazy_exports
 
 __all__ = ["astar", "bfs", "des", "nocsim", "sssp"]
+
+__getattr__, __dir__ = lazy_exports(globals(), {}, submodules=__all__)

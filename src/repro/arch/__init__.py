@@ -6,13 +6,17 @@ package provides the *mechanisms*; :mod:`repro.core.simulator` orchestrates
 them into the event-driven execution engine.
 """
 
-from .noc import MeshNoC
-from .cache import CacheModel
-from .tile import Core, Tile
-from .task_unit import TaskUnit
-from .spill import SpillBuffer, CoalescerJob, SplitterJob
-from .scheduler import HintScheduler
-from .gvt import GvtArbiter
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".noc": ("MeshNoC",),
+    ".cache": ("CacheModel",),
+    ".tile": ("Core", "Tile"),
+    ".task_unit": ("TaskUnit",),
+    ".spill": ("SpillBuffer", "CoalescerJob", "SplitterJob"),
+    ".scheduler": ("HintScheduler",),
+    ".gvt": ("GvtArbiter",),
+})
 
 __all__ = [
     "MeshNoC",

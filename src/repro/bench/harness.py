@@ -9,14 +9,16 @@ as :mod:`repro.farm` jobs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
 from ..config import SystemConfig
-from ..core.serial import SerialExecutor
 from ..core.simulator import Simulator
 from ..core.stats import RunStats
 from ..telemetry import EventBus
 from ..vt import Ordering
+
+if TYPE_CHECKING:
+    from ..core.serial import SerialExecutor
 
 
 @dataclass
@@ -98,6 +100,7 @@ def run_app(app, inp, variant: str = "fractal", n_cores: int = 4, *,
 def run_serial(app, inp, variant: str = "fractal", *, check: bool = True,
                **build_options) -> SerialExecutor:
     """Run the same program on the non-speculative serial executor."""
+    from ..core.serial import SerialExecutor
     host = SerialExecutor(root_ordering=_root_ordering(app, variant),
                           name=f"{app.__name__}-serial")
     handles = app.build(host, inp, variant=variant, **build_options)

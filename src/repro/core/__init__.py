@@ -10,15 +10,23 @@
   selective aborts, GVT commits, spills, and zooming.
 - :mod:`repro.core.serial` — a non-speculative reference executor.
 - :mod:`repro.core.audit` — post-run serializability checking.
+
+Each name the package exports loads its module on first use, so a run
+that imports :mod:`repro.core.simulator` loads neither the serial
+executor, the audit nor the high-level interface.
 """
 
-from .task import TaskDesc, TaskState
-from .domain import Domain
-from .api import TaskContext, TaskAborted
-from .simulator import Simulator
-from .serial import SerialExecutor
-from .stats import RunStats, CycleBreakdown
-from .audit import audit_serializability
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".task": ("TaskDesc", "TaskState"),
+    ".domain": ("Domain",),
+    ".api": ("TaskContext", "TaskAborted"),
+    ".simulator": ("Simulator",),
+    ".serial": ("SerialExecutor",),
+    ".stats": ("RunStats", "CycleBreakdown"),
+    ".audit": ("audit_serializability",),
+})
 
 __all__ = [
     "TaskDesc",

@@ -29,7 +29,8 @@ from __future__ import annotations
 import heapq
 import time
 from operator import attrgetter
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+                    Tuple, Union)
 
 from ..arch.cache import CacheModel
 from ..arch.gvt import GvtArbiter, GvtFrontier
@@ -42,10 +43,6 @@ from ..config import SystemConfig
 from ..errors import (DomainError, FractalError, QueueError,
                       SerializabilityViolation, SimulationError,
                       TaskExecutionError)
-from ..faults.injector import FaultInjector
-from ..faults.plan import FaultPlan, InjectedFault
-from ..faults.resilience import (LivelockDetector, ResiliencePolicy,
-                                 backoff_delay)
 from ..mem.address import AddressSpace
 from ..mem.conflicts import make_conflict_model
 from ..mem.memory import SpecMemory
@@ -60,6 +57,11 @@ from .hostbase import AllocAPI
 from .stats import CycleBreakdown, RunStats
 from .task import TaskDesc, TaskState, tid_watermark
 from .zoom import ZoomController
+
+if TYPE_CHECKING:  # repro.faults loads only when a run uses it
+    from ..faults.injector import FaultInjector
+    from ..faults.plan import FaultPlan
+    from ..faults.resilience import LivelockDetector, ResiliencePolicy
 
 _FINISH = 0
 _TICK = 1
@@ -99,16 +101,21 @@ class Simulator(AllocAPI):
 
         # Fault injection & resilience (repro.faults). Both default off;
         # every hook below guards on ``is not None`` so the vanilla path
-        # costs one None check per site (same discipline as telemetry).
-        if isinstance(faults, FaultPlan):
-            faults = FaultInjector(faults)
-        self._faults: Optional[FaultInjector] = faults
+        # costs one None check per site (same discipline as telemetry),
+        # and a run that uses neither never imports repro.faults.
         if faults is not None:
+            from ..faults.injector import FaultInjector
+            from ..faults.plan import FaultPlan
+            if isinstance(faults, FaultPlan):
+                faults = FaultInjector(faults)
             faults.clock = lambda: self.now
             faults.tid_base = tid_watermark()
+        self._faults: Optional[FaultInjector] = faults
         self._resil: Optional[ResiliencePolicy] = resilience
-        self._livelock: Optional[LivelockDetector] = (
-            LivelockDetector(resilience) if resilience is not None else None)
+        self._livelock: Optional[LivelockDetector] = None
+        if resilience is not None:
+            from ..faults.resilience import LivelockDetector
+            self._livelock = LivelockDetector(resilience)
         self.crash_dump_dir = crash_dump_dir
         #: path of the bundle written by the last crash/watchdog, if any
         self.crash_bundle_path: Optional[str] = None
@@ -528,6 +535,7 @@ class Simulator(AllocAPI):
         try:
             if (self._faults is not None
                     and self._faults.fail_attempt(task)):
+                from ..faults.plan import InjectedFault
                 raise InjectedFault("task_exception", task.tid, task.attempt)
             task.fn(ctx, *task.args)
         except TaskAborted:
@@ -582,6 +590,7 @@ class Simulator(AllocAPI):
         task.n_exec_faults += 1
         attempt = task.attempt
         if policy is not None and task.n_exec_faults < policy.max_attempts:
+            from ..faults.resilience import backoff_delay
             delay = backoff_delay(policy, task.n_exec_faults)
             task.retry_after = self.now + delay
             # the cascade's requeue path emits the retry_backoff event
@@ -913,6 +922,7 @@ class Simulator(AllocAPI):
             if self._resil is not None:
                 # exponential backoff on every requeue; retry_after may
                 # already carry a (larger) exception-retry delay
+                from ..faults.resilience import backoff_delay
                 when = max(when, self.now + backoff_delay(self._resil,
                                                           task.n_aborts))
                 extra = when - self.now - self.config.abort_penalty

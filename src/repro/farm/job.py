@@ -23,9 +23,7 @@ import dataclasses
 import importlib
 import json
 import math
-import pickle
 import time
-import traceback
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
@@ -52,6 +50,7 @@ _MAX_DEPTH = 32
 
 def _pickle_digest(obj: Any) -> Dict[str, str]:
     """Last-resort content key for objects with no structural form."""
+    import pickle
     payload = pickle.dumps(obj, protocol=4)
     return {"__pickle_sha256__": sha256(payload).hexdigest()}
 
@@ -59,8 +58,10 @@ def _pickle_digest(obj: Any) -> Dict[str, str]:
 def canonical(obj: Any, _depth: int = 0) -> Any:
     """Reduce ``obj`` to a deterministic JSON-safe structure.
 
-    Handles primitives, containers (dicts sorted by stringified key,
-    sets sorted by canonical JSON), dataclasses, objects exposing
+    Handles primitives, containers (dicts sorted by key, sets sorted by
+    canonical JSON; a dict with any non-``str`` key becomes a tagged
+    list of ``[key, value]`` pairs sorted by canonical JSON, so ``1`` and
+    ``"1"`` stay distinct keys), dataclasses, objects exposing
     ``to_dict()``, and plain ``__dict__`` objects (private attributes
     skipped). Anything else — or anything nested deeper than the cycle
     guard allows — degrades to a pickle digest.
@@ -76,12 +77,12 @@ def canonical(obj: Any, _depth: int = 0) -> Any:
     if isinstance(obj, (list, tuple)):
         return [canonical(v, _depth + 1) for v in obj]
     if isinstance(obj, dict):
-        items = []
-        for k, v in obj.items():
-            key = k if isinstance(k, str) else canonical_json(k)
-            items.append((key, canonical(v, _depth + 1)))
-        items.sort(key=lambda kv: kv[0])
-        return {k: v for k, v in items}
+        if all(isinstance(k, str) for k in obj):
+            return {k: canonical(obj[k], _depth + 1) for k in sorted(obj)}
+        # a non-str key keeps its type: {1: x} and {"1": x} must differ
+        pairs = [[canonical(k, _depth + 1), canonical(v, _depth + 1)]
+                 for k, v in obj.items()]
+        return {"__items__": sorted(pairs, key=_dumps)}
     if isinstance(obj, (set, frozenset)):
         return {"__set__": sorted(canonical_json(v) for v in obj)}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
@@ -101,10 +102,14 @@ def canonical(obj: Any, _depth: int = 0) -> Any:
     return _pickle_digest(obj)
 
 
+def _dumps(form: Any) -> str:
+    return json.dumps(form, sort_keys=True, separators=(",", ":"),
+                      ensure_ascii=True)
+
+
 def canonical_json(obj: Any) -> str:
     """The canonical form of ``obj`` as compact, key-sorted JSON."""
-    return json.dumps(canonical(obj), sort_keys=True,
-                      separators=(",", ":"), ensure_ascii=True)
+    return _dumps(canonical(obj))
 
 
 def stable_digest(obj: Any) -> str:
@@ -237,6 +242,7 @@ def execute_job(spec: JobSpec) -> JobResult:
     except ConfigError:
         raise                     # caller bug, not a transient failure
     except Exception as exc:
+        import traceback
         return JobResult.for_spec(spec, error=f"{type(exc).__name__}: {exc}",
                                   traceback=traceback.format_exc(),
                                   wall_s=time.perf_counter() - t0)

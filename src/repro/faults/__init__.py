@@ -20,19 +20,22 @@ ring buffer, per-tile queue states, GVT, offending task VTs — via
 :mod:`repro.faults.crashdump`; a :class:`repro.farm.farm.Farm` given a
 ``crash_dump_dir`` writes one per dead worker process (job digest and
 attempt) in the same schema.
+
+Nothing here loads until a caller uses it: a run with neither a fault
+plan nor a resilience policy never imports this package, and each name
+below loads its module on first use.
 """
 
-from .crashdump import (
-    CRASH_BUNDLE_SCHEMA,
-    build_crash_bundle,
-    build_farm_crash_bundle,
-    validate_crash_bundle,
-    write_crash_bundle,
-    write_farm_crash_bundle,
-)
-from .injector import FaultInjector
-from .plan import FaultPlan, InjectedFault, load_fault_file
-from .resilience import LivelockDetector, ResiliencePolicy, backoff_delay
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".crashdump": ("CRASH_BUNDLE_SCHEMA", "build_crash_bundle",
+                   "build_farm_crash_bundle", "validate_crash_bundle",
+                   "write_crash_bundle", "write_farm_crash_bundle"),
+    ".injector": ("FaultInjector",),
+    ".plan": ("FaultPlan", "InjectedFault", "load_fault_file"),
+    ".resilience": ("LivelockDetector", "ResiliencePolicy", "backoff_delay"),
+})
 
 __all__ = [
     "CRASH_BUNDLE_SCHEMA",

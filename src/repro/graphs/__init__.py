@@ -11,9 +11,13 @@ sequential oracles (BFS, Dijkstra, Kruskal, component count) that the
 graph apps' result checks compare against.
 """
 
-from .graph import Graph
-from .rmat import rmat
-from .rmf import rmf_wide
-from .generators import grid3d
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".graph": ("Graph",),
+    ".rmat": ("rmat",),
+    ".rmf": ("rmf_wide",),
+    ".generators": ("grid3d",),
+})
 
 __all__ = ["Graph", "rmat", "rmf_wide", "grid3d"]

@@ -15,12 +15,17 @@ in :mod:`repro.mem.data` (arrays, cells, dicts, queues) through a task
 context.
 """
 
-from .address import AddressSpace, Region
-from .bloom import BloomSignature, H3HashFamily, SignatureBank
-from .undo_log import UndoLog
-from .memory import SpecMemory
-from .conflicts import ConflictPolicy, BloomConflictModel, PreciseConflictModel
-from .data import SpecArray, SpecCell, SpecDict, SpecQueue
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".address": ("AddressSpace", "Region"),
+    ".bloom": ("BloomSignature", "H3HashFamily", "SignatureBank"),
+    ".undo_log": ("UndoLog",),
+    ".memory": ("SpecMemory",),
+    ".conflicts": ("ConflictPolicy", "BloomConflictModel",
+                   "PreciseConflictModel"),
+    ".data": ("SpecArray", "SpecCell", "SpecDict", "SpecQueue"),
+})
 
 __all__ = [
     "AddressSpace",

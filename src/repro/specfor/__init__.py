@@ -14,8 +14,12 @@ loop of the same protocol and its sequential reference survive only as
 test oracles.
 """
 
-from .adapter import DomainSpecFor, SpecForLivelock, SpecForPolicy
-from .reservation import UNRESERVED, ReservationTable
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".adapter": ("DomainSpecFor", "SpecForLivelock", "SpecForPolicy"),
+    ".reservation": ("UNRESERVED", "ReservationTable"),
+})
 
 __all__ = [
     "UNRESERVED",

@@ -14,55 +14,33 @@ Three layers (see README "Observability"):
   metrics-JSON snapshots — plus the ASCII timeline
   (:func:`repro.telemetry.timeline.render_timeline`) drawn from recorded
   events.
+
+Each name loads its module on first use, so a run with no subscriber
+loads the bus, the events and the registry, not the exporters.
 """
 
-from .bus import EventBus, EventRecorder, EventRingBuffer
-from .events import (
-    EVENT_SCHEMA,
-    EVENT_TYPES,
-    AbortEvent,
-    CommitEvent,
-    ConflictEvent,
-    DispatchEvent,
-    DivertEvent,
-    EnqueueEvent,
-    Event,
-    FaultInjectedEvent,
-    FinishEvent,
-    GvtTickEvent,
-    LivelockThrottleEvent,
-    QueuePressureEvent,
-    RetryBackoffEvent,
-    SafeModeEnterEvent,
-    SafeModeExitEvent,
-    SpecForRoundEvent,
-    SpillEvent,
-    SquashEvent,
-    WatchdogEvent,
-    WraparoundEvent,
-    ZoomEvent,
-)
-from .export import (
-    JsonlExporter,
-    metrics_snapshot,
-    write_metrics_json,
-)
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .perfetto import to_perfetto, write_perfetto
-from .profiling import (PROFILE_SCHEMA, collect_profile, fold_into_registry,
-                        format_profile)
+from .._lazy import lazy_exports
 
-_VALIDATE_NAMES = ("ValidationError", "validate_event_dict",
-                   "validate_jsonl")
-
-
-def __getattr__(name):
-    # Lazy so ``python -m repro.telemetry.validate`` does not import the
-    # module twice (once via the package, once as __main__).
-    if name in _VALIDATE_NAMES:
-        from . import validate
-        return getattr(validate, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".bus": ("EventBus", "EventRecorder", "EventRingBuffer"),
+    ".events": ("EVENT_SCHEMA", "EVENT_TYPES", "AbortEvent", "CommitEvent",
+                "ConflictEvent", "DispatchEvent", "DivertEvent",
+                "EnqueueEvent", "Event", "FaultInjectedEvent", "FinishEvent",
+                "GvtTickEvent", "LivelockThrottleEvent",
+                "QueuePressureEvent", "RetryBackoffEvent",
+                "SafeModeEnterEvent", "SafeModeExitEvent",
+                "SpecForRoundEvent", "SpillEvent", "SquashEvent",
+                "WatchdogEvent", "WraparoundEvent", "ZoomEvent"),
+    ".export": ("JsonlExporter", "metrics_snapshot", "write_metrics_json"),
+    ".metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
+    ".perfetto": ("to_perfetto", "write_perfetto"),
+    ".profiling": ("PROFILE_SCHEMA", "collect_profile", "fold_into_registry",
+                   "format_profile"),
+    # looked up, not imported, so ``python -m repro.telemetry.validate``
+    # does not load its module twice (once here, once as __main__)
+    ".validate": ("ValidationError", "validate_event_dict",
+                  "validate_jsonl"),
+})
 
 __all__ = [
     "EVENT_SCHEMA",

@@ -15,10 +15,14 @@ Public API:
 - :class:`FractalVT` — the flat-keyed, budget-checked fractal VT.
 """
 
-from .ordering import Ordering
-from .tiebreaker import TiebreakerAllocator
-from .domain_vt import DomainVT
-from .fractal_vt import FractalVT
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".ordering": ("Ordering",),
+    ".tiebreaker": ("TiebreakerAllocator",),
+    ".domain_vt": ("DomainVT",),
+    ".fractal_vt": ("FractalVT",),
+})
 
 __all__ = [
     "Ordering",

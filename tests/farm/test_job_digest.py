@@ -63,6 +63,33 @@ class TestCanonical:
         assert len(d) == 64 and int(d, 16) >= 0
 
 
+class TestDictKeyTypes:
+    """A dict key keeps its type in the canonical form, so two different
+    inputs never share one content address."""
+
+    def test_int_and_str_keys_differ(self):
+        assert stable_digest({1: "a"}) != stable_digest({"1": "a"})
+
+    def test_tuple_key_and_its_json_text_differ(self):
+        assert stable_digest({(0, 1): 5}) != stable_digest({"[0,1]": 5})
+
+    def test_int_and_str_key_both_kept(self):
+        assert canonical({1: "a", "1": "b"}) == \
+            {"__items__": [["1", "b"], [1, "a"]]}
+
+    def test_mixed_key_order_irrelevant(self):
+        a = {1: "a", "x": [2], (0, 1): None}
+        b = {(0, 1): None, "x": [2], 1: "a"}
+        assert canonical_json(a) == canonical_json(b)
+
+    def test_str_keyed_dict_keeps_its_form(self):
+        # every RunStats.to_dict() is str-keyed; its digests stay put
+        assert canonical({"b": 1, "a": {"d": 2, "c": 3}}) == \
+            {"a": {"c": 3, "d": 2}, "b": 1}
+        assert stable_digest({"a": 1}) == ("015abd7f5cc57a2dd94b7590f04ad808"
+                                           "4273905ee33ec5cebeae62276a97f862")
+
+
 class TestJobDigest:
     def test_rebuilt_input_same_digest(self):
         a = spec(input_obj=zoomtree.make_input(fanout=2, depth=3),

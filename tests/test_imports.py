@@ -5,7 +5,9 @@ Walks the package tree, so a module-level import of a deleted or renamed
 module fails here even when no other test happens to import the module
 that holds it. A bloom-mode simulation must not load numpy at all,
 checked graph-app and STAMP runs must not need networkx, numpy or scipy,
-and a run plus its digest must load neither the farm nor OpenSSL.
+and a run plus its digest must load neither the farm nor OpenSSL. The
+packages load their names on first use, so a plain run loads only the
+modules it executes.
 """
 
 import hashlib
@@ -169,3 +171,82 @@ def test_digest_without_builtin_sha256_falls_back_to_hashlib():
         assert got == stable_digest(obj)
         assert got == hashlib.sha256(
             canonical_json(obj).encode()).hexdigest()
+
+
+#: what a plain run never executes: fault injection and resilience, the
+#: serial executor, the audit, the high-level API, the exporters, and the
+#: stdlib modules of the farm's two error paths
+NOT_IN_A_PLAIN_RUN = ("repro.faults", "repro.core.audit", "repro.core.serial",
+                      "repro.core.highlevel", "repro.telemetry.export",
+                      "repro.telemetry.perfetto", "pickle", "traceback")
+
+
+def test_plain_run_loads_only_what_it_executes():
+    """A checked run, its digest and its profile (what every bench child
+    and farm worker does) load none of the modules that only faults,
+    resilience, audits, exports or failures use."""
+    out = run_fresh(textwrap.dedent(f"""
+        import sys
+        from repro.apps import maxflow
+        from repro.bench.harness import run_app
+        from repro.farm.job import stable_digest
+        from repro.telemetry.profiling import collect_profile
+        run = run_app(maxflow, maxflow.make_input(b=2, layers=3), check=True)
+        assert len(stable_digest(run.stats.to_dict())) == 64
+        assert collect_profile(run.sim)["events"] > 0
+        print(sorted(m for m in sys.modules
+                     if m.startswith({NOT_IN_A_PLAIN_RUN!r})))
+    """))
+    assert out.strip() == "[]"
+
+
+def test_fault_machinery_loads_when_a_run_uses_it():
+    """The positive control: a run given a fault plan and a resilience
+    policy loads them on first use, injects faults and absorbs them."""
+    run_fresh(textwrap.dedent("""
+        import sys
+        from repro.apps import maxflow
+        from repro.bench.harness import run_app
+        from repro.faults import FaultPlan, ResiliencePolicy
+        run = run_app(maxflow, maxflow.make_input(b=2, layers=3), check=True,
+                      faults=FaultPlan(seed=3, task_exception_rate=0.2),
+                      resilience=ResiliencePolicy(max_attempts=10))
+        assert run.stats.completed
+        assert run.stats.faults_injected > 0
+        assert run.stats.exec_fault_retries > 0
+        assert "repro.faults.injector" in sys.modules
+    """))
+
+
+PACKAGES = sorted(info.name for info in
+                  pkgutil.walk_packages(repro.__path__, prefix="repro.")
+                  if info.ispkg) + ["repro"]
+
+
+@pytest.mark.parametrize("name", PACKAGES)
+def test_lazy_namespace_keeps_the_public_surface(name):
+    """Each package lists every exported name in ``dir()``, binds all of
+    them on ``import *``, and names itself for an unknown attribute."""
+    pkg = importlib.import_module(name)
+    exported = getattr(pkg, "__all__", None)
+    if exported is not None:
+        assert set(exported) <= set(dir(pkg))
+        ns = {}
+        exec(f"from {name} import *", ns)
+        assert set(exported) <= set(ns)
+    with pytest.raises(AttributeError, match=repr(name)):
+        pkg.no_such_name
+
+
+def test_validate_module_runs_without_a_second_import():
+    """``python -m repro.telemetry.validate`` loads its module once: the
+    package looks its names up lazily, so runpy finds no earlier copy of
+    the module (which it reports as a RuntimeWarning, an error here)."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m",
+         "repro.telemetry.validate"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("usage:")
