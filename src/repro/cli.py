@@ -42,18 +42,15 @@ import argparse
 import dataclasses
 import importlib
 import sys
-from typing import List, Optional
+from typing import List, NoReturn, Optional
 
 from .apps.registry import APPS
 from .bench.harness import run_app, run_serial, sweep_cores
-from .bench.plots import speedup_chart
 from .bench.report import format_table, speedup_table
 from .config import SystemConfig
 from .errors import (AppError, ConfigError, FarmError, QueueError,
                      SimulationError)
-from .faults import ResiliencePolicy, load_fault_file
-from .telemetry import (EventBus, EventRecorder, JsonlExporter,
-                        to_perfetto, write_metrics_json, write_perfetto)
+from .telemetry import EventBus, EventRecorder
 
 _EXIT_CODES = """\
 exit codes:
@@ -73,25 +70,45 @@ exit codes:
 """
 
 
-def _load(name: str):
-    try:
-        module_path, variants = APPS[name]
-    except KeyError:
-        raise SystemExit(
-            f"unknown app {name!r}; run `python -m repro apps` for the list")
+def _usage_error(args, message: str) -> NoReturn:
+    """Exit 2 with one ``argparse``-style line, before any run starts."""
+    print(f"repro {args.command}: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _load(args):
+    """The app module named by ``args.app`` and the variants it supports."""
+    if args.app not in APPS:
+        _usage_error(args, f"unknown app {args.app!r}; run `python -m repro "
+                           f"apps` for the list")
+    module_path, variants = APPS[args.app]
     return importlib.import_module(module_path), variants
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer >= 1 (a bad value is a usage error)."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not a positive integer")
-    return value
+def _check_variants(args, flag: str, chosen, variants) -> None:
+    for variant in chosen:
+        if variant not in variants:
+            _usage_error(args, f"argument {flag}: {args.app} has no variant "
+                               f"{variant!r} (choose from "
+                               f"{', '.join(variants)})")
+
+
+def _int_at_least(low: int, what: str):
+    """argparse type: an integer >= ``low`` (a bad value is a usage error)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not a {what} integer")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
+_non_negative_int = _int_at_least(0, "non-negative")
 
 
 def _core_list(text: str) -> List[int]:
@@ -131,8 +148,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="inject faults from a seeded plan file "
                             "(repro.faults; enables retry/backoff "
                             "resilience unless the file disables it)")
-    p_run.add_argument("--max-attempts", type=int, default=None,
-                       metavar="N",
+    p_run.add_argument("--max-attempts", type=_non_negative_int,
+                       default=None, metavar="N",
                        help="retries-plus-one budget for task exceptions "
                             "(enables the resilience policy; overrides "
                             "the plan file's value)")
@@ -200,17 +217,19 @@ def _note_crash_dir(args) -> None:
 
 
 def _cmd_run(args) -> int:
-    app, variants = _load(args.app)
+    app, variants = _load(args)
     variant = args.variant or variants[-1]
-    if variant not in variants:
-        raise SystemExit(f"{args.app} supports variants {variants}")
+    _check_variants(args, "--variant", [variant], variants)
     inp = app.make_input()
     cfg = SystemConfig.with_cores(args.cores, conflict_mode=args.conflicts,
                                   use_hints=not args.no_hints,
                                   seed=args.seed)
 
     faults = resilience = None
+    if args.faults or args.max_attempts is not None:
+        from .faults.resilience import ResiliencePolicy
     if args.faults:
+        from .faults.plan import load_fault_file
         try:
             faults, resilience = load_fault_file(args.faults)
         except (OSError, ValueError, ConfigError) as exc:
@@ -231,6 +250,7 @@ def _cmd_run(args) -> int:
             recorder = EventRecorder()
             bus.subscribe(recorder)
         if args.trace_out:
+            from .telemetry.export import JsonlExporter
             try:
                 exporter = JsonlExporter(args.trace_out)
             except OSError as exc:
@@ -262,12 +282,14 @@ def _cmd_run(args) -> int:
     sim_name = f"{args.app}-{variant}"
     try:
         if recorder is not None:
+            from .telemetry.perfetto import write_perfetto
             write_perfetto(recorder.events, args.perfetto, sim_name=sim_name)
             print(f"perfetto trace: {args.perfetto} "
                   f"({len(recorder)} events)")
         if exporter is not None:
             print(f"event log: {args.trace_out} ({exporter.n_events} events)")
         if args.metrics_out:
+            from .telemetry.export import write_metrics_json
             write_metrics_json(run.metrics, args.metrics_out, stats=run.stats)
             print(f"metrics: {args.metrics_out}")
     except OSError as exc:
@@ -306,10 +328,9 @@ def _cmd_profile(args) -> int:
     from .telemetry import (collect_profile, fold_into_registry,
                             format_profile)
 
-    app, variants = _load(args.app)
+    app, variants = _load(args)
     variant = args.variant or variants[-1]
-    if variant not in variants:
-        raise SystemExit(f"{args.app} supports variants {variants}")
+    _check_variants(args, "--variant", [variant], variants)
     inp = app.make_input()
     cfg = SystemConfig.with_cores(args.cores, conflict_mode=args.conflicts,
                                   seed=args.seed)
@@ -338,6 +359,7 @@ def _cmd_profile(args) -> int:
                 f.write("\n")
             print(f"profile json: {args.json}")
         if args.metrics_out:
+            from .telemetry.export import write_metrics_json
             write_metrics_json(run.metrics, args.metrics_out,
                                stats=run.stats)
             print(f"metrics: {args.metrics_out}")
@@ -348,12 +370,14 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    app, all_variants = _load(args.app)
+    app, all_variants = _load(args)
     variants = (args.variants.split(",") if args.variants
                 else list(all_variants))
+    _check_variants(args, "--variants", variants, all_variants)
     cores = args.cores
     inp = app.make_input()
 
+    from .bench.plots import speedup_chart
     from .farm.cache import ResultCache
     from .farm.farm import Farm
     cache = ResultCache(args.cache_dir) if args.cache else None

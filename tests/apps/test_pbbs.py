@@ -47,6 +47,7 @@ class TestAllVariants:
         a = run_checked(app, inp, "specfor", n_cores=4)
         b = run_checked(app, inp, "specfor", n_cores=16)
         assert app.result_arrays(a.handles) == app.result_arrays(b.handles)
+        assert a.metrics.total("specfor_rounds", engine=name) >= 1
 
     def test_specfor_granularity_does_not_change_results(self, app, name):
         inp = small_input(app)

@@ -10,6 +10,7 @@ farm-produced figure.
 import pytest
 
 from repro.apps import mis, msf
+from repro.apps.pbbs import spanning
 from repro.bench.harness import sweep_cores
 from repro.bench.report import speedup_table
 from repro.farm.farm import Farm
@@ -25,7 +26,8 @@ def digests(runs):
 @pytest.mark.parametrize("app,variants,input_kwargs", [
     (mis, ("flat", "fractal"), dict(scale=5, seed=1)),
     (msf, ("fractal",), dict(scale=5, seed=3)),
-], ids=["mis", "msf"])
+    (spanning, ("specfor",), dict(scale=5, edge_factor=3, seed=5)),
+], ids=["mis", "msf", "spanning"])
 def test_parallel_sweep_matches_serial(app, variants, input_kwargs):
     inp = app.make_input(**input_kwargs)
     serial = sweep_cores(app, inp, variants, CORES)

@@ -41,12 +41,12 @@ class TestCli:
 
     def test_unknown_app_fails(self):
         proc = run_cli("run", "nope")
-        assert proc.returncode != 0
+        assert proc.returncode == 2
         assert "unknown app" in proc.stderr
 
     def test_bad_variant_fails(self):
         proc = run_cli("run", "bfs", "--variant", "fractal")
-        assert proc.returncode != 0
+        assert proc.returncode == 2
 
     def test_sweep_prints_chart(self):
         proc = run_cli("sweep", "mis", "--variants", "flat,fractal",
@@ -185,6 +185,11 @@ class TestExitCodes:
         (["sweep", "mis", "--cores", ",4"], "--cores"),
         (["sweep", "mis", "--cores", "1,0"], "--cores"),
         (["sweep", "mis", "--cores", "1", "--jobs", "0"], "--jobs"),
+        (["run", "mis", "--max-attempts", "-3"], "--max-attempts"),
+        # variant names are checked before any job runs
+        (["run", "mis", "--variant", "bogus"], "--variant"),
+        (["profile", "mis", "--variant", "bogus"], "--variant"),
+        (["sweep", "mis", "--variants", "flat,bogus"], "--variants"),
     ])
     def test_bad_count_is_a_usage_error(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as exc:

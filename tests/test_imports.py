@@ -218,6 +218,20 @@ def test_fault_machinery_loads_when_a_run_uses_it():
     """))
 
 
+def test_cli_loads_flag_modules_on_use():
+    """``import repro.cli`` loads neither the fault plan and resilience
+    policy, the exporters nor the ASCII chart: the command or flag that
+    uses one imports it."""
+    out = run_fresh(textwrap.dedent("""
+        import sys
+        import repro.cli
+        print(sorted(m for m in sys.modules if m.startswith((
+            "repro.faults.", "repro.telemetry.export",
+            "repro.telemetry.perfetto", "repro.bench.plots"))))
+    """))
+    assert out.strip() == "[]"
+
+
 PACKAGES = sorted(info.name for info in
                   pkgutil.walk_packages(repro.__path__, prefix="repro.")
                   if info.ispkg) + ["repro"]
