@@ -13,7 +13,7 @@ Commands:
 - ``profile <app>`` — run one application and report hot-path profile
   counters (GVT frontier scan lengths, queue-index scans, conflict-probe
   counts; see :mod:`repro.telemetry.profiling`). ``--json`` exports the
-  profile document for CI's perf-smoke ceilings.
+  profile document.
 - ``apps`` — list available applications and their variants.
 - ``config`` — print the paper's Table 2 system configuration.
 - ``sweep <app>`` — scaling sweep over core counts with a speedup table
@@ -401,9 +401,14 @@ def _cmd_sweep(args) -> int:
           f"{s['retries']} retries in {s['wall_s']:.2f}s", file=sys.stderr)
     if args.summary_out:
         import json as _json
-        with open(args.summary_out, "w") as f:
-            _json.dump({"schema": "repro.farm-summary/1", **s}, f, indent=2)
-            f.write("\n")
+        try:
+            with open(args.summary_out, "w") as f:
+                _json.dump({"schema": "repro.farm-summary/1", **s}, f,
+                           indent=2)
+                f.write("\n")
+        except OSError as exc:
+            print(f"cannot write export: {exc}", file=sys.stderr)
+            return 1
     return 0
 
 

@@ -844,12 +844,7 @@ class Simulator(AllocAPI):
                 executed += self.config.abort_penalty
             self._m_cycles["aborted"][task.core.cid].value += executed
             self._aborts_total += 1
-            key = ("aborted", task.domain.depth)
-            ctr = self._m_tasks.get(key)
-            if ctr is None:
-                ctr = self._m_tasks[key] = self.metrics.counter(
-                    "tasks", outcome="aborted", depth=key[1])
-            ctr.value += 1
+            self._task_counter("aborted", task.domain.depth).value += 1
             if self._ebus is not None:
                 self._ebus.emit(tev.AbortEvent(
                     self.now, task.tid, task.label, task.core.cid,
@@ -896,12 +891,7 @@ class Simulator(AllocAPI):
             self._frontier.discard(task)
             self._live.pop(task, None)
             self._limbo.pop(task, None)
-            key = ("squashed", task.domain.depth)
-            ctr = self._m_tasks.get(key)
-            if ctr is None:
-                ctr = self._m_tasks[key] = self.metrics.counter(
-                    "tasks", outcome="squashed", depth=key[1])
-            ctr.value += 1
+            self._task_counter("squashed", task.domain.depth).value += 1
             if self._ebus is not None:
                 self._ebus.emit(tev.SquashEvent(self.now, task.tid, task.label,
                                               reason, cascade_id, hop))

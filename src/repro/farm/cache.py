@@ -32,12 +32,8 @@ _FINGERPRINT_CACHE: dict = {}
 def code_fingerprint(root: Union[str, pathlib.Path, None] = None) -> str:
     """Digest of every ``*.py`` file of the running ``repro`` package.
 
-    Cached per path per process. ``REPRO_FARM_FINGERPRINT`` overrides the
-    computed value (used by tests to simulate code drift).
+    Cached per path per process.
     """
-    env = os.environ.get("REPRO_FARM_FINGERPRINT")
-    if env:
-        return env
     if root is None:
         import repro
         root = pathlib.Path(repro.__file__).resolve().parent

@@ -11,10 +11,11 @@ versions (the same discipline as the resilience counters); ``repro
 profile`` gathers them after a run, folds them into the registry, and
 renders the report below.
 
-The counters double as the regression surface for CI's perf-smoke job:
-scan/probe work per event is a deterministic property of the run, so a
-pinned ceiling catches an accidental return to linear scanning even on a
-noisy machine where wall-clock alone could not.
+The counters double as a regression surface (``CEILINGS`` in
+``tests/core/test_stats_pins.py``): scan/probe work per event is a
+deterministic property of the run, so a pinned ceiling catches an
+accidental return to linear scanning even on a noisy machine where
+wall-clock alone could not.
 """
 
 from __future__ import annotations

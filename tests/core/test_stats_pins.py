@@ -1,15 +1,16 @@
 """Every pinned run outside the repo benchmark: ``RunStats`` digest (which
-covers the makespan) and heap event count.
+covers the makespan) and heap event count, plus hot-path counter
+ceilings for the runs ``repro profile`` makes.
 
 ``benchmarks/perf/pins.json`` pins the four benchmark workloads. These
 runs cover the rest: safe mode and livelock throttling (the storm fault
 plan), exception retries that unwind inside a task body (the transient
 plan), zoom-park aborts of tasks that already spawned children,
 commit-queue pressure aborts, the PBBS family under every variant
-(audited and checked against the sequential reference), and the runs
-whose counters ``benchmarks/perf_smoke.py`` bounds. Host-side
-optimizations of the simulator must reproduce every pin exactly. Print a
-``PINS`` block to paste over the one below with::
+(audited and checked against the sequential reference), and three
+``repro profile`` runs whose scan and probe counters ``CEILINGS``
+bounds. Host-side optimizations of the simulator must reproduce every
+pin exactly. Print a ``PINS`` block to paste over the one below with::
 
     PYTHONPATH=src python -m tests.core.test_stats_pins
 """
@@ -131,12 +132,13 @@ def _pbbs(name, variant):
                    n_cores=8, audit=True, check=True).sim
 
 
-#: the runs ``benchmarks/perf_smoke.py`` bounds, as (app, cores)
+#: the runs whose hot-path counters ``CEILINGS`` bounds, as (app, cores)
 PROFILED = (("mis", 16), ("maxflow", 4), ("spanning", 16))
 
 
 def _profiled(name, cores):
-    """A run as ``repro profile`` makes it: default input, best variant."""
+    """A run as ``repro profile`` makes it: default input, best (last)
+    variant, ``SystemConfig.with_cores(cores)`` (Bloom conflicts, seed 0)."""
     module, variants = APPS[name]
     app = importlib.import_module(module)
     return run_app(app, app.make_input(), variant=variants[-1],
@@ -160,19 +162,69 @@ RUNS = {
 }
 
 
+#: Hot-path counter ceilings, ~1.2x above what the indexed, compacted hot
+#: path produces. Scan and probe work per event is a deterministic
+#: property of a run, so a reintroduced linear scan, or a GVT frontier
+#: that keeps its dead entries (``gvt_peak_entries`` stays near twice the
+#: live tasks), fails here even where wall clock is too noisy to tell.
+#: ``mem_probe_steps`` bounds all chain-walk work of the memory's
+#: conflict checks.
+CEILINGS = {
+    "mis/fractal@16c": dict(
+        gvt_queries=20, gvt_peak_entries=790, gvt_scan_steps=1900,
+        queue_scan_steps=1000, mem_probe_steps=22400,
+        conflict_probe_steps=1000),
+    "maxflow/fractal@4c": dict(
+        gvt_queries=4100, gvt_peak_entries=275, gvt_scan_steps=111800,
+        queue_scan_steps=5000, mem_probe_steps=40600,
+        conflict_probe_steps=5000),
+    "spanning/specfor@16c": dict(
+        gvt_queries=60, gvt_peak_entries=155, gvt_scan_steps=1300,
+        queue_scan_steps=1000, mem_probe_steps=8700,
+        conflict_probe_steps=1000),
+}
+
+
+def counters(profile):
+    """The ``collect_profile`` counters a ceiling can name."""
+    return {
+        "gvt_queries": profile["gvt"]["queries"],
+        "gvt_peak_entries": profile["gvt"]["peak_entries"],
+        "gvt_scan_steps": profile["gvt"]["scan_steps"],
+        "queue_scan_steps": profile["queues"]["scan_steps"],
+        "mem_probe_steps": profile["memory"]["probe_steps"],
+        "conflict_probe_steps": profile["conflict_model"]["probe_steps"],
+    }
+
+
 def measure(name):
+    """``(digest, events)`` of one run, and its hot-path profile."""
     sim = RUNS[name]()
-    return stable_digest(sim.stats.to_dict()), collect_profile(sim)["events"]
+    profile = collect_profile(sim)
+    return (stable_digest(sim.stats.to_dict()), profile["events"]), profile
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_run_stats_match_pin(name):
-    assert measure(name) == PINS.get(name)
+    pin, profile = measure(name)
+    assert pin == PINS.get(name)
+    got = counters(profile)
+    over = {counter: f"{got[counter]} > ceiling {ceiling}"
+            for counter, ceiling in CEILINGS.get(name, {}).items()
+            if got[counter] > ceiling}
+    assert not over, f"{name}: hot-path counters over ceiling: {over}"
+
+
+def test_ceilings_name_pinned_runs_and_profile_counters():
+    assert set(CEILINGS) <= set(RUNS)
+    reported = counters(collect_profile(RUNS["refine/flat@8c"]()))
+    for name, ceilings in CEILINGS.items():
+        assert set(ceilings) <= set(reported), name
 
 
 if __name__ == "__main__":
     print("PINS = {")
     for name in sorted(RUNS):
-        digest, events = measure(name)
+        (digest, events), _ = measure(name)
         print(f'    "{name}": (\n        "{digest}",\n        {events}),')
     print("}")

@@ -143,11 +143,6 @@ class TestCacheAccounting:
 
 
 class TestCodeFingerprint:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FARM_FINGERPRINT", "pinned")
-        assert code_fingerprint() == "pinned"
-
-    def test_stable_within_process(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FARM_FINGERPRINT", raising=False)
+    def test_stable_within_process(self):
         assert code_fingerprint() == code_fingerprint()
         assert len(code_fingerprint()) == 64

@@ -178,6 +178,16 @@ class TestExitCodes:
         assert main(["run", "mis", "--cores", "4", "--serial"]) == 1
         assert "serial reference check: FAILED" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "mis", "--cores", "1", "--metrics-out"],
+        ["profile", "mis", "--cores", "1", "--json"],
+        ["sweep", "mis", "--variants", "flat", "--cores", "1",
+         "--summary-out"],
+    ])
+    def test_unwritable_export_exits_1(self, argv, tmp_path, capsys):
+        assert main([*argv, str(tmp_path / "missing" / "x.json")]) == 1
+        assert "cannot write export:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv,flag", [
         (["run", "mis", "--cores", "0"], "--cores"),
         (["run", "mis", "--cores", "-4"], "--cores"),
