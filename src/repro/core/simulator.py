@@ -155,6 +155,9 @@ class Simulator(AllocAPI):
                                        cfg.load_balance_threshold, cfg.seed)
         self.scheduler.clock = lambda: self.now
         self.arbiter = GvtArbiter(cfg.commit_interval)
+        # read on every abort / enqueue
+        self._abort_penalty = cfg.abort_penalty
+        self._spill_threshold = cfg.spill_threshold
         core_bits = max(4, (max(cfg.n_cores - 1, 1)).bit_length())
         self.alloc = TiebreakerAllocator(cfg.tiebreaker_bits, core_bits)
         self.vt_budget = cfg.vt_bits
@@ -184,7 +187,12 @@ class Simulator(AllocAPI):
         self.zoom = ZoomController(self)
 
         self.now = 0
-        self._events: List[Tuple[int, int, int, Any]] = []
+        # The pending event list: each cycle's ``(kind, payload)`` events
+        # in scheduling order, plus a heap of the distinct cycles, so an
+        # event costs one list append and only a new cycle a heap push.
+        # ``_event_seq`` counts every event ever scheduled.
+        self._buckets: Dict[int, List[Tuple[int, Any]]] = {}
+        self._cycles: List[int] = []
         self._event_seq = 0
         self._tick_scheduled = False
         # live tasks as an insertion-ordered dict for determinism
@@ -305,33 +313,40 @@ class Simulator(AllocAPI):
                 snap.setdefault(addr, value)
 
             self.memory.on_poke = fold_poke
-        events = self._events
+        buckets = self._buckets
+        cycles = self._cycles
         try:
             # initial dispatch runs task bodies too — keep it inside the
             # crash-dump / watchdog envelope
             for tile in self.tiles:
                 self._dispatch_tile(tile.tid)
             self._ensure_tick()
-            while events:
-                when, _, kind, payload = heapq.heappop(events)
+            while cycles:
+                when = heapq.heappop(cycles)
                 if when < self.now:
                     raise SimulationError("time went backwards")
                 self.now = when
-                if max_cycles is not None and self.now > max_cycles:
+                if max_cycles is not None and when > max_cycles:
                     raise SimulationError(
                         f"exceeded max_cycles={max_cycles} with "
                         f"{len(self._live)} live tasks")
-                if kind == _FINISH:
-                    self._on_finish(*payload)
-                elif kind == _TICK:
-                    self._tick_scheduled = False
-                    self._on_tick()
-                elif kind == _CORE_FREE:
-                    self._dispatch_tile(payload)
-                elif kind == _FINISH_SPECIAL:
-                    self._on_finish_special(*payload)
-                elif kind == _REQUEUE:
-                    self._on_requeue(payload)
+                # Events a handler schedules into this cycle land at the
+                # end of this list and run in this same drain, after every
+                # earlier-scheduled one: the (cycle, scheduling order)
+                # order of one global heap.
+                for kind, payload in buckets[when]:
+                    if kind == _FINISH:
+                        self._on_finish(*payload)
+                    elif kind == _TICK:
+                        self._tick_scheduled = False
+                        self._on_tick()
+                    elif kind == _CORE_FREE:
+                        self._dispatch_tile(payload)
+                    elif kind == _FINISH_SPECIAL:
+                        self._on_finish_special(*payload)
+                    elif kind == _REQUEUE:
+                        self._on_requeue(payload)
+                del buckets[when]
         except _WatchdogFire as fire:
             return self._watchdog_wrapup(fire)
         except FractalError as exc:
@@ -352,7 +367,12 @@ class Simulator(AllocAPI):
     # ------------------------------------------------------------------
     def _schedule(self, when: int, kind: int, payload: Any) -> None:
         self._event_seq += 1
-        heapq.heappush(self._events, (when, self._event_seq, kind, payload))
+        bucket = self._buckets.get(when)
+        if bucket is None:
+            self._buckets[when] = [(kind, payload)]
+            heapq.heappush(self._cycles, when)
+        else:
+            bucket.append((kind, payload))
 
     def _ensure_tick(self) -> None:
         if not self._tick_scheduled and self._live:
@@ -424,21 +444,27 @@ class Simulator(AllocAPI):
     # ==================================================================
     def _dispatch_tile(self, tile_id: int) -> None:
         tile = self.tiles[tile_id]
-        if (not tile.unit.pending_count and not self._special_jobs[tile_id]
-                and not self._safe_mode):
+        unit = tile.unit
+        specials = self._special_jobs[tile_id]
+        if not unit.pending_count and not specials and not self._safe_mode:
             return  # nothing to hand out: every free core would pick no job
         for core in tile.cores:
-            if not core.is_free:
+            if core.job is not None:
                 continue
-            allow_tasks = True
-            if self._safe_mode:
-                allow_tasks = self._safe_slot(tile)
-            elif self._throttled:
-                # throttled: at most one task in flight per tile, which
-                # shrinks the conflict window without stopping the chip
-                allow_tasks = not any(isinstance(c.job, TaskDesc)
-                                      for c in tile.cores)
-            job = self._pick_job(tile, allow_tasks)
+            # a body run on an earlier core may have queued a special job
+            # or entered safe mode, so each core re-checks
+            if not specials and not self._safe_mode and not self._throttled:
+                job = unit.pop_best()
+            else:
+                allow_tasks = True
+                if self._safe_mode:
+                    allow_tasks = self._safe_slot(tile)
+                elif self._throttled:
+                    # throttled: at most one task in flight per tile, which
+                    # shrinks the conflict window without stopping the chip
+                    allow_tasks = not any(isinstance(c.job, TaskDesc)
+                                          for c in tile.cores)
+                job = self._pick_job(tile, allow_tasks)
             if job is None:
                 continue
             if isinstance(job, TaskDesc):
@@ -451,8 +477,8 @@ class Simulator(AllocAPI):
                     # freshly-spawned children qualify — requeued tasks
                     # whose parents ran earlier (or committed) dispatch
                     # immediately.
-                    tile.unit.enqueue(job)
-                    self._schedule(self.now + 1, _CORE_FREE, tile.tid)
+                    unit.enqueue(job)
+                    self._schedule(self.now + 1, _CORE_FREE, tile_id)
                     continue
                 self._dispatch_task(core, job)
             else:
@@ -541,7 +567,7 @@ class Simulator(AllocAPI):
         except TaskAborted:
             # the cascade already rolled us back and re-queued / squashed us
             core.job = None
-            self._schedule(self.now + self.config.abort_penalty,
+            self._schedule(self.now + self._abort_penalty,
                            _CORE_FREE, core.tile_id)
             return
         except NeedZoomIn as need:
@@ -597,7 +623,7 @@ class Simulator(AllocAPI):
             self._abort_cascade([task], "task exception")
             self._m_exec_retries.inc()
             core.job = None
-            self._schedule(self.now + self.config.abort_penalty,
+            self._schedule(self.now + self._abort_penalty,
                            _CORE_FREE, core.tile_id)
             return
         vt_repr = repr(task.vt)
@@ -696,17 +722,22 @@ class Simulator(AllocAPI):
                 # This must happen on EVERY stalled tile — the GVT-blocking
                 # pending task may be queued on a tile whose cores are all
                 # stalled, and only an entry freed *there* lets it dispatch.
+                # One pass over the finished tasks finds each stalled
+                # tile's latest commit-queue entry.
+                stalled = {tile.tid for tile in self.tiles
+                           if tile.unit.finish_stalled}
+                latest: Dict[int, TaskDesc] = {}
+                for t in self._finished:
+                    if t.state is TaskState.FINISHED:
+                        tile_id = t.core.tile_id
+                        if tile_id in stalled:
+                            best = latest.get(tile_id)
+                            if best is None or t.order_key > best.order_key:
+                                latest[tile_id] = t
                 victims = []
                 for tile in self.tiles:
-                    if not tile.unit.finish_stalled:
-                        continue
-                    in_queue = [t for t in self._finished
-                                if t.state is TaskState.FINISHED
-                                and t.core.tile_id == tile.tid]
-                    if not in_queue:
-                        continue
-                    victim = max(in_queue, key=_order_key)
-                    if victim.order_key > gvt:
+                    victim = latest.get(tile.tid)
+                    if victim is not None and victim.order_key > gvt:
                         victims.append(victim)
                 if victims:
                     self._abort_cascade(victims, "commit queue pressure")
@@ -841,7 +872,7 @@ class Simulator(AllocAPI):
             # Only a still-running victim's core pays the rollback delay;
             # finished victims roll back inside the task unit.
             if state is TaskState.RUNNING:
-                executed += self.config.abort_penalty
+                executed += self._abort_penalty
             self._m_cycles["aborted"][task.core.cid].value += executed
             self._aborts_total += 1
             self._task_counter("aborted", task.domain.depth).value += 1
@@ -855,7 +886,7 @@ class Simulator(AllocAPI):
                 unit = self.tiles[core.tile_id].unit
                 if state is TaskState.RUNNING:
                     core.job = None
-                    self._schedule(self.now + self.config.abort_penalty,
+                    self._schedule(self.now + self._abort_penalty,
                                    _CORE_FREE, core.tile_id)
                 elif state is TaskState.FINISH_STALLED:
                     unit.finish_stalled.remove(task)
@@ -908,14 +939,14 @@ class Simulator(AllocAPI):
             if task is not self._executing:
                 self._frontier.add_dyn(task)
             self._limbo[task] = None
-            when = max(self.now + self.config.abort_penalty, task.retry_after)
+            when = max(self.now + self._abort_penalty, task.retry_after)
             if self._resil is not None:
                 # exponential backoff on every requeue; retry_after may
                 # already carry a (larger) exception-retry delay
                 from ..faults.resilience import backoff_delay
                 when = max(when, self.now + backoff_delay(self._resil,
                                                           task.n_aborts))
-                extra = when - self.now - self.config.abort_penalty
+                extra = when - self.now - self._abort_penalty
                 if extra > 0:
                     self._m_backoffs.inc()
                     if self._ebus is not None:
@@ -1000,7 +1031,7 @@ class Simulator(AllocAPI):
     # ==================================================================
     def _maybe_spill(self, tile_id: int) -> None:
         unit = self.tiles[tile_id].unit
-        if (unit.fill_fraction >= self.config.spill_threshold
+        if (unit.fill_fraction >= self._spill_threshold
                 and not self._coalescer_queued[tile_id]):
             self._coalescer_queued[tile_id] = True
             duration = max(1, self.config.coalescer_cost_per_task

@@ -136,8 +136,9 @@ class BloomConflictModel(ConflictPolicy):
         g = self._live_gauge
         if g is not None and len(self._live) > g.value:
             g.value = len(self._live)
-        owner.sig_read = BloomSignature(self.family)
-        owner.sig_write = BloomSignature(self.family)
+        # the signatures come with the first access (note_access); an
+        # attempt without them has a zero false-positive rate
+        owner.sig_read = owner.sig_write = None
         owner._fp_cached = 0.0
 
     def unregister(self, owner) -> None:
@@ -151,7 +152,11 @@ class BloomConflictModel(ConflictPolicy):
         owner.sig_write = None
 
     def note_access(self, owner, line: int, is_write: bool) -> None:
-        sig = owner.sig_write if is_write else owner.sig_read
+        sig_read = owner.sig_read
+        if sig_read is None:
+            sig_read = owner.sig_read = BloomSignature(self.family)
+            owner.sig_write = BloomSignature(self.family)
+        sig = owner.sig_write if is_write else sig_read
         if not sig.insert(line):
             # no new bits set: both fills — and therefore the pair rate —
             # are exactly what the last access computed, so the running
@@ -159,7 +164,7 @@ class BloomConflictModel(ConflictPolicy):
             return
         # probability an unrelated access false-hits either signature
         rates = self._rates
-        fr = rates[owner.sig_read._popcount]
+        fr = rates[sig_read._popcount]
         fw = rates[owner.sig_write._popcount]
         new_fp = fr + fw - fr * fw
         self._fp_sum += new_fp - owner._fp_cached

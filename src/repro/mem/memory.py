@@ -65,9 +65,12 @@ class OwnerProtocol:
       ``deps`` / ``dependents`` (owner sets), ``sig_read`` / ``sig_write``.
 
     The four sets start as the shared empty :data:`NO_EDGES`; the first
-    insert into each gives it a set of its own. Most attempts die at
-    their first store, so most never allocate one. Readers treat
-    :data:`NO_EDGES` as any empty set; only :class:`SpecMemory` inserts.
+    insert into each gives it a set of its own. ``undo`` starts as None
+    and gets its log at the attempt's first store; the conflict model
+    builds ``sig_read`` / ``sig_write`` at its first access. Most
+    attempts die at their first store, before any of these. Readers
+    treat :data:`NO_EDGES` as any empty set and a None ``undo`` as an
+    empty log; only :class:`SpecMemory` inserts.
 
     They live exactly as long as the attempt. When it ends, at commit or
     at rollback, ``undo``, ``read_lines``, ``write_lines``, ``sig_read``
@@ -166,7 +169,7 @@ class SpecMemory:
     # ------------------------------------------------------------------
     def attach_owner(self, owner) -> None:
         """Initialize per-attempt speculative state on ``owner``."""
-        owner.undo = UndoLog()
+        owner.undo = None
         if self.record_values:
             owner.reads = {}
             owner.writes = {}
@@ -372,7 +375,10 @@ class SpecMemory:
                 prev_writer.dependents = {owner}
             else:
                 dependents.add(owner)
-        owner.undo.record(addr, self._values.get(addr, self.default))
+        undo = owner.undo
+        if undo is None:
+            undo = owner.undo = UndoLog()
+        undo.record(addr, self._values.get(addr, self.default))
         if not wchain or wchain[-1] is not owner:
             wchain.append(owner)
 
@@ -489,27 +495,29 @@ class SpecMemory:
         The caller (abort cascade) must invoke this latest-first across the
         cascade so each owner is the most recent writer of its words.
         """
-        for addr, prev in owner.undo.reversed_entries():
-            chain = self._word_writers.get(addr)
-            if not chain or chain[-1] is not owner:
-                raise SimulationError(
-                    f"rollback of non-tail writer at addr {addr}")
-            chain.pop()
-            if not chain:
-                del self._word_writers[addr]
-            self._values[addr] = prev
+        if owner.undo is not None:
+            for addr, prev in owner.undo.reversed_entries():
+                chain = self._word_writers.get(addr)
+                if not chain or chain[-1] is not owner:
+                    raise SimulationError(
+                        f"rollback of non-tail writer at addr {addr}")
+                chain.pop()
+                if not chain:
+                    del self._word_writers[addr]
+                self._values[addr] = prev
         self._scrub(owner)
 
     def commit(self, owner) -> None:
         """Make ``owner``'s writes permanent and drop its footprint."""
-        for addr in owner.undo._entries:
-            chain = self._word_writers.get(addr)
-            if not chain or chain[0] is not owner:
-                raise SimulationError(
-                    f"commit of non-head writer at addr {addr}")
-            chain.pop(0)
-            if not chain:
-                del self._word_writers[addr]
+        if owner.undo is not None:
+            for addr in owner.undo._entries:
+                chain = self._word_writers.get(addr)
+                if not chain or chain[0] is not owner:
+                    raise SimulationError(
+                        f"commit of non-head writer at addr {addr}")
+                chain.pop(0)
+                if not chain:
+                    del self._word_writers[addr]
         self._scrub(owner)
 
     def _scrub(self, owner) -> None:

@@ -88,6 +88,8 @@ def fold_into_registry(metrics, profile: Dict) -> None:
 
     Called only by ``repro profile`` — vanilla runs must not see these
     names, so metric exports stay byte-identical when profiling is off.
+    The scan and probe totals are counters; the frontier's peak size is a
+    gauge, like the registry's other peaks.
     """
     metrics.counter("profile_gvt_queries").value = \
         profile["gvt"]["queries"]
@@ -99,6 +101,8 @@ def fold_into_registry(metrics, profile: Dict) -> None:
         profile["memory"]["probe_steps"]
     metrics.counter("profile_conflict_probe_steps").value = \
         profile["conflict_model"]["probe_steps"]
+    metrics.gauge("profile_gvt_peak_entries").set(
+        profile["gvt"]["peak_entries"])
 
 
 def format_profile(profile: Dict) -> str:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import Ordering, Simulator, SystemConfig, TaskState
+from repro.core.simulator import _CORE_FREE
 from repro.errors import SimulationError
 
 
@@ -75,6 +76,37 @@ class TestExecution:
         sim.run()
         with pytest.raises(SimulationError):
             sim.enqueue_root(lambda ctx: None)
+
+
+class TestEventLoopGuards:
+    """The event loop's two hard failures."""
+
+    def test_max_cycles_bounds_the_last_simulated_cycle(self, make_sim):
+        def run(max_cycles):
+            sim = make_sim(1)
+            sim.enqueue_root(lambda ctx: ctx.compute(5000))
+            return sim.run(max_cycles=max_cycles)
+
+        makespan = run(None).makespan
+        assert run(makespan).makespan == makespan
+        with pytest.raises(SimulationError,
+                           match=f"exceeded max_cycles={makespan - 1}"):
+            run(makespan - 1)
+
+    def test_event_scheduled_in_the_past_raises(self, make_sim):
+        sim = make_sim(1)
+
+        def late(ctx):
+            # a handler that schedules into an already-simulated cycle
+            sim._schedule(sim.now - 1, _CORE_FREE, 0)
+
+        def first(ctx):
+            ctx.compute(100)
+            ctx.enqueue(late)
+
+        sim.enqueue_root(first)
+        with pytest.raises(SimulationError, match="time went backwards"):
+            sim.run()
 
 
 class TestCommitsAndStats:

@@ -1,13 +1,15 @@
 """Every pinned run outside the repo benchmark: ``RunStats`` digest (which
-covers the makespan) and heap event count, plus hot-path counter
+covers the makespan) and event count, plus hot-path counter
 ceilings for the runs ``repro profile`` makes.
 
 ``benchmarks/perf/pins.json`` pins the four benchmark workloads. These
 runs cover the rest: safe mode and livelock throttling (the storm fault
 plan), exception retries that unwind inside a task body (the transient
 plan), zoom-park aborts of tasks that already spawned children,
-commit-queue pressure aborts, the PBBS family under every variant
-(audited and checked against the sequential reference), and three
+commit-queue pressure aborts (on one tile, and on many tiles in one
+tick), aborts with no rollback delay (the core frees in the cycle
+being simulated), the PBBS family under every variant (audited and
+checked against the sequential reference), and three
 ``repro profile`` runs whose scan and probe counters ``CEILINGS``
 bounds. Host-side optimizations of the simulator must reproduce every
 pin exactly. Print a ``PINS`` block to paste over the one below with::
@@ -54,6 +56,12 @@ PINS = {
     "maxflow/fractal@4c": (
         "fcdc4daf2d241c57444ba6f9467f060481b6f6e4788711252ab7c1d9f489b3e2",
         112823),
+    "mis-16c-zero-penalty": (
+        "eb267b3af0b7f2ff10f499d7682842b3d8977ea172d5252a60756c808f74c1e7",
+        18106),
+    "mis-64c-cq1": (
+        "f59f649f72e132899a1480cc078619aced9e64b6436884e61dbdfee66b0490b4",
+        29553),
     "mis-8c-storm": (
         "e556dd73eec2f920da06ed99f1d27b580e68072c24ed5d5973769fc2a09d4bc4",
         4038),
@@ -112,6 +120,18 @@ def _zoomtree():
                    config=cfg).sim
 
 
+def _mis_zero_penalty():
+    cfg = SystemConfig.with_cores(16, abort_penalty=0)
+    return run_app(mis, mis.make_input(scale=8, edge_factor=5),
+                   config=cfg).sim
+
+
+def _mis_small_commit_queues():
+    cfg = SystemConfig.with_cores(64, commit_queue_per_core=1)
+    return run_app(mis, mis.make_input(scale=8, edge_factor=5),
+                   config=cfg).sim
+
+
 def _cq_pressure():
     sim = _build_cq_pressure()
     sim.run()
@@ -154,7 +174,13 @@ RUNS = {
         "storm.json", scale=6, safe_mode_threshold=1.0),
     "mis-8c-transient": lambda: _mis_under("transient.json"),
     "zoomtree-8c-vt64": _zoomtree,
+    # with no rollback delay, an aborted attempt frees its core in the
+    # cycle being simulated, which no default config does
+    "mis-16c-zero-penalty": _mis_zero_penalty,
     "commit-queue-pressure": _cq_pressure,
+    # one commit-queue entry per core: most GVT ticks abort one finished
+    # task on each of many wedged tiles at once
+    "mis-64c-cq1": _mis_small_commit_queues,
     **{f"{name}/{variant}@8c": functools.partial(_pbbs, name, variant)
        for name in PBBS_INPUTS for variant in VARIANTS_PBBS},
     **{f"{name}/{APPS[name][1][-1]}@{cores}c": functools.partial(

@@ -89,6 +89,15 @@ class TestSubcommands:
         assert "profile json" in out
         assert f"{peak:,} peak heap entries" in out
 
+    def test_profile_metrics_export_the_frontier_peak(self, tmp_path):
+        prof, metrics = tmp_path / "p.json", tmp_path / "m.json"
+        assert main(["profile", "mis", "--cores", "4", "--json", str(prof),
+                     "--metrics-out", str(metrics)]) == 0
+        peak = json.loads(prof.read_text())["gvt"]["peak_entries"]
+        gauges = {g["name"]: g["value"] for g in
+                  json.loads(metrics.read_text())["metrics"]["gauges"]}
+        assert gauges["profile_gvt_peak_entries"] == peak > 0
+
     def test_profile_without_app_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["profile"])
