@@ -128,14 +128,11 @@ class GvtFrontier:
         self._dyn.clear()
         self._run.clear()
         for task in live:
-            state = task.state
-            if state is TaskState.RUNNING:
+            if task.state is TaskState.RUNNING:
                 self.add_run(task)
-            elif state in (TaskState.PENDING, TaskState.WAIT_ZOOM):
-                self.add_dyn(task)
-            elif state is TaskState.SPILLED:
-                if getattr(task.spill_buffer, "is_zoom", False):
-                    continue  # parked outer domains are later than all live
+            elif not (task.is_speculative or task.zoom_parked):
+                # pending, waiting for a zoom, or spilled by a coalescer;
+                # parked outer domains are later than all live tasks
                 self.add_dyn(task)
 
     def __repr__(self) -> str:

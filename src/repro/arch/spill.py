@@ -41,35 +41,49 @@ def select_spill_victims(pending: List, now_lb: int, batch: int) -> List:
 
 
 class SpillBuffer:
-    """An in-memory buffer of spilled pending tasks (one per splitter).
+    """An in-memory buffer of spilled tasks (one per splitter or zoom
+    frame). Building one marks its tasks SPILLED; :meth:`drain` marks
+    them PENDING again.
 
     Buffered tasks are indexed by stripped VT prefix so the scheduler's
     splitter-priority check is O(depths) instead of O(buffer). The index
     piggybacks on ``queue_token``: tasks enter a buffer only after leaving
     their task queue (which bumped the token), so bumping again here never
     invalidates a live queue entry, and every exit path — :meth:`remove`,
-    re-enqueue on restore — bumps it once more.
+    re-enqueue after :meth:`drain` — bumps it once more.
     """
 
     __slots__ = ("tasks", "is_zoom", "_index")
 
-    def __init__(self, tasks: List):
+    def __init__(self, tasks: List, is_zoom: bool = False):
         self.tasks = list(tasks)
         #: True for buffers holding a zoomed-out base domain
-        self.is_zoom = False
+        self.is_zoom = is_zoom
         self._index = StrippedIndex("queue_token")
         for t in self.tasks:
+            t.state = TaskState.SPILLED
+            t.spill_buffer = self
             t.queue_token += 1
             self._index.push(t)
 
     def remove(self, task) -> bool:
-        """Squash support: drop a spilled task; True when it was here."""
+        """Take one task out (squash, zoom-in); True when it was here."""
         try:
             self.tasks.remove(task)
         except ValueError:
             return False
         task.queue_token += 1  # invalidates the index entry
+        task.spill_buffer = None
         return True
+
+    def drain(self) -> List:
+        """Empty the buffer: its tasks, PENDING again, in buffer order."""
+        tasks, self.tasks = self.tasks, []
+        self._index.clear()
+        for t in tasks:
+            t.state = TaskState.PENDING
+            t.spill_buffer = None
+        return tasks
 
     def min_stripped(self, now_lb: int) -> Optional[tuple]:
         """Lowest stripped key inside, with ``now_lb`` as the final

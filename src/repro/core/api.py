@@ -49,6 +49,8 @@ class NeedZoomIn(FractalError):
     """Internal: the attempted subdomain enqueue does not fit the VT bit
     budget; the attempt rolls back and waits for a zoom-in."""
 
+    direction = "in"
+
     def __init__(self, needed_bits: int):
         super().__init__(f"zoom-in needed for {needed_bits} extra VT bits")
         self.needed_bits = needed_bits
@@ -57,6 +59,9 @@ class NeedZoomIn(FractalError):
 class NeedZoomOut(FractalError):
     """Internal: a base-domain task enqueued to its superdomain, which is
     currently zoomed out of the hardware VT window."""
+
+    direction = "out"
+    needed_bits = 0
 
 
 class TaskContext:

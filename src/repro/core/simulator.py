@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import heapq
 import time
+from bisect import bisect_right
 from operator import attrgetter
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
                     Tuple, Union)
@@ -201,7 +202,9 @@ class Simulator(AllocAPI):
         self._limbo: Dict[TaskDesc, None] = {}
         # incrementally-maintained GVT bound over the live set
         self._frontier = GvtFrontier()
-        self._finished: List[TaskDesc] = []
+        # finished tasks awaiting commit (FINISHED and FINISH_STALLED), as
+        # an insertion-ordered dict: an abort drops one in O(1)
+        self._finished: Dict[TaskDesc, None] = {}
         self._executing: Optional[TaskDesc] = None
         self._executing_ctx: Optional[TaskContext] = None
         # commits so far: the next commit's sequence number, and the count
@@ -381,6 +384,12 @@ class Simulator(AllocAPI):
 
     def _wake_tile(self, tile_id: int) -> None:
         self._schedule(self.now, _CORE_FREE, tile_id)
+
+    def _release_core(self, core: Core, delay: int) -> None:
+        """Free ``core`` and let its tile dispatch again ``delay`` cycles
+        from now (an aborted attempt's rollback delay, else 0)."""
+        core.job = None
+        self._schedule(self.now + delay, _CORE_FREE, core.tile_id)
 
     # ==================================================================
     # enqueue / admit
@@ -566,19 +575,11 @@ class Simulator(AllocAPI):
             task.fn(ctx, *task.args)
         except TaskAborted:
             # the cascade already rolled us back and re-queued / squashed us
-            core.job = None
-            self._schedule(self.now + self._abort_penalty,
-                           _CORE_FREE, core.tile_id)
+            self._release_core(core, self._abort_penalty)
             return
-        except NeedZoomIn as need:
-            self._zoom_park(task, ctx, "in", need.needed_bits)
-            core.job = None
-            self._wake_tile(core.tile_id)
-            return
-        except NeedZoomOut:
-            self._zoom_park(task, ctx, "out", 0)
-            core.job = None
-            self._wake_tile(core.tile_id)
+        except (NeedZoomIn, NeedZoomOut) as need:
+            self._zoom_park(task, ctx, need)
+            self._release_core(core, 0)
             return
         except FractalError:
             # library invariants and typed API misuse stay fatal; the
@@ -622,9 +623,7 @@ class Simulator(AllocAPI):
             # the cascade's requeue path emits the retry_backoff event
             self._abort_cascade([task], "task exception")
             self._m_exec_retries.inc()
-            core.job = None
-            self._schedule(self.now + self._abort_penalty,
-                           _CORE_FREE, core.tile_id)
+            self._release_core(core, self._abort_penalty)
             return
         vt_repr = repr(task.vt)
         self._abort_cascade([task], "task exception (fatal)")
@@ -674,16 +673,15 @@ class Simulator(AllocAPI):
         if self._ebus is not None:
             self._ebus.emit(tev.FinishEvent(self.now, task.tid, core.cid,
                                           task.duration))
+        self._finished[task] = None
         if unit.acquire_commit_entry():
             task.state = TaskState.FINISHED
-            self._finished.append(task)
             core.job = None
             self._dispatch_tile(core.tile_id)
         else:
             # Core stalls holding the finished task until an entry frees.
             task.state = TaskState.FINISH_STALLED
             unit.finish_stalled.append(task)
-            self._finished.append(task)
         self._ensure_tick()
 
     # ==================================================================
@@ -699,22 +697,19 @@ class Simulator(AllocAPI):
         self._frontier.trim(len(self._live))
         gvt = self._compute_gvt()
         if self._finished:
-            self._finished.sort(key=_order_key)
-            frontier = []
-            for t in self._finished:
-                # <= is safe: the GVT can only *equal* a finished task's key
-                # through a pending task's lower-bound tiebreaker (real
-                # tiebreakers are unique), and any future dispatch of that
-                # pending task strictly exceeds the bound — so the finished
-                # task still precedes every unfinished one.
-                if gvt is None or t.order_key <= gvt:
-                    frontier.append(t)
-                else:
-                    break
-            for t in frontier:
+            ordered = sorted(self._finished, key=_order_key)
+            # <= is safe: the GVT can only *equal* a finished task's key
+            # through a pending task's lower-bound tiebreaker (real
+            # tiebreakers are unique), and any future dispatch of that
+            # pending task strictly exceeds the bound — so the finished
+            # task still precedes every unfinished one.
+            n_commit = (len(ordered) if gvt is None
+                        else bisect_right(ordered, gvt, key=_order_key))
+            for t in ordered[:n_commit]:
                 self._commit_one(t)
-            if frontier:
-                del self._finished[:len(frontier)]
+            if n_commit:
+                # kept in key order, so the next tick's sort is near-linear
+                self._finished = dict.fromkeys(ordered[n_commit:])
             elif gvt is not None:
                 # Commit queues are wedged behind an earlier unfinished
                 # task: free space by aborting higher-VT finished tasks
@@ -722,25 +717,17 @@ class Simulator(AllocAPI):
                 # This must happen on EVERY stalled tile — the GVT-blocking
                 # pending task may be queued on a tile whose cores are all
                 # stalled, and only an entry freed *there* lets it dispatch.
-                # One pass over the finished tasks finds each stalled
+                # Every finished key is past the GVT here, and keys are
+                # unique, so one pass in key order leaves each stalled
                 # tile's latest commit-queue entry.
                 stalled = {tile.tid for tile in self.tiles
                            if tile.unit.finish_stalled}
-                latest: Dict[int, TaskDesc] = {}
-                for t in self._finished:
-                    if t.state is TaskState.FINISHED:
-                        tile_id = t.core.tile_id
-                        if tile_id in stalled:
-                            best = latest.get(tile_id)
-                            if best is None or t.order_key > best.order_key:
-                                latest[tile_id] = t
-                victims = []
-                for tile in self.tiles:
-                    victim = latest.get(tile.tid)
-                    if victim is not None and victim.order_key > gvt:
-                        victims.append(victim)
-                if victims:
-                    self._abort_cascade(victims, "commit queue pressure")
+                latest = {t.core.tile_id: t for t in ordered
+                          if t.state is TaskState.FINISHED
+                          and t.core.tile_id in stalled}
+                if latest:
+                    self._abort_cascade([latest[i] for i in sorted(latest)],
+                                        "commit queue pressure")
         if self.zoom.requests or self.zoom.frames:
             self.zoom.process()
         self._ensure_tick()
@@ -761,20 +748,8 @@ class Simulator(AllocAPI):
                 f"key {self._last_commit_key}")
         self._last_commit_key = key
         self.memory.commit(task)
+        self._leave_commit_queue(task)
         core = task.core
-        if task.state is TaskState.FINISHED:
-            cunit = self.tiles[core.tile_id].unit
-            cunit.release_commit_entry()
-            self._promote_stalled(core.tile_id)
-        elif task.state is TaskState.FINISH_STALLED:
-            cunit = self.tiles[core.tile_id].unit
-            cunit.finish_stalled.remove(task)
-            self._m_cycles["stall"][core.cid].value += (
-                self.now - task.finish_time)
-            core.job = None
-            self._wake_tile(core.tile_id)
-        else:
-            raise SimulationError(f"committing non-finished {task}")
         task.state = TaskState.COMMITTED
         task.commit_seq = self._commit_seq
         self._commit_seq += 1
@@ -803,18 +778,31 @@ class Simulator(AllocAPI):
                     self._ebus.emit(ev)
             task.emits = None
 
-    def _promote_stalled(self, tile_id: int) -> None:
-        unit = self.tiles[tile_id].unit
+    def _leave_commit_queue(self, task: TaskDesc) -> None:
+        """A finished task commits or aborts. A FINISHED task frees its
+        commit-queue entry, and the tile's earliest stalled tasks move
+        into the free space; a FINISH_STALLED task ends its stall."""
+        if task.state is TaskState.FINISH_STALLED:
+            self._end_stall(task)
+            return
+        if task.state is not TaskState.FINISHED:
+            raise SimulationError(f"{task} holds no commit-queue entry")
+        unit = self.tiles[task.core.tile_id].unit
+        unit.release_commit_entry()
         while unit.finish_stalled and not unit.commit_queue_full():
             stalled = min(unit.finish_stalled, key=_order_key)
-            unit.finish_stalled.remove(stalled)
+            self._end_stall(stalled)
             unit.acquire_commit_entry()
             stalled.state = TaskState.FINISHED
-            self._m_cycles["stall"][stalled.core.cid].value += (
-                self.now - stalled.finish_time)
             stalled.finish_time = self.now
-            stalled.core.job = None
-            self._wake_tile(tile_id)
+
+    def _end_stall(self, task: TaskDesc) -> None:
+        """``task`` stops stalling its core: charge the stall cycles and
+        free the core."""
+        core = task.core
+        self.tiles[core.tile_id].unit.finish_stalled.remove(task)
+        self._m_cycles["stall"][core.cid].value += self.now - task.finish_time
+        self._release_core(core, 0)
 
     # ==================================================================
     # aborts
@@ -881,47 +869,22 @@ class Simulator(AllocAPI):
                     self.now, task.tid, task.label, task.core.cid,
                     task.dispatch_time, executed, reason, False,
                     cascade_id, hop))
-            if task is not self._executing:
-                core = task.core
-                unit = self.tiles[core.tile_id].unit
-                if state is TaskState.RUNNING:
-                    core.job = None
-                    self._schedule(self.now + self._abort_penalty,
-                                   _CORE_FREE, core.tile_id)
-                elif state is TaskState.FINISH_STALLED:
-                    unit.finish_stalled.remove(task)
-                    self._finished.remove(task)
-                    self._m_cycles["stall"][core.cid].value += (
-                        self.now - task.finish_time)
-                    core.job = None
-                    self._wake_tile(core.tile_id)
-                else:
-                    self._finished.remove(task)
-                    unit.release_commit_entry()
-                    self._promote_stalled(core.tile_id)
-            else:
-                task.aborted = True
+            if task is self._executing:
                 if state is not TaskState.RUNNING:
                     raise SimulationError("executing task not RUNNING")
-        elif state is TaskState.PENDING:
-            if task in self._limbo:
-                pass  # not in any queue; the stale _REQUEUE event is ignored
+            elif state is TaskState.RUNNING:
+                self._release_core(task.core, self._abort_penalty)
             else:
-                self.tiles[task.queue_tile].unit.remove(task)
-        elif state is TaskState.SPILLED:
-            task.spill_buffer.remove(task)
-            task.spill_buffer = None
-        elif state is TaskState.WAIT_ZOOM:
-            self.zoom.drop_request(task)
+                del self._finished[task]
+                self._leave_commit_queue(task)
         else:
-            raise SimulationError(f"cannot abort {task} in state {state}")
+            self._unqueue(task)
 
         task.aborted = True
         if squash:
             task.state = TaskState.SQUASHED
             self._frontier.discard(task)
             self._live.pop(task, None)
-            self._limbo.pop(task, None)
             self._task_counter("squashed", task.domain.depth).value += 1
             if self._ebus is not None:
                 self._ebus.emit(tev.SquashEvent(self.now, task.tid, task.label,
@@ -958,9 +921,10 @@ class Simulator(AllocAPI):
     # ==================================================================
     # zooming hooks
     # ==================================================================
-    def _zoom_park(self, task: TaskDesc, ctx: TaskContext, direction: str,
-                   needed_bits: int) -> None:
+    def _zoom_park(self, task: TaskDesc, ctx: TaskContext,
+                   need: Union[NeedZoomIn, NeedZoomOut]) -> None:
         """Roll back the attempt and park it until the zoom completes."""
+        direction = need.direction
         if task.children or task.dependents:
             self._abort_cascade(list(task.children) + list(task.dependents),
                                 f"zoom-{direction} park",
@@ -974,7 +938,7 @@ class Simulator(AllocAPI):
                 True, -1, 0))
         task.state = TaskState.WAIT_ZOOM
         self._frontier.add_dyn(task)
-        self.zoom.park(task, direction, needed_bits)
+        self.zoom.park(task, direction, need.needed_bits)
         self._ensure_tick()
 
     def _on_requeue(self, task: TaskDesc) -> None:
@@ -989,31 +953,29 @@ class Simulator(AllocAPI):
 
     def _active_live(self) -> List[TaskDesc]:
         """Live tasks excluding those parked on the zoom stack."""
-        return [t for t in self._live
-                if not (t.state is TaskState.SPILLED
-                        and getattr(t.spill_buffer, "is_zoom", False))]
+        return [t for t in self._live if not t.zoom_parked]
 
     def _any_active_live(self) -> bool:
         """Whether :meth:`_active_live` is non-empty, without building it."""
-        return any(not (t.state is TaskState.SPILLED
-                        and getattr(t.spill_buffer, "is_zoom", False))
-                   for t in self._live)
+        return any(not t.zoom_parked for t in self._live)
 
-    def _extract_pending(self, task: TaskDesc) -> None:
-        """Pull a non-speculative task out of wherever it waits (zoom-in)."""
-        if task.state is TaskState.PENDING:
+    def _unqueue(self, task: TaskDesc) -> None:
+        """Take a non-speculative task out of the place it waits: its task
+        queue, limbo (whose stale ``_REQUEUE`` event is then ignored), a
+        spill buffer or zoom frame, or a zoom request. Aborts and
+        zoom-ins both leave through here."""
+        state = task.state
+        if state is TaskState.PENDING:
             if task in self._limbo:
                 del self._limbo[task]
             else:
                 self.tiles[task.queue_tile].unit.remove(task)
-        elif task.state is TaskState.SPILLED:
+        elif state is TaskState.SPILLED:
             task.spill_buffer.remove(task)
-            task.spill_buffer = None
-        elif task.state is TaskState.WAIT_ZOOM:
+        elif state is TaskState.WAIT_ZOOM:
             self.zoom.drop_request(task)
         else:
-            raise SimulationError(
-                f"zoom-in spill of speculative task {task}")
+            raise SimulationError(f"{task} is not waiting in a queue")
 
     def _rebuild_queues(self) -> None:
         """Re-key queues after a global VT rewrite (zoom / compaction);
@@ -1051,9 +1013,6 @@ class Simulator(AllocAPI):
         for t in victims:
             unit.remove(t)
         buf = SpillBuffer(victims)
-        for t in victims:
-            t.state = TaskState.SPILLED
-            t.spill_buffer = buf
         self._spill_buffers.append(buf)
         self._m_spilled.value += len(victims)
         duration = max(1, self.config.splitter_cost_per_task * len(victims))
@@ -1075,18 +1034,19 @@ class Simulator(AllocAPI):
             if self._ebus is not None:
                 self._ebus.emit(job.finish_event(self.now, len(victims)))
         else:  # splitter
-            buf = job.buffer
-            if buf in self._spill_buffers:
-                self._spill_buffers.remove(buf)
-            restored = list(buf.tasks)
-            for t in restored:
-                buf.remove(t)
-                t.state = TaskState.PENDING
-                t.spill_buffer = None
-                self._requeue(t)
+            self._spill_buffers.remove(job.buffer)
+            n_restored = self._restore(job.buffer)
             if self._ebus is not None:
-                self._ebus.emit(job.finish_event(self.now, len(restored)))
+                self._ebus.emit(job.finish_event(self.now, n_restored))
         self._dispatch_tile(tile_id)
+
+    def _restore(self, buf: SpillBuffer) -> int:
+        """Requeue every task of a splitter's buffer or a zoom frame, in
+        buffer order; returns how many."""
+        tasks = buf.drain()
+        for t in tasks:
+            self._requeue(t)
+        return len(tasks)
 
     # ==================================================================
     # resilience: overload ladder, livelock escalation, watchdog

@@ -14,15 +14,25 @@ also drops ``children``. The ``reads`` / ``writes`` value records exist
 only in audited runs, for the serializability audit to replay. So a run
 holds memory for its live tasks, not for every task it ever created.
 
-State machine::
+State machine; each edge names the one method that makes it (a
+``Simulator`` method unless qualified)::
 
-    PENDING -> RUNNING -> {FINISHED | FINISH_STALLED -> FINISHED} -> COMMITTED
-       ^          |                |
-       |          +--- abort ------+----> PENDING   (re-execute)
-       |          +--- squash -----+----> SQUASHED  (parent aborted; gone)
-       |
-       +--> SPILLED -> PENDING                      (coalescer / splitter)
-       +--> WAIT_ZOOM -> PENDING                    (zoom request granted)
+    PENDING -> RUNNING                          _dispatch_task
+    RUNNING -> FINISHED | FINISH_STALLED        _on_finish (entry free | not)
+    FINISH_STALLED -> FINISHED                  _leave_commit_queue
+    FINISHED | FINISH_STALLED -> COMMITTED      _commit_one
+    RUNNING | FINISHED | FINISH_STALLED -> PENDING (in limbo)   _undo_one
+    PENDING (in limbo) -> PENDING (queued)      _on_requeue
+    any live state -> SQUASHED                  _undo_one (ancestor aborted)
+    RUNNING -> WAIT_ZOOM                        _zoom_park
+    WAIT_ZOOM -> PENDING                        _zoom_release
+    PENDING -> SPILLED                          SpillBuffer() (coalescer)
+    PENDING | SPILLED | WAIT_ZOOM -> SPILLED    SpillBuffer() (zoom-in)
+    SPILLED -> PENDING                          SpillBuffer.drain
+
+A task waits in its task queue or limbo (PENDING), a spill buffer or zoom
+frame (SPILLED), a zoom request (WAIT_ZOOM) or the commit queue; every
+abort and zoom-in takes a waiting task out through ``_unqueue``.
 """
 
 from __future__ import annotations
@@ -153,6 +163,12 @@ class TaskDesc:
         """True while this attempt holds speculative state."""
         return self.state in (TaskState.RUNNING, TaskState.FINISH_STALLED,
                               TaskState.FINISHED)
+
+    @property
+    def zoom_parked(self) -> bool:
+        """True while a zoom frame holds this task: it belongs to a
+        zoomed-out base domain and neither runs nor bounds the GVT."""
+        return self.state is TaskState.SPILLED and self.spill_buffer.is_zoom
 
     @property
     def is_live(self) -> bool:

@@ -48,8 +48,7 @@ class ZoomFrame:
     __slots__ = ("buffer", "base")
 
     def __init__(self, tasks: List, base: DomainVT):
-        self.buffer = SpillBuffer(tasks)
-        self.buffer.is_zoom = True
+        self.buffer = SpillBuffer(tasks, is_zoom=True)
         self.base = base
 
     def __repr__(self) -> str:
@@ -186,12 +185,8 @@ class ZoomController:
         # 2. Spill every (now non-speculative) base-domain task (Fig. 13c).
         victims = [t for t in sim._active_live() if t.vt.depth == 1]
         for t in victims:
-            sim._extract_pending(t)
-        frame = ZoomFrame(victims, base)
-        for t in victims:
-            t.state = TaskState.SPILLED
-            t.spill_buffer = frame.buffer
-        self.frames.append(frame)
+            sim._unqueue(t)
+        self.frames.append(ZoomFrame(victims, base))
         self.zoom_ins += 1
 
         # 3. The outermost subdomain becomes the base (Fig. 13d): every
@@ -219,13 +214,9 @@ class ZoomController:
         # active tasks, so this changes no order relations.
         for t in sim._active_live():
             t.vt = t.vt.with_base(frame.base)
-        restored_tasks = list(frame.buffer.tasks)
-        for t in restored_tasks:
-            t.state = TaskState.PENDING
-            t.spill_buffer = None
-            sim._requeue(t)
+        n_restored = sim._restore(frame.buffer)
         sim._rebuild_queues()
         self._min_key = _UNSCANNED
         if sim._ebus is not None:
             sim._ebus.emit(ZoomEvent(sim.now, "out", len(self.frames),
-                                     len(restored_tasks)))
+                                     n_restored))

@@ -6,6 +6,8 @@ import pytest
 from repro.apps import mis, silo
 from repro.bench.harness import run_app
 from repro.config import SystemConfig
+from repro.errors import SimulationError
+from repro.vt.tiebreaker import WrapAround
 
 
 class TestCompactionUnderLoad:
@@ -55,3 +57,28 @@ class TestCombinedPressure:
                       config=cfg, audit=True, max_cycles=120_000_000)
         zoomtree.check(run.handles, inp)
         assert run.stats.zoom_ins > 0
+
+
+class TestWrapAroundRegressions:
+    """Tiebreaker wrap-around runs that fail today. Each raises within
+    a few thousand cycles; a change in how it fails shows up here."""
+
+    @pytest.mark.xfail(strict=True, raises=SimulationError, reason=(
+        "after wrap-around compactions an abort rolls back a word's "
+        "writers out of chain order: 'rollback of non-tail writer at "
+        "addr 13'"))
+    def test_mis_with_12_bit_tiebreakers(self):
+        inp = mis.make_input(scale=7, edge_factor=5)
+        cfg = SystemConfig.with_cores(8, tiebreaker_bits=12)
+        run = run_app(mis, inp, variant="fractal", config=cfg, audit=True)
+        assert run.stats.tiebreaker_wraparounds > 0
+
+    @pytest.mark.xfail(strict=True, raises=WrapAround, reason=(
+        "one compaction walk does not create room, and the WrapAround "
+        "escapes TiebreakerAllocator.compact at cycle 1600"))
+    def test_zoomtree_with_12_bit_tiebreakers(self):
+        from repro.apps import zoomtree
+        inp = zoomtree.make_input(fanout=3, depth=6)
+        cfg = SystemConfig.with_cores(4, tiebreaker_bits=12, vt_bits=64)
+        run = run_app(zoomtree, inp, config=cfg, audit=True)
+        assert run.stats.tiebreaker_wraparounds > 0

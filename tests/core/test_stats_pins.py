@@ -5,14 +5,16 @@ ceilings for the runs ``repro profile`` makes.
 ``benchmarks/perf/pins.json`` pins the four benchmark workloads. These
 runs cover the rest: safe mode and livelock throttling (the storm fault
 plan), exception retries that unwind inside a task body (the transient
-plan), zoom-park aborts of tasks that already spawned children,
+plan), zoom-ins of coalescer-spilled tasks and re-keyed spill buffers,
 commit-queue pressure aborts (on one tile, and on many tiles in one
 tick), aborts with no rollback delay (the core frees in the cycle
 being simulated), the PBBS family under every variant (audited and
 checked against the sequential reference), and three
 ``repro profile`` runs whose scan and probe counters ``CEILINGS``
-bounds. Host-side optimizations of the simulator must reproduce every
-pin exactly. Print a ``PINS`` block to paste over the one below with::
+bounds. Zoom-park aborts of tasks that already spawned children are
+tested in ``test_zooming.py`` (``TestEnqueueSuperAcrossZoom``).
+Host-side optimizations of the simulator must reproduce every pin
+exactly. Print a ``PINS`` block to paste over the one below with::
 
     PYTHONPATH=src python -m tests.core.test_stats_pins
 """
@@ -101,6 +103,9 @@ PINS = {
     "spanning/swarm@8c": (
         "6c93f24ee2e134cd6d4ebe9a3059e2b9b903960ca90678f85434d53708cdd375",
         3796),
+    "zoomtree-4c-spill-zoom": (
+        "bf3d2117648e94d706dd9386861073853bdd2f6e5ea4257d8af7e4cba9fa7691",
+        80588),
     "zoomtree-8c-vt64": (
         "77511e5d6fa3f90edad9e7c7c6f82d8e66986ee8910d3cacae005d12cb4bddc6",
         2867),
@@ -118,6 +123,13 @@ def _zoomtree():
     cfg = SystemConfig.with_cores(8, vt_bits=64)
     return run_app(zoomtree, zoomtree.make_input(fanout=3, depth=6),
                    config=cfg).sim
+
+
+def _zoomtree_spill_zoom():
+    cfg = SystemConfig.with_cores(4, vt_bits=96, task_queue_per_core=2)
+    return run_app(zoomtree, zoomtree.make_input(fanout=4, depth=8,
+                                                 work_cycles=300),
+                   config=cfg, audit=True).sim
 
 
 def _mis_zero_penalty():
@@ -174,6 +186,10 @@ RUNS = {
         "storm.json", scale=6, safe_mode_threshold=1.0),
     "mis-8c-transient": lambda: _mis_under("transient.json"),
     "zoomtree-8c-vt64": _zoomtree,
+    # two-task task queues under a three-level VT budget: zoom-ins pull
+    # coalescer-spilled tasks into zoom frames, and zooms and compactions
+    # re-key spill buffers that still hold tasks
+    "zoomtree-4c-spill-zoom": _zoomtree_spill_zoom,
     # with no rollback delay, an aborted attempt frees its core in the
     # cycle being simulated, which no default config does
     "mis-16c-zero-penalty": _mis_zero_penalty,
