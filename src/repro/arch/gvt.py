@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 from typing import List, Optional
 
-from ..core.task import TaskState
+from ..core.task import RUNNING
 from ..telemetry.events import GvtTickEvent
 from .frontier import StrippedIndex
 
@@ -128,7 +128,7 @@ class GvtFrontier:
         self._dyn.clear()
         self._run.clear()
         for task in live:
-            if task.state is TaskState.RUNNING:
+            if task.state is RUNNING:
                 self.add_run(task)
             elif not (task.is_speculative or task.zoom_parked):
                 # pending, waiting for a zoom, or spilled by a coalescer;

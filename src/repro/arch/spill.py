@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..core.task import TaskState
+from ..core.task import COMMITTED, PENDING, SPILLED
 from ..telemetry.events import SpillEvent
 from .frontier import StrippedIndex
 
@@ -33,7 +33,7 @@ def select_spill_victims(pending: List, now_lb: int, batch: int) -> List:
     """
     spillable = [t for t in pending
                  if t.parent is None
-                 or t.parent.state is TaskState.COMMITTED]
+                 or t.parent.state is COMMITTED]
     spillable.sort(key=lambda t: t.order_key[:-1] + (now_lb,), reverse=True)
     if spillable:
         spillable.pop()
@@ -61,7 +61,7 @@ class SpillBuffer:
         self.is_zoom = is_zoom
         self._index = StrippedIndex("queue_token")
         for t in self.tasks:
-            t.state = TaskState.SPILLED
+            t.state = SPILLED
             t.spill_buffer = self
             t.queue_token += 1
             self._index.push(t)
@@ -81,7 +81,7 @@ class SpillBuffer:
         tasks, self.tasks = self.tasks, []
         self._index.clear()
         for t in tasks:
-            t.state = TaskState.PENDING
+            t.state = PENDING
             t.spill_buffer = None
         return tasks
 

@@ -34,11 +34,11 @@ class TaskAborted(FractalError):
 
     Carries the task itself: the dispatch loop catches nearly every one of
     these unread, so the message (the task and its VT) is formatted only
-    when something asks for it.
+    when something asks for it. ``BaseException.__new__`` already sets
+    ``args`` to ``(task,)``, so ``__init__`` only names the task.
     """
 
     def __init__(self, task):
-        super().__init__(task)
         self.task = task
 
     def __str__(self) -> str:
@@ -65,18 +65,23 @@ class NeedZoomOut(FractalError):
 
 
 class TaskContext:
-    """Execution context of one task attempt on the speculative simulator."""
+    """Execution context of the task attempts one core runs on the
+    speculative simulator.
 
-    __slots__ = ("sim", "task", "tile_id", "core_id", "cycles", "_children",
+    The simulator builds one per core and, at each dispatch, points it at
+    the new attempt: ``task`` becomes the attempt's task and ``cycles``
+    restarts at the dequeue cost.
+    """
+
+    __slots__ = ("sim", "task", "tile_id", "core_id", "cycles",
                  "_cache", "_memory", "_l1_hit", "_check_cost")
 
-    def __init__(self, sim, task: TaskDesc, tile_id: int, core_id: int):
+    def __init__(self, sim, tile_id: int, core_id: int):
         self.sim = sim
-        self.task = task
+        self.task: Optional[TaskDesc] = None
         self.tile_id = tile_id
         self.core_id = core_id
         self.cycles = 0
-        self._children = 0
         # load/store run once per memory access: resolve the simulator's
         # fixed collaborators and latency constants up front
         self._cache = sim.cache
@@ -244,7 +249,6 @@ class TaskContext:
         child = TaskDesc(fn, args, domain, timestamp=timestamp, hint=hint,
                          parent=self.task, label=label)
         self.task.children.append(child)
-        self._children += 1
         self.sim._enqueue_child(self, child, kind)
         return child
 

@@ -56,7 +56,8 @@ from .api import NeedZoomIn, NeedZoomOut, TaskAborted, TaskContext
 from .domain import Domain
 from .hostbase import AllocAPI
 from .stats import CycleBreakdown, RunStats
-from .task import TaskDesc, TaskState, tid_watermark
+from .task import (COMMITTED, FINISH_STALLED, FINISHED, PENDING, RUNNING,
+                   SQUASHED, SPILLED, WAIT_ZOOM, TaskDesc, tid_watermark)
 from .zoom import ZoomController
 
 if TYPE_CHECKING:  # repro.faults loads only when a run uses it
@@ -156,7 +157,8 @@ class Simulator(AllocAPI):
                                        cfg.load_balance_threshold, cfg.seed)
         self.scheduler.clock = lambda: self.now
         self.arbiter = GvtArbiter(cfg.commit_interval)
-        # read on every abort / enqueue
+        # read on every dispatch / abort / enqueue
+        self._dequeue_cost = cfg.dequeue_cost
         self._abort_penalty = cfg.abort_penalty
         self._spill_threshold = cfg.spill_threshold
         core_bits = max(4, (max(cfg.n_cores - 1, 1)).bit_length())
@@ -180,6 +182,9 @@ class Simulator(AllocAPI):
             self.tiles.append(tile)
         # the scheduler's view of the tiles, built once for every enqueue
         self._units = [t.unit for t in self.tiles]
+        # one context per core, pointed at each attempt the core runs
+        self._contexts = [TaskContext(self, c.tile_id, c.cid)
+                          for c in self.cores]
         self._special_jobs: List[List] = [[] for _ in range(cfg.n_tiles)]
         self._coalescer_queued = [False] * cfg.n_tiles
         self._spill_buffers: List[SpillBuffer] = []
@@ -205,8 +210,9 @@ class Simulator(AllocAPI):
         # finished tasks awaiting commit (FINISHED and FINISH_STALLED), as
         # an insertion-ordered dict: an abort drops one in O(1)
         self._finished: Dict[TaskDesc, None] = {}
+        # the attempt whose body is running (its core's context counts
+        # its cycles so far)
         self._executing: Optional[TaskDesc] = None
-        self._executing_ctx: Optional[TaskContext] = None
         # commits so far: the next commit's sequence number, and the count
         # that GVT ticks, the livelock detector and crash bundles report
         self._commit_seq = 0
@@ -240,6 +246,8 @@ class Simulator(AllocAPI):
         self._m_enqueues = [m.counter("enqueues", tile=t)
                             for t in range(cfg.n_tiles)]
         self._m_tasks: Dict[Tuple[str, int], Any] = {}
+        # tasks{outcome="aborted"} by depth: the abort path's own cache
+        self._m_aborted: Dict[int, Any] = {}
         self._m_spilled = m.counter("tasks_spilled")
         self._m_domains = m.counter("domains_created")
         self._m_depth = m.gauge("max_depth")
@@ -542,7 +550,7 @@ class Simulator(AllocAPI):
         return tile.unit.pop_best()
 
     def _dispatch_task(self, core: Core, task: TaskDesc) -> None:
-        if task.state is not TaskState.PENDING:
+        if task.state is not PENDING:
             raise SimulationError(f"dispatching non-pending {task}")
         try:
             tb = self.alloc.alloc(self.now, core.cid)
@@ -550,7 +558,7 @@ class Simulator(AllocAPI):
             self._compact_tiebreakers()
             tb = self.alloc.alloc(self.now, core.cid)
         task.vt = task.vt.with_tiebreaker(tb)
-        task.state = TaskState.RUNNING
+        task.state = RUNNING
         # The GVT frontier's run entry is pushed once the body returns: no
         # GVT query runs inside a body, and an attempt that aborts there
         # keeps its pending entry (same prefix), so it never needs one.
@@ -564,9 +572,10 @@ class Simulator(AllocAPI):
                 self.now, task.tid, task.label, core.cid, core.tile_id,
                 task.attempt))
 
-        ctx = TaskContext(self, task, core.tile_id, core.cid)
-        ctx.cycles = self.config.dequeue_cost
-        self._executing, self._executing_ctx = task, ctx
+        ctx = self._contexts[core.cid]
+        ctx.task = task
+        ctx.cycles = self._dequeue_cost
+        self._executing = task
         try:
             if (self._faults is not None
                     and self._faults.fail_attempt(task)):
@@ -584,19 +593,19 @@ class Simulator(AllocAPI):
         except FractalError:
             # library invariants and typed API misuse stay fatal; the
             # crash bundle's GVT must still see the attempt as running
-            if task.state is TaskState.RUNNING:
+            if task.state is RUNNING:
                 self._frontier.add_run(task)
             raise
         except Exception as exc:  # app-code / injected task failure
             self._on_task_exception(core, task, ctx, exc)
             return
         finally:
-            self._executing, self._executing_ctx = None, None
+            self._executing = None
 
         task.duration = max(1, ctx.cycles + self.config.finish_cost)
         if self._faults is not None:
             task.duration = self._faults.stretch_duration(task, task.duration)
-        if task.state is TaskState.RUNNING:
+        if task.state is RUNNING:
             self._frontier.add_run(task)
         self._schedule(self.now + task.duration, _FINISH,
                        (core, task, task.attempt))
@@ -663,7 +672,7 @@ class Simulator(AllocAPI):
         return True
 
     def _on_finish(self, core: Core, task: TaskDesc, attempt: int) -> None:
-        if (task.attempt != attempt or task.state is not TaskState.RUNNING
+        if (task.attempt != attempt or task.state is not RUNNING
                 or core.job is not task):
             return  # stale: the attempt was aborted while "running"
         unit = self.tiles[core.tile_id].unit
@@ -675,12 +684,12 @@ class Simulator(AllocAPI):
                                           task.duration))
         self._finished[task] = None
         if unit.acquire_commit_entry():
-            task.state = TaskState.FINISHED
+            task.state = FINISHED
             core.job = None
             self._dispatch_tile(core.tile_id)
         else:
             # Core stalls holding the finished task until an entry frees.
-            task.state = TaskState.FINISH_STALLED
+            task.state = FINISH_STALLED
             unit.finish_stalled.append(task)
         self._ensure_tick()
 
@@ -723,7 +732,7 @@ class Simulator(AllocAPI):
                 stalled = {tile.tid for tile in self.tiles
                            if tile.unit.finish_stalled}
                 latest = {t.core.tile_id: t for t in ordered
-                          if t.state is TaskState.FINISHED
+                          if t.state is FINISHED
                           and t.core.tile_id in stalled}
                 if latest:
                     self._abort_cascade([latest[i] for i in sorted(latest)],
@@ -750,7 +759,7 @@ class Simulator(AllocAPI):
         self.memory.commit(task)
         self._leave_commit_queue(task)
         core = task.core
-        task.state = TaskState.COMMITTED
+        task.state = COMMITTED
         task.commit_seq = self._commit_seq
         self._commit_seq += 1
         self._live.pop(task, None)
@@ -782,10 +791,10 @@ class Simulator(AllocAPI):
         """A finished task commits or aborts. A FINISHED task frees its
         commit-queue entry, and the tile's earliest stalled tasks move
         into the free space; a FINISH_STALLED task ends its stall."""
-        if task.state is TaskState.FINISH_STALLED:
+        if task.state is FINISH_STALLED:
             self._end_stall(task)
             return
-        if task.state is not TaskState.FINISHED:
+        if task.state is not FINISHED:
             raise SimulationError(f"{task} holds no commit-queue entry")
         unit = self.tiles[task.core.tile_id].unit
         unit.release_commit_entry()
@@ -793,7 +802,7 @@ class Simulator(AllocAPI):
             stalled = min(unit.finish_stalled, key=_order_key)
             self._end_stall(stalled)
             unit.acquire_commit_entry()
-            stalled.state = TaskState.FINISHED
+            stalled.state = FINISHED
             stalled.finish_time = self.now
 
     def _end_stall(self, task: TaskDesc) -> None:
@@ -848,31 +857,35 @@ class Simulator(AllocAPI):
     def _undo_one(self, task: TaskDesc, squash: bool, reason: str,
                   cascade_id: int = -1, hop: int = 0) -> None:
         state = task.state
-        if state in (TaskState.RUNNING, TaskState.FINISH_STALLED,
-                     TaskState.FINISHED):
+        if state is RUNNING or state is FINISHED or state is FINISH_STALLED:
             self.memory.rollback(task)
             if task is self._executing:
-                executed = self._executing_ctx.cycles
-            elif state is TaskState.RUNNING:
+                executed = self._contexts[task.core.cid].cycles
+            elif state is RUNNING:
                 executed = min(self.now - task.dispatch_time, task.duration)
             else:
                 executed = task.duration
             # Only a still-running victim's core pays the rollback delay;
             # finished victims roll back inside the task unit.
-            if state is TaskState.RUNNING:
+            if state is RUNNING:
                 executed += self._abort_penalty
             self._m_cycles["aborted"][task.core.cid].value += executed
             self._aborts_total += 1
-            self._task_counter("aborted", task.domain.depth).value += 1
+            depth = task.domain.depth
+            ctr = self._m_aborted.get(depth)
+            if ctr is None:
+                ctr = self._m_aborted[depth] = self._task_counter("aborted",
+                                                                  depth)
+            ctr.value += 1
             if self._ebus is not None:
                 self._ebus.emit(tev.AbortEvent(
                     self.now, task.tid, task.label, task.core.cid,
                     task.dispatch_time, executed, reason, False,
                     cascade_id, hop))
             if task is self._executing:
-                if state is not TaskState.RUNNING:
+                if state is not RUNNING:
                     raise SimulationError("executing task not RUNNING")
-            elif state is TaskState.RUNNING:
+            elif state is RUNNING:
                 self._release_core(task.core, self._abort_penalty)
             else:
                 del self._finished[task]
@@ -882,7 +895,7 @@ class Simulator(AllocAPI):
 
         task.aborted = True
         if squash:
-            task.state = TaskState.SQUASHED
+            task.state = SQUASHED
             self._frontier.discard(task)
             self._live.pop(task, None)
             self._task_counter("squashed", task.domain.depth).value += 1
@@ -893,7 +906,7 @@ class Simulator(AllocAPI):
             # Hold the task in limbo for the rollback latency so it cannot
             # re-dispatch (and re-conflict) within the same cycle.
             task.n_aborts += 1
-            task.state = TaskState.PENDING
+            task.state = PENDING
             # Limbo tasks still bound the GVT through their stripped key
             # (the final real tiebreaker of the aborted attempt is dropped;
             # the later _requeue keeps the same prefix). An attempt that
@@ -936,19 +949,19 @@ class Simulator(AllocAPI):
                 self.now, task.tid, task.label, task.core.cid,
                 task.dispatch_time, ctx.cycles, f"zoom-{direction} park",
                 True, -1, 0))
-        task.state = TaskState.WAIT_ZOOM
+        task.state = WAIT_ZOOM
         self._frontier.add_dyn(task)
         self.zoom.park(task, direction, need.needed_bits)
         self._ensure_tick()
 
     def _on_requeue(self, task: TaskDesc) -> None:
-        if task not in self._limbo or task.state is not TaskState.PENDING:
+        if task not in self._limbo or task.state is not PENDING:
             return  # squashed or spilled away meanwhile
         del self._limbo[task]
         self._requeue(task)
 
     def _zoom_release(self, task: TaskDesc) -> None:
-        task.state = TaskState.PENDING
+        task.state = PENDING
         self._requeue(task)
 
     def _active_live(self) -> List[TaskDesc]:
@@ -965,14 +978,14 @@ class Simulator(AllocAPI):
         spill buffer or zoom frame, or a zoom request. Aborts and
         zoom-ins both leave through here."""
         state = task.state
-        if state is TaskState.PENDING:
+        if state is PENDING:
             if task in self._limbo:
                 del self._limbo[task]
             else:
                 self.tiles[task.queue_tile].unit.remove(task)
-        elif state is TaskState.SPILLED:
+        elif state is SPILLED:
             task.spill_buffer.remove(task)
-        elif state is TaskState.WAIT_ZOOM:
+        elif state is WAIT_ZOOM:
             self.zoom.drop_request(task)
         else:
             raise SimulationError(f"{task} is not waiting in a queue")

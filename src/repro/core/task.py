@@ -70,6 +70,20 @@ class TaskState(enum.Enum):
     WAIT_ZOOM = "wait-zoom"
 
 
+# Each member bound once as a plain module global: reading one costs a
+# global lookup, where ``TaskState.RUNNING`` costs an enum class attribute
+# lookup several times slower, and the hot path tests states with ``is``
+# on every dispatch, abort and GVT scan.
+PENDING = TaskState.PENDING
+RUNNING = TaskState.RUNNING
+FINISH_STALLED = TaskState.FINISH_STALLED
+FINISHED = TaskState.FINISHED
+COMMITTED = TaskState.COMMITTED
+SQUASHED = TaskState.SQUASHED
+SPILLED = TaskState.SPILLED
+WAIT_ZOOM = TaskState.WAIT_ZOOM
+
+
 class TaskDesc:
     """One Fractal task."""
 
@@ -109,7 +123,7 @@ class TaskDesc:
         self.parent = parent
         self.label = label or getattr(fn, "__name__", "task")
 
-        self.state = TaskState.PENDING
+        self.state = PENDING
         self._vt: Optional[FractalVT] = None
         #: the VT's flat sort key, kept in step with ``vt`` (the SpecMemory
         #: owner protocol; queues and the GVT frontier read it too)
@@ -156,24 +170,26 @@ class TaskDesc:
         (its stores are conceptually in flight). ``SpecMemory`` tracks this
         itself (``attach_owner`` to ``finish``); the tests' chain-walk
         oracle (``tests/mem/inflight_oracle.py``) reads this method."""
-        return self.state is TaskState.RUNNING
+        return self.state is RUNNING
 
     @property
     def is_speculative(self) -> bool:
         """True while this attempt holds speculative state."""
-        return self.state in (TaskState.RUNNING, TaskState.FINISH_STALLED,
-                              TaskState.FINISHED)
+        state = self.state
+        return (state is RUNNING or state is FINISHED
+                or state is FINISH_STALLED)
 
     @property
     def zoom_parked(self) -> bool:
         """True while a zoom frame holds this task: it belongs to a
         zoomed-out base domain and neither runs nor bounds the GVT."""
-        return self.state is TaskState.SPILLED and self.spill_buffer.is_zoom
+        return self.state is SPILLED and self.spill_buffer.is_zoom
 
     @property
     def is_live(self) -> bool:
         """Unfinished or uncommitted — bounds the GVT."""
-        return self.state not in (TaskState.COMMITTED, TaskState.SQUASHED)
+        state = self.state
+        return state is not COMMITTED and state is not SQUASHED
 
     def begin_attempt(self) -> None:
         """Reset per-attempt state at dispatch."""

@@ -27,7 +27,7 @@ from typing import List, Optional
 from ..errors import SimulationError
 from ..telemetry.events import ZoomEvent
 from ..vt import DomainVT
-from .task import TaskState
+from .task import WAIT_ZOOM
 from ..arch.spill import SpillBuffer
 
 
@@ -43,13 +43,15 @@ _UNSCANNED = object()
 
 
 class ZoomFrame:
-    """One zoomed-out base domain: its spilled tasks + saved base level."""
+    """One zoomed-out base domain: its spilled tasks, saved base level,
+    and the task whose zoom-in pushed it."""
 
-    __slots__ = ("buffer", "base")
+    __slots__ = ("buffer", "base", "requester")
 
-    def __init__(self, tasks: List, base: DomainVT):
+    def __init__(self, tasks: List, base: DomainVT, requester):
         self.buffer = SpillBuffer(tasks, is_zoom=True)
         self.base = base
+        self.requester = requester
 
     def __repr__(self) -> str:
         return (f"ZoomFrame({self.base.ordering.value}, "
@@ -91,7 +93,7 @@ class ZoomController:
         self._min_key = _UNSCANNED
         for req in list(self.requests):
             task = req.task
-            if task.state is not TaskState.WAIT_ZOOM:
+            if task.state is not WAIT_ZOOM:
                 self.drop_request(task)  # squashed meanwhile
                 continue
             if req.direction == "in":
@@ -157,6 +159,15 @@ class ZoomController:
         if not self.frames:
             raise SimulationError(
                 f"zoom-out requested by {task} with an empty zoom stack")
+        if self.frames[-1].requester is task:
+            # It zoomed in for a deeper level and now needs the shallower
+            # one too: three levels at once, which would zoom in and out
+            # forever.
+            raise SimulationError(
+                f"zoom-out requested by {task}, whose own zoom-in pushed the "
+                f"top zoom frame: vt_bits={self.sim.vt_budget} cannot hold "
+                f"its subdomain and its superdomain at once; increase "
+                f"vt_bits")
         if self._min_active_key() < task.order_key:
             return
         self.zoom_out()
@@ -186,7 +197,7 @@ class ZoomController:
         victims = [t for t in sim._active_live() if t.vt.depth == 1]
         for t in victims:
             sim._unqueue(t)
-        self.frames.append(ZoomFrame(victims, base))
+        self.frames.append(ZoomFrame(victims, base, requester))
         self.zoom_ins += 1
 
         # 3. The outermost subdomain becomes the base (Fig. 13d): every

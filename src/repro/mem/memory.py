@@ -24,9 +24,12 @@ Probing
 
 Per-access semantics are load-bearing: a conflicting later task must be
 aborted *before* the accessor reads a value, so detection cannot be
-deferred to end-of-task. Every load therefore walks its line's writer
-chain, and every store walks the line's readers and writer chain, for
-later-VT victims. A line whose chain holds an earlier writer that is
+deferred to end-of-task. Every load therefore checks its line's writer
+chain, and every store the line's readers and writer chain, for
+later-VT victims. A writer chain is sorted by VT (a store aborts every
+later writer before it joins the chain's tail), so a chain whose tail is
+the accessor or precedes it holds no victim, and only a chain with a
+later tail is walked. A line whose chain holds an earlier writer that is
 still in flight makes the access premature; those writers sit in a
 per-line in-flight index, so finding one does not walk the chain.
 
@@ -87,6 +90,13 @@ class OwnerProtocol:
       totally orders all live owners. Global VT rewrites (zoom,
       tiebreaker compaction) replace it but preserve the relative order
       of live owners.
+    - ``aborted`` — set once the abort cascade has rolled the attempt
+      back.
+    - ``dispatch_time`` and ``duration`` — when the attempt started and
+      how many cycles it takes: an in-flight owner's stores have all
+      landed at their sum.
+    - ``retry_after`` — the earliest cycle the attempt may run again;
+      a premature access raises it to the blocking writer's finish.
 
     The attempt's lifecycle, as the simulator reports it:
 
@@ -252,14 +262,19 @@ class SpecMemory:
         chain = self._line_writers.get(line)
         if chain:
             key = owner.order_key
-            self.probe_steps += len(chain)
-            victims = [w for w in chain
-                       if w is not owner and w.order_key > key]
-            if victims:
-                self.n_true_conflicts += len(victims)
-                if self.bus:
-                    self._emit_conflict("read-write", owner, victims, line)
-                self._abort(victims, "read-write conflict")
+            tail = chain[-1]
+            if tail is owner or tail.order_key < key:
+                self.probe_steps += 1  # no later writer
+            else:
+                self.probe_steps += len(chain)
+                victims = [w for w in chain
+                           if w is not owner and w.order_key > key]
+                if victims:
+                    self.n_true_conflicts += len(victims)
+                    if self.bus:
+                        self._emit_conflict("read-write", owner, victims,
+                                            line)
+                    self._abort(victims, "read-write conflict")
             self._abort_if_earlier_writer_running(owner, line, key)
             if owner.aborted:
                 return self.default
@@ -331,10 +346,14 @@ class SpecMemory:
                            if r is not owner and r.order_key > key)
         chain = self._line_writers.get(line)
         if chain:
-            self.probe_steps += len(chain)
-            victims.extend(w for w in chain
-                           if w is not owner and w.order_key > key
-                           and w not in victims)
+            tail = chain[-1]
+            if tail is owner or tail.order_key < key:
+                self.probe_steps += 1  # no later writer
+            else:
+                self.probe_steps += len(chain)
+                victims.extend(w for w in chain
+                               if w is not owner and w.order_key > key
+                               and w not in victims)
         if victims:
             self.n_true_conflicts += len(victims)
             if self.bus:
@@ -435,8 +454,9 @@ class SpecMemory:
                 # Tell the scheduler when the blocking store lands, so the
                 # retry happens once instead of spinning (one abort per
                 # in-flight writer, as on real hardware).
-                finish = getattr(w, "dispatch_time", 0) + getattr(w, "duration", 0)
-                owner.retry_after = max(getattr(owner, "retry_after", 0), finish)
+                finish = w.dispatch_time + w.duration
+                if finish > owner.retry_after:
+                    owner.retry_after = finish
                 self.n_true_conflicts += 1
                 if self.bus:
                     self._emit_conflict("premature-access", w, [owner], line)
@@ -495,6 +515,14 @@ class SpecMemory:
         The caller (abort cascade) must invoke this latest-first across the
         cascade so each owner is the most recent writer of its words.
         """
+        if (owner.write_lines is NO_EDGES and owner.read_lines is NO_EDGES
+                and owner.deps is NO_EDGES and owner.dependents is NO_EDGES):
+            # an empty footprint (the attempt died at its first access):
+            # no index lists it and there is nothing to undo
+            self._in_flight.pop(owner, None)
+            owner.undo = owner.read_lines = owner.write_lines = None
+            self.conflicts.unregister(owner)
+            return
         if owner.undo is not None:
             for addr, prev in owner.undo.reversed_entries():
                 chain = self._word_writers.get(addr)

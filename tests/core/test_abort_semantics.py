@@ -3,7 +3,7 @@ data-dependent tasks die; independent tasks survive."""
 
 import pytest
 
-from repro import Ordering, Simulator, SystemConfig
+from repro import LatencyModel, Ordering, Simulator, SystemConfig
 
 
 def make_sim(n_cores=8):
@@ -154,5 +154,74 @@ def test_abort_unwind_formats_its_message_lazily():
 
     task = Probe()
     exc = TaskAborted(task)
-    assert Probe.reprs == 0 and exc.task is task
+    assert Probe.reprs == 0 and exc.task is task and exc.args == (task,)
     assert str(exc) == "<probe>" and Probe.reprs == 1
+
+
+class TestContextReuse:
+    """Each core owns one TaskContext, pointed at every attempt it runs."""
+
+    def _run(self, blocked):
+        """An ordered root: ``blocker`` (ts 0) stores a cell and stays in
+        flight for 1,000 cycles; ``victim`` (ts 1, on another single-core
+        tile) computes, enqueues two children and then loads that cell.
+        With ``blocked`` the load is premature and the first attempt
+        aborts; without it the blocker stores a cell on another line and
+        the victim runs once, cleanly."""
+        cfg = SystemConfig.with_cores(
+            4, cores_per_tile=1, conflict_mode="precise",
+            latency=LatencyModel(mem_miss_rate=0.0))
+        sim = Simulator(cfg, root_ordering=Ordering.ORDERED_32)
+        cells = sim.array("cells", 16)  # words 0 and 8: two lines
+        units = [tile.unit for tile in sim.tiles]
+        tile_of = {h: sim.scheduler.tile_for(h, units) for h in range(16)}
+        # the blocker's tile dispatches first at cycle 0, so its store is
+        # in flight when the victim's body runs
+        blocker_hint = min(tile_of, key=tile_of.get)
+        victim_hint = next(h for h, t in tile_of.items()
+                           if t > tile_of[blocker_hint])
+        attempts = []   # (context, core, cycles at entry) per attempt
+        finished = []   # (children enqueued, task.children) per body end
+
+        def child(ctx):
+            pass
+
+        def blocker(ctx):
+            cells.set(ctx, 0 if blocked else 8, 1)
+            ctx.compute(1000)
+
+        def victim(ctx):
+            attempts.append((ctx, ctx.core_id, ctx.cycles))
+            ctx.compute(300)
+            kids = [ctx.enqueue(child, ts=1, hint=victim_hint)
+                    for _ in range(2)]
+            cells.get(ctx, 0)
+            finished.append((kids, list(ctx.task.children)))
+
+        sim.enqueue_root(blocker, ts=0, hint=blocker_hint)
+        task = sim.enqueue_root(victim, ts=1, hint=victim_hint)
+        stats = sim.run(max_cycles=100_000)
+        sim.audit()
+        return sim, task, stats, attempts, finished
+
+    def test_retry_starts_clean_on_the_same_core(self):
+        sim, task, stats, attempts, finished = self._run(blocked=True)
+        _, clean_task, clean_stats, clean_attempts, _ = self._run(
+            blocked=False)
+        assert clean_task.n_aborts == 0 and len(clean_attempts) == 1
+        # the first attempt died at its load, after enqueueing two
+        # children, which the abort squashed
+        assert task.n_aborts == 1 and len(attempts) == 2
+        assert stats.tasks_squashed == 2 and clean_stats.tasks_squashed == 0
+        (ctx1, core1, entry1), (ctx2, core2, entry2) = attempts
+        # the retry ran on the same core, through the same context
+        assert core1 == core2 == task.core.cid
+        assert ctx1 is ctx2 is sim._contexts[core1]
+        # each attempt started at the dequeue cost: nothing carried over,
+        # so the retry took exactly as long as the clean single attempt
+        assert entry1 == entry2 == sim.config.dequeue_cost
+        assert task.duration == clean_task.duration
+        # the task held the retry's two children and nothing else
+        [(kids, children)] = finished
+        assert len(kids) == 2 and children == kids
+        assert stats.tasks_committed == clean_stats.tasks_committed == 4

@@ -58,7 +58,8 @@ def test_drain_check_reuses_the_scanned_minimum():
     sim = _CountingSim([blocker, requester])
     sim._any_active_live = lambda: True
     ctl = ZoomController(sim)
-    ctl.frames.append(zoom_mod.ZoomFrame([], FractalVT.root(U, 0, 1).base))
+    ctl.frames.append(zoom_mod.ZoomFrame([], FractalVT.root(U, 0, 1).base,
+                                         None))
     ctl.park(requester, "in", 32)
     ctl.process()
     assert sim.scans == 1 and ctl.frames   # one scan, no zoom-out

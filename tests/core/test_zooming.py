@@ -283,23 +283,27 @@ class TestZoomStateTransitions:
                          ("in", 1), ("out", 1),
                          ("outward", "zoom-out park"), ("out", 0)]
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "zoom ping-pong: a subdomain task that needs both a deeper and a "
-        "shallower level than the VT window holds zooms in and out "
-        "forever instead of failing with a vt_bits error"))
-    def test_task_needing_three_levels_fails_naming_vt_bits(self):
+    @pytest.mark.parametrize("super_first", [False, True],
+                             ids=["sub-then-super", "super-then-sub"])
+    def test_task_needing_three_levels_fails_naming_vt_bits(self,
+                                                             super_first):
         """A depth-2 task that creates a subdomain *and* enqueues to its
-        superdomain needs three VT levels at once; 64 bits hold two. The
-        run should fail the way a base-domain zoom-in requester does."""
+        superdomain needs three VT levels at once; 64 bits hold two. Its
+        zoom-in pushes a frame and its retry then asks to zoom out of that
+        same frame, which would ping-pong forever; the run fails the way a
+        base-domain zoom-in requester does, in either enqueue order."""
         sim = deep_sim(vt_bits=64)
 
         def noop(ctx):
             pass
 
         def both_ways(ctx):
+            if super_first:
+                ctx.enqueue_super(noop)
             ctx.create_subdomain(Ordering.UNORDERED)
             ctx.enqueue_sub(noop)
-            ctx.enqueue_super(noop)
+            if not super_first:
+                ctx.enqueue_super(noop)
 
         def root(ctx):
             ctx.create_subdomain(Ordering.UNORDERED)
@@ -308,6 +312,7 @@ class TestZoomStateTransitions:
         sim.enqueue_root(root)
         with pytest.raises(SimulationError, match="vt_bits"):
             sim.run(max_cycles=200_000)
+        assert sim.zoom.zoom_ins == 1 and sim.zoom.zoom_outs == 0
 
 
 class TestWrapAround:

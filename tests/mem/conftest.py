@@ -27,6 +27,9 @@ class FakeOwner:
         self.parent = None
         self.state = "running"
         self.executing = executing
+        # timing fields of the owner protocol: an in-flight FakeOwner's
+        # stores land at cycle 0 unless a test says otherwise
+        self.dispatch_time = self.duration = self.retry_after = 0
 
     def still_executing(self):
         """FakeOwners act as instantaneous (already-finished) tasks unless
